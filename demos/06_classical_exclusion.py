@@ -10,8 +10,8 @@ observer guesses "aligned" exactly when every box ends up with one ball.
 With the rule "no two equally labeled balls share a box", the classical
 game reproduces the quantum optimum 1 - (n+1)/2^(n+1) exactly, for every
 n.  Reading the rule as "no box holds more than two balls" instead breaks
-the equivalence immediately.  Both readings are enumerated exactly below
-as fractions, so the agreement is an identity, not a numerical accident.
+the equivalence immediately.  Both readings are counted exactly below as
+fractions, so the agreement is an identity, not a numerical accident.
 """
 
 from statdisc import classical_comparison

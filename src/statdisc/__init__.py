@@ -9,16 +9,13 @@ ceiling.
 
 from .core import (DensityMatrix, partial_trace, permutation_operator,
                    swap_operator, symmetric_projector, tensor, trace_norm)
-from .states import (BlochDirection, DickeBasis, SphereQuadrature,
-                     aligned_direction_state, aligned_mixture,
-                     antialigned_direction_state, antialigned_mixture,
-                     bloch_state, bloch_vector, dicke_basis, maximally_mixed,
-                     orthogonal_state, qubit_density, quadrature_average)
+from .states import (BlochDirection, aligned_direction_state,
+                     aligned_mixture, antialigned_direction_state,
+                     antialigned_mixture, bloch_state, bloch_vector,
+                     maximally_mixed, orthogonal_state, qubit_density)
 from .multiport import (FockState, MultiportUnitary, OutcomeDistribution,
-                        Statistics, dft_unitary, evolve,
-                        first_quantized_distribution, interfere,
-                        prepare_input, spatial_distribution,
-                        symmetric_two_port)
+                        Statistics, dft_unitary, evolve, interfere,
+                        prepare_input, spatial_distribution)
 from .discrimination import (DiscriminationReport, Hypothesis,
                              aligned_vs_mixed_bound,
                              beam_splitter_discrimination, helstrom_bound,
@@ -31,18 +28,16 @@ from .applications import (CapacityError, ScanRecord, TwoQubitPureState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochDirection", "CapacityError", "DensityMatrix", "DickeBasis",
+    "BlochDirection", "CapacityError", "DensityMatrix",
     "DiscriminationReport", "FockState", "Hypothesis", "MultiportUnitary",
-    "OutcomeDistribution", "ScanRecord", "SphereQuadrature", "Statistics",
-    "TwoQubitPureState", "aligned_direction_state", "aligned_mixture",
-    "aligned_vs_mixed_bound", "antialigned_direction_state",
-    "antialigned_mixture", "beam_splitter_discrimination", "bloch_state",
-    "bloch_vector", "classical_comparison", "classical_pauli_success",
-    "detect_entanglement", "dft_unitary", "dicke_basis", "evolve",
-    "first_quantized_distribution", "helstrom_bound", "interfere",
-    "map_strategy", "maximally_mixed", "orthogonal_state", "partial_trace",
+    "OutcomeDistribution", "ScanRecord", "Statistics", "TwoQubitPureState",
+    "aligned_direction_state", "aligned_mixture", "aligned_vs_mixed_bound",
+    "antialigned_direction_state", "antialigned_mixture",
+    "beam_splitter_discrimination", "bloch_state", "bloch_vector",
+    "classical_comparison", "classical_pauli_success", "detect_entanglement",
+    "dft_unitary", "evolve", "helstrom_bound", "interfere", "map_strategy",
+    "maximally_mixed", "orthogonal_state", "partial_trace",
     "permutation_operator", "prepare_input", "purify_symmetric",
-    "qubit_density", "quadrature_average", "scan_discrimination",
-    "spatial_distribution", "swap_operator", "symmetric_projector",
-    "symmetric_two_port", "tensor", "trace_norm",
+    "qubit_density", "scan_discrimination", "spatial_distribution",
+    "swap_operator", "symmetric_projector", "tensor", "trace_norm",
 ]

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
 
 import numpy as np
 
@@ -100,22 +99,18 @@ def purify_symmetric(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     return partial_trace(normalized, keep=(0,)), success
 
 
-def _group_routings(n_arms: int, size: int, cap: int) -> list[tuple[int, ...]]:
-    """All arm assignments of one same-spin group, at most ``cap`` per arm."""
-    if cap == 1:
-        return list(permutations(range(n_arms), size))
-    routings = []
-    for routing in product(range(n_arms), repeat=size):
-        counts = [0] * n_arms
-        ok = True
-        for arm in routing:
-            counts[arm] += 1
-            if counts[arm] > cap:
-                ok = False
-                break
-        if ok:
-            routings.append(routing)
-    return routings
+def _capped_routings(n_arms: int, size: int, cap: int) -> int:
+    """Arm assignments of ``size`` labeled particles, at most ``cap`` per arm.
+
+    One arm's exponential generating function is sum_{j<=cap} x^j/j!, so
+    the count is size! [x^size] (sum_{j<=cap} x^j/j!)^n_arms.
+    """
+    arm = [Fraction(1, math.factorial(j)) for j in range(cap + 1)]
+    series = [Fraction(1)] + [Fraction(0)] * size
+    for _ in range(n_arms):
+        series = [sum(series[i - j] * arm[j] for j in range(min(i, cap) + 1))
+                  for i in range(size + 1)]
+    return int(math.factorial(size) * series[size])
 
 
 def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
@@ -125,8 +120,13 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     at random, except that routings violating the exclusion rule are thrown
     away and the rest renormalized per spin assignment.  The guess is
     "aligned" exactly when all arms differ.  ``standard`` forbids two equal
-    labels per arm; ``literal`` forbids three.  Probabilities are exact
-    fractions from full enumeration over spin assignments and routings.
+    labels per arm; ``literal`` forbids three.
+
+    Probabilities are exact fractions from a closed count.  With k up
+    labels, the only routings that leave every arm distinct put the n
+    particles on the n arms one to one, and n! of those obey either rule,
+    so P(distinct | k) = n! / (R(n, k) R(n, n - k)) with R the capped
+    routing count.  The mixed hypothesis weighs k by C(n, k) / 2^n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -138,26 +138,16 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
         raise ValueError("interpretation must be 'standard' or 'literal'")
     cap = 1 if interpretation == "standard" else 2
 
-    distinct_given_ups: dict[int, Fraction] = {}
-    for ups in range(n + 1):
-        group_up = _group_routings(n, ups, cap)
-        group_down = _group_routings(n, n - ups, cap)
-        allowed = 0
-        distinct = 0
-        for a in group_up:
-            for b in group_down:
-                allowed += 1
-                if len(set(a + b)) == n:
-                    distinct += 1
-        distinct_given_ups[ups] = Fraction(distinct, allowed)
+    routings = [_capped_routings(n, ups, cap) for ups in range(n + 1)]
+    distinct_given_ups = [
+        Fraction(math.factorial(n), routings[ups] * routings[n - ups])
+        for ups in range(n + 1)]
 
     # aligned hypothesis: every particle carries the same label
     p_correct_aligned = distinct_given_ups[0]
     # mixed hypothesis: labels independently uniform; correct when arms repeat
-    p_correct_mixed = Fraction(0)
-    for labels in product((0, 1), repeat=n):
-        p_correct_mixed += (1 - distinct_given_ups[sum(labels)])
-    p_correct_mixed /= 2 ** n
+    p_correct_mixed = sum(math.comb(n, ups) * (1 - distinct_given_ups[ups])
+                          for ups in range(n + 1)) / 2 ** n
     return float(p_correct_aligned / 2 + p_correct_mixed / 2)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .applications import (CapacityError, TwoQubitPureState,
+from .applications import (MAX_EXACT_N, CapacityError, TwoQubitPureState,
                            classical_pauli_success, detect_entanglement,
                            purify_symmetric, scan_discrimination)
 from .discrimination import (Hypothesis, aligned_vs_mixed_bound,
@@ -136,6 +136,9 @@ def cmd_reproduce(config: RunConfig) -> tuple[list[dict], int]:
 
 def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
     n = config.n if config.n is not None else 2
+    if n > MAX_EXACT_N:
+        raise CapacityError(f"exact Fock evolution is limited to n <= "
+                            f"{MAX_EXACT_N}")
     if config.pair == "aligned-antialigned":
         if n != 2:
             raise ValueError("the antialigned state is only defined for n=2")
@@ -322,7 +325,7 @@ def build_parser() -> _Parser:
 
     classical = sub.add_parser("classical", parents=[common],
                                help="classical exclusion model by exact "
-                                    "enumeration")
+                                    "counting")
     classical.add_argument("--n", type=int, required=True)
     classical.add_argument("--classical-interpretation",
                            choices=("standard", "literal"),

@@ -10,15 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
-# Validation floor for density-matrix eigenvalues; quadrature averages of
-# exact states accumulate rounding at this scale.
+# Validation floor for density-matrix eigenvalues; the sphere-quadrature
+# averages the test suite builds from exact states accumulate rounding at
+# this scale.
 EIGENVALUE_FLOOR = -1e-10
 # Eigenvalues below this magnitude count as zero for rank purposes.
 RANK_TOL = 1e-12
@@ -146,24 +146,20 @@ def permutation_operator(perm: Sequence[int]) -> np.ndarray:
 def symmetric_projector(n_qubits: int) -> np.ndarray:
     """Orthogonal projector onto the permutation-symmetric subspace.
 
-    Built as the average of all n! qubit-permutation operators.  The
+    Closed form of the average of all n! qubit-permutation operators: a
+    permutation maps basis state j to i only when both carry the same
+    number k of flipped qubits, and k!(n-k)! of the n! permutations do, so
+    P[i, j] = 1/C(n, k) on each excitation block and 0 elsewhere.  The
     symmetric subspace of n qubits has dimension n + 1, so the result has
     rank n + 1.
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
-    dim = 1 << n_qubits
-    shifts = np.arange(n_qubits - 1, -1, -1)
-    bits = (np.arange(dim)[:, None] >> shifts[None, :]) & 1
-    place = 1 << shifts
-    counts = np.zeros((dim, dim))
-    cols = np.arange(dim)
-    for perm in permutations(range(n_qubits)):
-        rows = bits[:, list(perm)] @ place
-        # each permutation hits every column exactly once, so plain fancy
-        # indexing accumulates correctly
-        counts[rows, cols] += 1.0
-    proj = (counts / math.factorial(n_qubits)).astype(complex)
+    weight = np.array([1.0 / math.comb(n_qubits, k)
+                       for k in range(n_qubits + 1)])
+    excitations = np.array([idx.bit_count() for idx in range(1 << n_qubits)])
+    same = excitations[:, None] == excitations[None, :]
+    proj = np.where(same, weight[excitations][:, None], 0.0).astype(complex)
     proj.setflags(write=False)
     return proj
 

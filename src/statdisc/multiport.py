@@ -11,8 +11,8 @@ Mode convention, load-bearing for every fermionic sign below:
 
 Evolution substitutes each creation operator by its image under the arm
 unitary and multiplies the resulting operator polynomial out term by term.
-No permanent or determinant formulas anywhere; the first-quantized oracle
-at the bottom is the independent cross-check.
+No permanent or determinant formulas anywhere.  The independent cross-check,
+explicit (anti)symmetrization of labeled particles, lives in the test suite.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .core import DensityMatrix, as_complex_matrix
 
 UNITARY_TOL = 1e-12
 BALANCE_TOL = 1e-12
-NORM_TOL = 1e-12
 # Amplitudes below this are interference zeros and are dropped.
 AMPLITUDE_CUTOFF = 1e-12
 # Eigenvalues below this are dropped from mixed-state ensembles.
@@ -70,16 +68,6 @@ def dft_unitary(n: int) -> MultiportUnitary:
     a = np.arange(n)
     m = np.exp(2j * math.pi * np.outer(a, a) / n) / math.sqrt(n)
     return MultiportUnitary(n, m)
-
-
-def symmetric_two_port() -> MultiportUnitary:
-    """Alternative balanced two-port with i on the off-diagonal.
-
-    Arm statistics must not depend on which balanced convention is used;
-    tests re-run the two-particle cases through this one.
-    """
-    m = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
-    return MultiportUnitary(2, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,64 +271,3 @@ def interfere(internal, statistics: Statistics,
     u = dft_unitary(n) if unitary is None else unitary
     evolved = [(w, evolve(s, u)) for w, s in ensemble]
     return spatial_distribution(evolved)
-
-
-def _parity(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def first_quantized_distribution(internal, statistics: Statistics,
-                                 unitary: MultiportUnitary | None = None
-                                 ) -> OutcomeDistribution:
-    """Independent oracle: explicit (anti)symmetrization of labeled particles.
-
-    Builds the n-particle wavefunction on ((arm) x (internal))^n, applies
-    the arm unitary to every particle slot, and reads arm counts from the
-    squared amplitudes.  Shares no code with the Fock-space path.
-    """
-    v = np.asarray(internal, dtype=complex).reshape(-1)
-    n = v.size.bit_length() - 1
-    if 2 ** n != v.size or n < 1:
-        raise ValueError(f"internal register dimension {v.size} is not a "
-                         "power of two")
-    v = v / np.linalg.norm(v)
-    u = dft_unitary(n) if unitary is None else unitary
-    if u.n != n:
-        raise ValueError(f"unitary has {u.n} arms, state has {n}")
-    d = 2 * n  # single-particle dimension, index = 2*arm + spin
-    psi = np.zeros((d,) * n, dtype=complex)
-    for idx in range(v.size):
-        slot = tuple(2 * arm + ((idx >> (n - 1 - arm)) & 1) for arm in range(n))
-        psi[slot] += v[idx]
-    total = np.zeros_like(psi)
-    for perm in permutations(range(n)):
-        sign = _parity(perm) if statistics is Statistics.FERMION else 1
-        total += sign * np.transpose(psi, perm)
-    total /= np.linalg.norm(total)
-    single = np.kron(u.matrix, np.eye(2))
-    for axis in range(n):
-        total = np.moveaxis(np.tensordot(single, total, axes=([1], [axis])),
-                            0, axis)
-    probs: dict[Pattern, float] = defaultdict(float)
-    for slot, amp in np.ndenumerate(total):
-        p = abs(amp) ** 2
-        if p < 1e-24:
-            continue
-        counts = [0] * n
-        for mode in slot:
-            counts[mode // 2] += 1
-        probs[tuple(counts)] += p
-    return OutcomeDistribution(n, dict(probs))

@@ -1,16 +1,14 @@
 """Constructors for the states being discriminated.
 
-The production constructors are closed forms (exact rational matrices).
-The sphere quadrature at the bottom exists so the test suite can rebuild
-each state from its defining average over directions without ever touching
-the closed forms; it is not a production path.
+The direction-averaged mixtures are closed forms (exact rational
+matrices).  Their defining averages over the sphere are rebuilt by
+quadrature in the test suite, as an independent oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -119,113 +117,3 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
         raise ValueError("bloch_vector expects a single qubit")
     return np.array([np.trace(rho.matrix @ p).real
                      for p in (PAULI_X, PAULI_Y, PAULI_Z)])
-
-
-@dataclass(frozen=True, eq=False)
-class DickeBasis:
-    """Orthonormal permutation-invariant kets, ordered by excitation number.
-
-    Row k of ``vectors`` is the normalized equal-weight sum of all basis
-    states with exactly k qubits flipped.
-    """
-
-    n_qubits: int
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vectors, dtype=complex)
-        if v.shape != (self.n_qubits + 1, 2 ** self.n_qubits):
-            raise ValueError(f"expected {self.n_qubits + 1} vectors of "
-                             f"dimension {2 ** self.n_qubits}")
-        gram = v.conj() @ v.T
-        if np.max(np.abs(gram - np.eye(self.n_qubits + 1))) > 1e-12:
-            raise ValueError("vectors must be orthonormal")
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-    def projector(self) -> np.ndarray:
-        """Sum of the outer products; equals the symmetric projector."""
-        return self.vectors.T @ self.vectors.conj()
-
-
-def dicke_basis(n: int) -> DickeBasis:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    dim = 2 ** n
-    vectors = np.zeros((n + 1, dim), dtype=complex)
-    for idx in range(dim):
-        vectors[idx.bit_count(), idx] = 1.0
-    norms = np.sqrt(vectors.sum(axis=1).real)
-    vectors /= norms[:, None]
-    return DickeBasis(n, vectors)
-
-
-@dataclass(frozen=True, eq=False)
-class SphereQuadrature:
-    """Nodes and weights for averaging over the unit sphere."""
-
-    directions: tuple[BlochDirection, ...]
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.directions) == 0:
-            raise ValueError("quadrature scheme needs at least one node")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(self.directions),):
-            raise ValueError("one weight per direction required")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def monte_carlo(cls, n_nodes: int = 10_000, seed: int = 42) -> "SphereQuadrature":
-        """Uniformly random directions; error falls off like 1/sqrt(n_nodes)."""
-        if n_nodes < 1:
-            raise ValueError("quadrature scheme needs at least one node")
-        rng = np.random.default_rng(seed)
-        cos_theta = rng.uniform(-1.0, 1.0, n_nodes)
-        phi = rng.uniform(0.0, 2.0 * math.pi, n_nodes)
-        dirs = tuple(BlochDirection(math.acos(c), p)
-                     for c, p in zip(cos_theta, phi))
-        return cls(dirs, np.full(n_nodes, 1.0 / n_nodes))
-
-    @classmethod
-    def gauss_product(cls, n_polar: int = 25,
-                      n_azimuthal: int = 400) -> "SphereQuadrature":
-        """Gauss-Legendre (polar) x uniform (azimuth) product grid.
-
-        Exact to rounding for integrands polynomial of degree < 2*n_polar in
-        cos(theta) and band-limited below n_azimuthal in phi, which covers
-        every direction average taken in this package.
-        """
-        if n_polar < 1 or n_azimuthal < 1:
-            raise ValueError("quadrature scheme needs at least one node")
-        x, w = np.polynomial.legendre.leggauss(n_polar)
-        dirs = []
-        weights = []
-        for c, wc in zip(x, w):
-            theta = math.acos(c)
-            for j in range(n_azimuthal):
-                dirs.append(BlochDirection(theta, 2.0 * math.pi * j / n_azimuthal))
-                weights.append(wc / (2.0 * n_azimuthal))
-        return cls(tuple(dirs), np.array(weights))
-
-
-def quadrature_average(builder: Callable[[BlochDirection], DensityMatrix],
-                       scheme: SphereQuadrature) -> DensityMatrix:
-    """Weighted average of ``builder(direction)`` over the scheme's nodes.
-
-    Summation order is fixed by the scheme, so results are reproducible
-    bit for bit.
-    """
-    total = None
-    shape = None
-    for direction, weight in zip(scheme.directions, scheme.weights):
-        state = builder(direction)
-        if total is None:
-            total = weight * state.matrix
-            shape = state.factor_shape
-        else:
-            if state.factor_shape != shape:
-                raise ValueError("builder returned inconsistent factor shapes")
-            total = total + weight * state.matrix
-    return DensityMatrix(total, shape)

@@ -1,0 +1,262 @@
+"""Independent second routes to the package's quantities, for tests only.
+
+Each oracle computes something the package also computes, by a route that
+shares no code with the production path: sphere quadrature for the
+direction-averaged mixtures, a Dicke basis for the symmetric projector,
+explicit (anti)symmetrization of labeled particles for the Fock pipeline,
+a second balanced two-port convention, and full enumeration of routings
+for the classical exclusion model.  They are slow on purpose and are
+never imported by ``src/``.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations, product
+from typing import Callable
+
+import numpy as np
+
+from statdisc.core import DensityMatrix
+from statdisc.multiport import (MultiportUnitary, OutcomeDistribution,
+                                Pattern, Statistics, dft_unitary)
+from statdisc.states import BlochDirection
+
+
+# ------------------------------------------------------------ quadrature
+
+@dataclass(frozen=True, eq=False)
+class SphereQuadrature:
+    """Nodes and weights for averaging over the unit sphere."""
+
+    directions: tuple[BlochDirection, ...]
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len(self.directions) == 0:
+            raise ValueError("quadrature scheme needs at least one node")
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (len(self.directions),):
+            raise ValueError("one weight per direction required")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def monte_carlo(cls, n_nodes: int = 10_000, seed: int = 42) -> "SphereQuadrature":
+        """Uniformly random directions; error falls off like 1/sqrt(n_nodes)."""
+        if n_nodes < 1:
+            raise ValueError("quadrature scheme needs at least one node")
+        rng = np.random.default_rng(seed)
+        cos_theta = rng.uniform(-1.0, 1.0, n_nodes)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n_nodes)
+        dirs = tuple(BlochDirection(math.acos(c), p)
+                     for c, p in zip(cos_theta, phi))
+        return cls(dirs, np.full(n_nodes, 1.0 / n_nodes))
+
+    @classmethod
+    def gauss_product(cls, n_polar: int = 25,
+                      n_azimuthal: int = 400) -> "SphereQuadrature":
+        """Gauss-Legendre (polar) x uniform (azimuth) product grid.
+
+        Exact to rounding for integrands polynomial of degree < 2*n_polar in
+        cos(theta) and band-limited below n_azimuthal in phi, which covers
+        every direction average taken in this package.
+        """
+        if n_polar < 1 or n_azimuthal < 1:
+            raise ValueError("quadrature scheme needs at least one node")
+        x, w = np.polynomial.legendre.leggauss(n_polar)
+        dirs = []
+        weights = []
+        for c, wc in zip(x, w):
+            theta = math.acos(c)
+            for j in range(n_azimuthal):
+                dirs.append(BlochDirection(theta, 2.0 * math.pi * j / n_azimuthal))
+                weights.append(wc / (2.0 * n_azimuthal))
+        return cls(tuple(dirs), np.array(weights))
+
+
+def quadrature_average(builder: Callable[[BlochDirection], DensityMatrix],
+                       scheme: SphereQuadrature) -> DensityMatrix:
+    """Weighted average of ``builder(direction)`` over the scheme's nodes.
+
+    Summation order is fixed by the scheme, so results are reproducible
+    bit for bit.
+    """
+    total = None
+    shape = None
+    for direction, weight in zip(scheme.directions, scheme.weights):
+        state = builder(direction)
+        if total is None:
+            total = weight * state.matrix
+            shape = state.factor_shape
+        else:
+            if state.factor_shape != shape:
+                raise ValueError("builder returned inconsistent factor shapes")
+            total = total + weight * state.matrix
+    return DensityMatrix(total, shape)
+
+
+# ----------------------------------------------------------- Dicke basis
+
+@dataclass(frozen=True, eq=False)
+class DickeBasis:
+    """Orthonormal permutation-invariant kets, ordered by excitation number.
+
+    Row k of ``vectors`` is the normalized equal-weight sum of all basis
+    states with exactly k qubits flipped.
+    """
+
+    n_qubits: int
+    vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        v = np.asarray(self.vectors, dtype=complex)
+        if v.shape != (self.n_qubits + 1, 2 ** self.n_qubits):
+            raise ValueError(f"expected {self.n_qubits + 1} vectors of "
+                             f"dimension {2 ** self.n_qubits}")
+        gram = v.conj() @ v.T
+        if np.max(np.abs(gram - np.eye(self.n_qubits + 1))) > 1e-12:
+            raise ValueError("vectors must be orthonormal")
+        v.setflags(write=False)
+        object.__setattr__(self, "vectors", v)
+
+    def projector(self) -> np.ndarray:
+        """Sum of the outer products; equals the symmetric projector."""
+        return self.vectors.T @ self.vectors.conj()
+
+
+def dicke_basis(n: int) -> DickeBasis:
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    dim = 2 ** n
+    vectors = np.zeros((n + 1, dim), dtype=complex)
+    for idx in range(dim):
+        vectors[idx.bit_count(), idx] = 1.0
+    norms = np.sqrt(vectors.sum(axis=1).real)
+    vectors /= norms[:, None]
+    return DickeBasis(n, vectors)
+
+
+# ------------------------------------------------------------ multiports
+
+def symmetric_two_port() -> MultiportUnitary:
+    """Alternative balanced two-port with i on the off-diagonal.
+
+    Arm statistics must not depend on which balanced convention is used;
+    tests re-run the two-particle cases through this one.
+    """
+    m = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+    return MultiportUnitary(2, m)
+
+
+def _parity(perm: tuple[int, ...]) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def first_quantized_distribution(internal, statistics: Statistics,
+                                 unitary: MultiportUnitary | None = None
+                                 ) -> OutcomeDistribution:
+    """Explicit (anti)symmetrization of labeled particles.
+
+    Builds the n-particle wavefunction on ((arm) x (internal))^n, applies
+    the arm unitary to every particle slot, and reads arm counts from the
+    squared amplitudes.  Shares no code with the Fock-space path.
+    """
+    v = np.asarray(internal, dtype=complex).reshape(-1)
+    n = v.size.bit_length() - 1
+    if 2 ** n != v.size or n < 1:
+        raise ValueError(f"internal register dimension {v.size} is not a "
+                         "power of two")
+    v = v / np.linalg.norm(v)
+    u = dft_unitary(n) if unitary is None else unitary
+    if u.n != n:
+        raise ValueError(f"unitary has {u.n} arms, state has {n}")
+    d = 2 * n  # single-particle dimension, index = 2*arm + spin
+    psi = np.zeros((d,) * n, dtype=complex)
+    for idx in range(v.size):
+        slot = tuple(2 * arm + ((idx >> (n - 1 - arm)) & 1) for arm in range(n))
+        psi[slot] += v[idx]
+    total = np.zeros_like(psi)
+    for perm in permutations(range(n)):
+        sign = _parity(perm) if statistics is Statistics.FERMION else 1
+        total += sign * np.transpose(psi, perm)
+    total /= np.linalg.norm(total)
+    single = np.kron(u.matrix, np.eye(2))
+    for axis in range(n):
+        total = np.moveaxis(np.tensordot(single, total, axes=([1], [axis])),
+                            0, axis)
+    probs: dict[Pattern, float] = defaultdict(float)
+    for slot, amp in np.ndenumerate(total):
+        p = abs(amp) ** 2
+        if p < 1e-24:
+            continue
+        counts = [0] * n
+        for mode in slot:
+            counts[mode // 2] += 1
+        probs[tuple(counts)] += p
+    return OutcomeDistribution(n, dict(probs))
+
+
+# ------------------------------------------------------- classical model
+
+def _group_routings(n_arms: int, size: int, cap: int) -> list[tuple[int, ...]]:
+    """All arm assignments of one same-spin group, at most ``cap`` per arm."""
+    if cap == 1:
+        return list(permutations(range(n_arms), size))
+    routings = []
+    for routing in product(range(n_arms), repeat=size):
+        counts = [0] * n_arms
+        ok = True
+        for arm in routing:
+            counts[arm] += 1
+            if counts[arm] > cap:
+                ok = False
+                break
+        if ok:
+            routings.append(routing)
+    return routings
+
+
+def enumerated_pauli_success(n: int, interpretation: str = "standard") -> float:
+    """The classical exclusion model by full enumeration.
+
+    Same game as ``classical_pauli_success``: every spin assignment and
+    every pair of same-spin group routings is listed, and the fraction
+    leaving all arms distinct is counted, in exact fractions.
+    """
+    cap = {"standard": 1, "literal": 2}[interpretation]
+    distinct_given_ups: dict[int, Fraction] = {}
+    for ups in range(n + 1):
+        group_up = _group_routings(n, ups, cap)
+        group_down = _group_routings(n, n - ups, cap)
+        allowed = 0
+        distinct = 0
+        for a in group_up:
+            for b in group_down:
+                allowed += 1
+                if len(set(a + b)) == n:
+                    distinct += 1
+        distinct_given_ups[ups] = Fraction(distinct, allowed)
+
+    p_correct_aligned = distinct_given_ups[0]
+    p_correct_mixed = Fraction(0)
+    for labels in product((0, 1), repeat=n):
+        p_correct_mixed += (1 - distinct_given_ups[sum(labels)])
+    p_correct_mixed /= 2 ** n
+    return float(p_correct_aligned / 2 + p_correct_mixed / 2)

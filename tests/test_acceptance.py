@@ -21,14 +21,14 @@ from statdisc.core import partial_trace, tensor
 from statdisc.discrimination import (Hypothesis, aligned_vs_mixed_bound,
                                      beam_splitter_discrimination,
                                      helstrom_bound)
-from statdisc.multiport import (Statistics, first_quantized_distribution,
-                                interfere)
-from statdisc.states import (BlochDirection, SphereQuadrature,
-                             aligned_direction_state, aligned_mixture,
-                             antialigned_direction_state,
+from statdisc.multiport import Statistics, interfere
+from statdisc.states import (BlochDirection, aligned_direction_state,
+                             aligned_mixture, antialigned_direction_state,
                              antialigned_mixture, bloch_state, bloch_vector,
-                             maximally_mixed, qubit_density,
-                             quadrature_average)
+                             maximally_mixed, qubit_density)
+
+from oracles import (SphereQuadrature, first_quantized_distribution,
+                     quadrature_average)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION

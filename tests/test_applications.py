@@ -16,6 +16,8 @@ from statdisc.multiport import Statistics, interfere
 from statdisc.states import (BlochDirection, bloch_vector, maximally_mixed,
                              qubit_density)
 
+from oracles import enumerated_pauli_success
+
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
 
@@ -157,10 +159,18 @@ def test_purification_rejects_multi_qubit_input():
 
 # ------------------------------------------------------------- classical model
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_standard_exclusion_reading_matches_the_closed_form(n):
     expected = 1.0 - (n + 1) / 2.0 ** (n + 1)
-    assert abs(classical_pauli_success(n, "standard") - expected) < 1e-12
+    assert classical_pauli_success(n, "standard") == expected
+
+
+@pytest.mark.parametrize("interpretation, n",
+                         [(reading, n) for reading in ("standard", "literal")
+                          for n in range(1, 7)] + [("standard", 7)])
+def test_exclusion_count_matches_the_enumeration(interpretation, n):
+    assert classical_pauli_success(n, interpretation) == \
+        enumerated_pauli_success(n, interpretation)
 
 
 def test_literal_exclusion_reading_deviates():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import statdisc
 import statdisc.cli as cli
 from statdisc.cli import main
 
@@ -164,6 +167,9 @@ def test_capacity_errors_exit_65(capsys):
     assert "capacity" in err
     code, _, _ = run(["scan", "--n-max", "9"], capsys)
     assert code == 65
+    code, _, err = run(["discriminate", "--n", "9"], capsys)
+    assert code == 65
+    assert "capacity" in err
 
 
 def test_unexpected_failures_exit_2(monkeypatch, capsys):
@@ -177,9 +183,14 @@ def test_unexpected_failures_exit_2(monkeypatch, capsys):
 
 
 def test_module_entry_point_runs():
+    # the child must find the same statdisc this process imported, whether
+    # it came from an install or from pytest's pythonpath setting
+    source = str(Path(statdisc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "statdisc", "classical", "--n", "2",
          "--format", "csv"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout.startswith("name,")

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from statdisc.multiport import (FockState, MultiportUnitary, Statistics,
-                                dft_unitary, evolve,
-                                first_quantized_distribution, interfere,
-                                prepare_input, spatial_distribution,
-                                symmetric_two_port)
+                                dft_unitary, evolve, interfere,
+                                prepare_input, spatial_distribution)
 from statdisc.states import aligned_mixture, antialigned_mixture, maximally_mixed
+
+from oracles import first_quantized_distribution, symmetric_two_port
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
