@@ -7,7 +7,8 @@ Fourier multiport and counting arrivals per arm reaches that optimum for
 two fermions, three fermions, two bosons and three bosons.  From four
 particles on, a gap opens for both statistics.  Whether some cleverer
 linear-optics strategy closes it again is an open question; this script
-simply measures the gap exactly for every n up to the enumeration limit.
+simply measures the gap exactly for every n up to the chosen N_MAX, which
+may go as high as the 8-qubit limit of exact evaluation.
 """
 
 import time
@@ -24,16 +25,16 @@ def main():
 
     for statistics in (Statistics.FERMION, Statistics.BOSON):
         start = time.perf_counter()
-        records = scan_discrimination(N_MAX, statistics)
+        reports = scan_discrimination(N_MAX, statistics)
         elapsed = time.perf_counter() - start
         print(f"\n{statistics.value}s  ({elapsed:.2f} s)")
         print(f"  {'n':>2}  {'arm counting':>14}  {'exact bound':>14}  "
               f"{'gap':>14}  {'outcomes':>8}")
-        for rec in records:
-            marker = "  <- meets the bound" if abs(rec.gap) < 1e-10 else ""
-            print(f"  {rec.n:>2}  {rec.p_bs:>14.10f}  "
-                  f"{rec.p_helstrom:>14.10f}  {rec.gap:>14.10f}  "
-                  f"{rec.pattern_count:>8}{marker}")
+        for rep in reports:
+            marker = "  <- meets the bound" if abs(rep.gap) < 1e-10 else ""
+            print(f"  {rep.n:>2}  {rep.p_bs:>14.10f}  "
+                  f"{rep.p_helstrom:>14.10f}  {rep.gap:>14.10f}  "
+                  f"{len(rep.strategy):>8}{marker}")
 
     print("\nThe n = 1 row is the sanity floor: one particle carries no")
     print("exchange information, so nothing beats a coin flip.  The gaps")

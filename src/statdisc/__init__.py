@@ -7,8 +7,9 @@ internal states at, and sometimes exactly at, the optimal-measurement
 ceiling.
 """
 
-from .core import (DensityMatrix, partial_trace, permutation_operator,
-                   swap_operator, symmetric_projector, tensor, trace_norm)
+from .core import (CapacityError, DensityMatrix, partial_trace,
+                   permutation_operator, swap_operator, symmetric_projector,
+                   tensor, trace_norm)
 from .states import (BlochDirection, aligned_direction_state,
                      aligned_mixture, antialigned_direction_state,
                      antialigned_mixture, bloch_state, bloch_vector,
@@ -20,17 +21,16 @@ from .discrimination import (DiscriminationReport, Hypothesis,
                              aligned_vs_mixed_bound,
                              beam_splitter_discrimination, helstrom_bound,
                              map_strategy)
-from .applications import (CapacityError, ScanRecord, TwoQubitPureState,
-                           classical_comparison, classical_pauli_success,
-                           detect_entanglement, purify_symmetric,
-                           scan_discrimination)
+from .applications import (TwoQubitPureState, classical_comparison,
+                           classical_pauli_success, detect_entanglement,
+                           purify_symmetric, scan_discrimination)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BlochDirection", "CapacityError", "DensityMatrix",
     "DiscriminationReport", "FockState", "Hypothesis", "MultiportUnitary",
-    "OutcomeDistribution", "ScanRecord", "Statistics", "TwoQubitPureState",
+    "OutcomeDistribution", "Statistics", "TwoQubitPureState",
     "aligned_direction_state", "aligned_mixture", "aligned_vs_mixed_bound",
     "antialigned_direction_state", "antialigned_mixture",
     "beam_splitter_discrimination", "bloch_state", "bloch_vector",

@@ -15,19 +15,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DensityMatrix, partial_trace, symmetric_projector, tensor
+from .core import (TOL, DensityMatrix, check_capacity, partial_trace,
+                   symmetric_projector, tensor)
 from .discrimination import (DiscriminationReport, Hypothesis,
                              aligned_vs_mixed_bound,
                              beam_splitter_discrimination)
 from .multiport import Statistics
 from .states import aligned_mixture, maximally_mixed
-
-# Exact enumeration and dense Fock evolution stay comfortable up to here.
-MAX_EXACT_N = 8
-
-
-class CapacityError(Exception):
-    """Raised when a request exceeds the exact-enumeration budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +34,7 @@ class TwoQubitPureState:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.size != 4:
             raise ValueError("expected four amplitudes")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(v) - 1.0) > TOL:
             raise ValueError("amplitudes must be normalized")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)
@@ -130,10 +124,7 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"exact enumeration is limited to n <= "
-                            f"{MAX_EXACT_N}; use the quantum scan or a "
-                            "Monte Carlo estimate beyond that")
+    check_capacity(n)
     if interpretation not in ("standard", "literal"):
         raise ValueError("interpretation must be 'standard' or 'literal'")
     cap = 1 if interpretation == "standard" else 2
@@ -153,8 +144,8 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
 
 def classical_comparison(n_max: int = 6) -> list[dict]:
     """Side-by-side table of both exclusion readings against the exact bound."""
-    if not 2 <= n_max <= MAX_EXACT_N:
-        raise ValueError(f"n_max must lie in [2, {MAX_EXACT_N}]")
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     rows = []
     for n in range(2, n_max + 1):
         standard = classical_pauli_success(n, "standard")
@@ -167,23 +158,8 @@ def classical_comparison(n_max: int = 6) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One particle number's worth of the optimality probe."""
-
-    n: int
-    statistics: Statistics
-    p_bs: float
-    p_helstrom: float
-    gap: float
-    pattern_count: int
-
-    def __post_init__(self) -> None:
-        if self.gap < -1e-10:
-            raise ValueError(f"arm counts cannot beat the bound, gap {self.gap}")
-
-
-def scan_discrimination(n_max: int, statistics: Statistics) -> list[ScanRecord]:
+def scan_discrimination(n_max: int, statistics: Statistics
+                        ) -> list[DiscriminationReport]:
     """Aligned-vs-mixed discrimination for every particle number up to n_max.
 
     For two fermions, three fermions and two bosons the arm-count strategy
@@ -193,18 +169,8 @@ def scan_discrimination(n_max: int, statistics: Statistics) -> list[ScanRecord]:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if n_max > MAX_EXACT_N:
-        raise CapacityError(f"exact Fock evolution is limited to n_max <= "
-                            f"{MAX_EXACT_N}")
-    records = []
-    for n in range(1, n_max + 1):
-        h0 = Hypothesis("H0", aligned_mixture(n), 0.5)
-        h1 = Hypothesis("H1", maximally_mixed(n), 0.5)
-        report: DiscriminationReport = beam_splitter_discrimination(
-            h0, h1, statistics)
-        records.append(ScanRecord(n=n, statistics=statistics,
-                                  p_bs=report.p_bs,
-                                  p_helstrom=report.p_helstrom,
-                                  gap=report.gap,
-                                  pattern_count=len(report.strategy)))
-    return records
+    check_capacity(n_max)
+    return [beam_splitter_discrimination(
+                Hypothesis("H0", aligned_mixture(n), 0.5),
+                Hypothesis("H1", maximally_mixed(n), 0.5), statistics)
+            for n in range(1, n_max + 1)]

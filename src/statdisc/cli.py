@@ -23,9 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .applications import (MAX_EXACT_N, CapacityError, TwoQubitPureState,
-                           classical_pauli_success, detect_entanglement,
-                           purify_symmetric, scan_discrimination)
+from .applications import (TwoQubitPureState, classical_pauli_success,
+                           detect_entanglement, purify_symmetric,
+                           scan_discrimination)
+from .core import SUM_TOL, TOL, CapacityError
 from .discrimination import (Hypothesis, aligned_vs_mixed_bound,
                              beam_splitter_discrimination, helstrom_bound)
 from .multiport import Statistics
@@ -38,8 +39,6 @@ EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 EXIT_CAPACITY = 65
 
-REPRODUCE_TOL = 1e-10
-FRACTION_TOL = 1e-12
 MAX_DENOMINATOR = 64
 
 SCHEMA_VERSION = "1"
@@ -131,14 +130,13 @@ def cmd_reproduce(config: RunConfig) -> tuple[list[dict], int]:
                      success, 0.75))
 
     worst = max(row["abs_error"] for row in rows)
-    return rows, (EXIT_OK if worst <= REPRODUCE_TOL else EXIT_MISMATCH)
+    return rows, (EXIT_OK if worst <= SUM_TOL else EXIT_MISMATCH)
 
 
 def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
     n = config.n if config.n is not None else 2
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"exact Fock evolution is limited to n <= "
-                            f"{MAX_EXACT_N}")
+    # built first, so that its capacity check precedes the pair check
+    aligned = aligned_mixture(n)
     if config.pair == "aligned-antialigned":
         if n != 2:
             raise ValueError("the antialigned state is only defined for n=2")
@@ -146,7 +144,7 @@ def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
     else:
         other = maximally_mixed(n)
     prior0 = config.prior0 if config.prior0 is not None else 0.5
-    h0 = Hypothesis("H0", aligned_mixture(n), prior0)
+    h0 = Hypothesis("H0", aligned, prior0)
     h1 = Hypothesis("H1", other, 1.0 - prior0)
     report = beam_splitter_discrimination(h0, h1, _statistics(config.statistics))
     rows = [_row("p_helstrom", report.p_helstrom),
@@ -159,13 +157,13 @@ def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
 
 
 def cmd_scan(config: RunConfig) -> tuple[list[dict], int]:
-    records = scan_discrimination(config.n_max, _statistics(config.statistics))
+    reports = scan_discrimination(config.n_max, _statistics(config.statistics))
     rows = []
-    for rec in records:
-        rows.append(_row(f"p_bs[n={rec.n}]", rec.p_bs))
-        rows.append(_row(f"p_helstrom[n={rec.n}]", rec.p_helstrom))
-        rows.append(_row(f"gap[n={rec.n}]", rec.gap))
-        rows.append(_row(f"pattern_count[n={rec.n}]", rec.pattern_count))
+    for rep in reports:
+        rows.append(_row(f"p_bs[n={rep.n}]", rep.p_bs))
+        rows.append(_row(f"p_helstrom[n={rep.n}]", rep.p_helstrom))
+        rows.append(_row(f"gap[n={rep.n}]", rep.gap))
+        rows.append(_row(f"pattern_count[n={rep.n}]", len(rep.strategy)))
     return rows, EXIT_OK
 
 
@@ -202,7 +200,7 @@ def _fraction_note(value: float) -> str | None:
     # whole numbers need no annotation, the plain digits already say it
     if frac.denominator == 1:
         return None
-    if abs(value - float(frac)) < FRACTION_TOL:
+    if abs(value - float(frac)) < TOL:
         return f"{frac.numerator}/{frac.denominator}"
     return None
 

@@ -1,8 +1,13 @@
 """Exact dense linear algebra for small qubit registers.
 
-Everything here is plain numpy complex128.  Registers never exceed eight
-qubits, so every operation is an exact eigendecomposition or an index
-manipulation; nothing is sampled and nothing is sparse.
+Everything here is plain numpy complex128.  Registers never exceed
+``MAX_QUBITS`` (eight) qubits, a limit that ``check_capacity`` enforces at
+every entry point of the package, so every operation is an exact
+eigendecomposition or an index manipulation; nothing is sampled and
+nothing is sparse.
+
+This module also holds the package's two tolerances, ``TOL`` and
+``SUM_TOL``; no other module defines its own.
 """
 
 from __future__ import annotations
@@ -14,14 +19,31 @@ from typing import Sequence
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
-# Validation floor for density-matrix eigenvalues; the sphere-quadrature
-# averages the test suite builds from exact states accumulate rounding at
-# this scale.
-EIGENVALUE_FLOOR = -1e-10
-# Eigenvalues below this magnitude count as zero for rank purposes.
-RANK_TOL = 1e-12
+# One dense operation (a product, a trace, a norm) on entries of order one
+# leaves a few ulp of rounding, about 1e-15; this is that with a wide
+# margin, and still far below any physical difference the package reports.
+TOL = 1e-12
+# Sums over many terms and eigensolves accumulate rounding with the size
+# of the register, and the sphere-quadrature averages the test suite builds
+# from exact states carry it at this scale.
+SUM_TOL = 1e-10
+
+# Largest register evaluated exactly.  Every published number lies within
+# it and dense 2**n matrices stay small (256 x 256); the Fock evolution
+# grows much faster than that, so raise this only when the benchmark shows
+# a scan at the new size fits its time budget.
+MAX_QUBITS = 8
+
+
+class CapacityError(Exception):
+    """Raised when a request needs a register beyond ``MAX_QUBITS``."""
+
+
+def check_capacity(n: int) -> None:
+    """Refuse registers of more than ``MAX_QUBITS`` qubits, before any work."""
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n = {n} is above the {MAX_QUBITS}-qubit limit "
+                            "of exact evaluation")
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -61,13 +83,13 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match factor shape {shape}")
-        if hermiticity_defect(m) > HERMITIAN_TOL:
+        if hermiticity_defect(m) > TOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(complex(np.trace(m)) - 1.0) > TRACE_TOL:
+        if abs(complex(np.trace(m)) - 1.0) > TOL:
             raise ValueError(f"density matrix must have unit trace, "
                              f"got {complex(np.trace(m)):.15g}")
         lowest = float(np.linalg.eigvalsh(m)[0])
-        if lowest < EIGENVALUE_FLOOR:
+        if lowest < -SUM_TOL:
             raise ValueError("density matrix must be positive semi-definite "
                              f"(lowest eigenvalue {lowest:.3e})")
 
@@ -118,7 +140,7 @@ def trace_norm(h) -> float:
     m = as_complex_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise ValueError("trace_norm expects a square matrix")
-    if hermiticity_defect(m) > HERMITIAN_TOL:
+    if hermiticity_defect(m) > TOL:
         raise ValueError("trace_norm is only defined here for Hermitian input")
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
@@ -142,6 +164,7 @@ def permutation_operator(perm: Sequence[int]) -> np.ndarray:
     return op
 
 
+# check_capacity bounds this cache to MAX_QUBITS entries
 @lru_cache(maxsize=None)
 def symmetric_projector(n_qubits: int) -> np.ndarray:
     """Orthogonal projector onto the permutation-symmetric subspace.
@@ -155,6 +178,7 @@ def symmetric_projector(n_qubits: int) -> np.ndarray:
     """
     if n_qubits < 1:
         raise ValueError("n_qubits must be at least 1")
+    check_capacity(n_qubits)
     weight = np.array([1.0 / math.comb(n_qubits, k)
                        for k in range(n_qubits + 1)])
     excitations = np.array([idx.bit_count() for idx in range(1 << n_qubits)])
@@ -167,11 +191,3 @@ def symmetric_projector(n_qubits: int) -> np.ndarray:
 def swap_operator() -> np.ndarray:
     """The two-qubit exchange operator."""
     return permutation_operator((1, 0))
-
-
-def matrix_rank(m: np.ndarray) -> int:
-    """Rank of a Hermitian matrix, counting |eigenvalue| >= RANK_TOL."""
-    a = as_complex_matrix(m)
-    if hermiticity_defect(a) > HERMITIAN_TOL:
-        raise ValueError("rank counting here expects Hermitian input")
-    return int(np.sum(np.abs(np.linalg.eigvalsh(a)) >= RANK_TOL))

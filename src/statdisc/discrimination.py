@@ -9,12 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DensityMatrix, matrix_rank, symmetric_projector, trace_norm
+from .core import (SUM_TOL, TOL, DensityMatrix, symmetric_projector,
+                   trace_norm)
 from .multiport import (MultiportUnitary, OutcomeDistribution, Pattern,
                         Statistics, interfere)
-
-PRIOR_TOL = 1e-12
-REPORT_TOL = 1e-10
 
 LABELS = ("H0", "H1")
 
@@ -39,7 +37,7 @@ def _check_pair(h0: Hypothesis, h1: Hypothesis) -> None:
         raise ValueError("hypotheses must carry distinct labels")
     if h0.state.dim != h1.state.dim:
         raise ValueError("hypotheses must live on the same register")
-    if abs(h0.prior + h1.prior - 1.0) > PRIOR_TOL:
+    if abs(h0.prior + h1.prior - 1.0) > TOL:
         raise ValueError("priors must sum to one")
 
 
@@ -60,12 +58,13 @@ def aligned_vs_mixed_bound(n: int) -> float:
     The aligned state succeeds with certainty on its own subspace; the mixed
     state is caught with probability (d - d_s)/d, where d_s is the symmetric
     subspace dimension.  Both dimensions are read off the projector, not
-    hardcoded, and the result equals 1 - (n + 1) / 2**(n + 1).
+    hardcoded (a projector's trace is its rank), and the result equals
+    1 - (n + 1) / 2**(n + 1).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     projector = symmetric_projector(n)
-    d_s = matrix_rank(projector)
+    d_s = round(float(projector.trace().real))
     d = projector.shape[0]
     return 0.5 * (1.0 + (d - d_s) / d)
 
@@ -83,7 +82,7 @@ def map_strategy(d0: OutcomeDistribution, d1: OutcomeDistribution,
     p0, p1 = priors
     if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
         raise ValueError("priors must lie in [0, 1]")
-    if abs(p0 + p1 - 1.0) > PRIOR_TOL:
+    if abs(p0 + p1 - 1.0) > TOL:
         raise ValueError("priors must sum to one")
     strategy: dict[Pattern, str] = {}
     success = 0.0
@@ -103,7 +102,7 @@ def map_strategy(d0: OutcomeDistribution, d1: OutcomeDistribution,
 class DiscriminationReport:
     """Outcome of one discrimination task.
 
-    Invariant: 1/2 <= p_bs <= p_helstrom <= 1 up to 1e-10; the arm-count
+    Invariant: 1/2 <= p_bs <= p_helstrom <= 1 up to SUM_TOL; the arm-count
     strategy can never beat the optimal measurement.
     """
 
@@ -115,12 +114,12 @@ class DiscriminationReport:
     strategy: dict[Pattern, str] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.p_bs < 0.5 - REPORT_TOL:
+        if self.p_bs < 0.5 - SUM_TOL:
             raise ValueError(f"strategy success {self.p_bs} below 1/2")
-        if self.p_bs > self.p_helstrom + REPORT_TOL:
+        if self.p_bs > self.p_helstrom + SUM_TOL:
             raise ValueError(f"strategy success {self.p_bs} exceeds the "
                              f"Helstrom bound {self.p_helstrom}")
-        if self.p_helstrom > 1.0 + REPORT_TOL:
+        if self.p_helstrom > 1.0 + SUM_TOL:
             raise ValueError(f"bound {self.p_helstrom} exceeds one")
 
 

@@ -24,14 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DensityMatrix, as_complex_matrix
-
-UNITARY_TOL = 1e-12
-BALANCE_TOL = 1e-12
-# Amplitudes below this are interference zeros and are dropped.
-AMPLITUDE_CUTOFF = 1e-12
-# Eigenvalues below this are dropped from mixed-state ensembles.
-ENSEMBLE_CUTOFF = 1e-12
+from .core import (SUM_TOL, TOL, DensityMatrix, as_complex_matrix,
+                   check_capacity)
 
 Occupation = tuple[int, ...]
 Pattern = tuple[int, ...]
@@ -53,9 +47,9 @@ class MultiportUnitary:
         m = as_complex_matrix(self.matrix).copy()
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a {self.n}x{self.n} matrix")
-        if np.max(np.abs(m.conj().T @ m - np.eye(self.n))) > UNITARY_TOL:
+        if np.max(np.abs(m.conj().T @ m - np.eye(self.n))) > TOL:
             raise ValueError("matrix must be unitary")
-        if np.max(np.abs(np.abs(m) - 1.0 / math.sqrt(self.n))) > BALANCE_TOL:
+        if np.max(np.abs(np.abs(m) - 1.0 / math.sqrt(self.n))) > TOL:
             raise ValueError("matrix must be balanced: all entry moduli 1/sqrt(n)")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -99,7 +93,7 @@ class FockState:
             if self.statistics is Statistics.FERMION and any(k > 1 for k in config):
                 raise ValueError("fermionic occupation numbers cannot exceed 1")
             norm_sq += abs(amp) ** 2
-        if abs(norm_sq - 1.0) > 1e-10:
+        if abs(norm_sq - 1.0) > SUM_TOL:
             raise ValueError(f"state must be normalized, got |psi|^2 = {norm_sq!r}")
 
 
@@ -107,26 +101,22 @@ Ensemble = list[tuple[float, FockState]]
 
 
 def _pure_fock(vec: np.ndarray, statistics: Statistics) -> FockState:
-    """One particle per arm, internal register given by ``vec``.
+    """One particle per arm, internal register given by the flat ``vec``.
 
     Basis index bit i (most significant first) is the internal state of the
     particle entering arm i.  With one particle per arm the creation
     operators already appear in ascending mode order, so amplitudes carry
     over without sign for either statistics.
     """
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    n = v.size.bit_length() - 1
-    if 2 ** n != v.size or n < 1:
-        raise ValueError(f"internal register dimension {v.size} is not a "
-                         "power of two")
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
+    n = vec.size.bit_length() - 1
+    norm = np.linalg.norm(vec)
+    if norm < TOL:
         raise ValueError("internal state vector must be nonzero")
-    v = v / norm
+    v = vec / norm
     amplitudes: dict[Occupation, complex] = {}
     for idx in range(v.size):
         c = complex(v[idx])
-        if abs(c) <= AMPLITUDE_CUTOFF:
+        if abs(c) <= TOL:
             continue
         config = [0] * (2 * n)
         for arm in range(n):
@@ -147,13 +137,20 @@ def prepare_input(internal, statistics: Statistics) -> Ensemble:
     if isinstance(internal, DensityMatrix):
         if any(d != 2 for d in internal.factor_shape):
             raise ValueError("internal register must consist of qubits")
+        check_capacity(internal.n_factors)
         vals, vecs = np.linalg.eigh(internal.matrix)
         ensemble = [(float(w), _pure_fock(vecs[:, i], statistics))
-                    for i, w in enumerate(vals) if w > ENSEMBLE_CUTOFF]
+                    for i, w in enumerate(vals) if w > TOL]
         if not ensemble:
             raise ValueError("density matrix has no weight above the cutoff")
         return ensemble
-    return [(1.0, _pure_fock(internal, statistics))]
+    v = np.asarray(internal, dtype=complex).reshape(-1)
+    n = v.size.bit_length() - 1
+    if 2 ** n != v.size or n < 1:
+        raise ValueError(f"internal register dimension {v.size} is not a "
+                         "power of two")
+    check_capacity(n)
+    return [(1.0, _pure_fock(v, statistics))]
 
 
 def _apply_creation(config: Occupation, mode: int,
@@ -212,7 +209,8 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     for config, amp in state.amplitudes.items():
         for cfg, a in _expand_configuration(config, state.statistics, u).items():
             out[cfg] += amp * a
-    kept = {cfg: a for cfg, a in out.items() if abs(a) > AMPLITUDE_CUTOFF}
+    # amplitudes below TOL are interference zeros
+    kept = {cfg: a for cfg, a in out.items() if abs(a) > TOL}
     return FockState(state.statistics, state.n_arms, state.n_particles, kept)
 
 
@@ -229,10 +227,10 @@ class OutcomeDistribution:
             if len(pattern) != self.n_arms:
                 raise ValueError(f"pattern {pattern} does not cover "
                                  f"{self.n_arms} arms")
-            if p < -1e-12:
+            if p < -TOL:
                 raise ValueError(f"negative probability {p} for {pattern}")
             total += p
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities must sum to one, got {total!r}")
 
     def probability(self, pattern: Pattern) -> float:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, swap_operator, symmetric_projector
+from .core import (DensityMatrix, check_capacity, swap_operator,
+                   symmetric_projector)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -55,6 +56,7 @@ def aligned_direction_state(omega: BlochDirection, n: int) -> DensityMatrix:
     """n qubits all pointing along the same known direction."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_capacity(n)
     ket = bloch_state(omega)
     single = np.outer(ket, ket.conj())
     m = single
@@ -97,6 +99,7 @@ def maximally_mixed(n: int) -> DensityMatrix:
     """Every qubit independently maximally mixed: I / 2**n."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_capacity(n)
     dim = 2 ** n
     return DensityMatrix(np.eye(dim, dtype=complex) / dim, (2,) * n)
 

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statdisc.applications import (CapacityError, ScanRecord,
-                                   TwoQubitPureState, classical_comparison,
+from statdisc.applications import (TwoQubitPureState, classical_comparison,
                                    classical_pauli_success,
                                    detect_entanglement, purify_symmetric,
                                    scan_discrimination)
-from statdisc.core import partial_trace, tensor
+from statdisc.core import CapacityError, partial_trace, tensor
 from statdisc.multiport import Statistics, interfere
 from statdisc.states import (BlochDirection, bloch_vector, maximally_mixed,
                              qubit_density)
@@ -200,6 +199,12 @@ def test_classical_comparison_table_shape():
         assert row["literal_deviation"] < -0.1
 
 
+def test_classical_comparison_stops_at_the_capacity():
+    assert classical_comparison(8)[-1]["n"] == 8
+    with pytest.raises(CapacityError):
+        classical_comparison(9)
+
+
 # ----------------------------------------------------------------------- scan
 
 def test_scan_meets_the_bound_for_small_fermion_registers():
@@ -220,9 +225,3 @@ def test_scan_validates_input():
         scan_discrimination(9, BOSON)
     with pytest.raises(ValueError):
         scan_discrimination(0, BOSON)
-
-
-def test_scan_record_rejects_negative_gap():
-    with pytest.raises(ValueError, match="beat"):
-        ScanRecord(n=2, statistics=BOSON, p_bs=0.7, p_helstrom=0.625,
-                   gap=-0.075, pattern_count=3)

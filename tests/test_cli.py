@@ -162,14 +162,14 @@ def test_domain_errors_exit_64(capsys):
 
 
 def test_capacity_errors_exit_65(capsys):
-    code, _, err = run(["classical", "--n", "9"], capsys)
-    assert code == 65
-    assert "capacity" in err
-    code, _, _ = run(["scan", "--n-max", "9"], capsys)
-    assert code == 65
-    code, _, err = run(["discriminate", "--n", "9"], capsys)
-    assert code == 65
-    assert "capacity" in err
+    for argv in (["classical", "--n", "9"], ["scan", "--n-max", "9"],
+                 ["discriminate", "--n", "9"], ["discriminate", "--n", "30"],
+                 ["scan", "--n-max", "30"], ["classical", "--n", "30"],
+                 ["discriminate", "--n", "9",
+                  "--pair", "aligned-antialigned"]):
+        code, _, err = run(argv, capsys)
+        assert code == 65, argv
+        assert "capacity" in err
 
 
 def test_unexpected_failures_exit_2(monkeypatch, capsys):

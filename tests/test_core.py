@@ -1,11 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statdisc.core import (DensityMatrix, matrix_rank, partial_trace,
+import statdisc
+from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
                            permutation_operator, swap_operator,
                            symmetric_projector, tensor, trace_norm)
 
@@ -183,7 +186,7 @@ def test_symmetric_projector_is_projector_of_rank_n_plus_one(n):
     p = symmetric_projector(n)
     assert np.allclose(p, p.conj().T, atol=1e-13)
     assert np.allclose(p @ p, p, atol=1e-12)
-    assert matrix_rank(p) == n + 1
+    assert np.linalg.matrix_rank(p) == n + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -220,3 +223,60 @@ def test_permutation_operator_rejects_non_permutation():
 def test_symmetric_projector_rejects_zero_qubits():
     with pytest.raises(ValueError):
         symmetric_projector(0)
+
+
+def test_symmetric_projector_stops_at_the_capacity():
+    assert symmetric_projector(8).shape == (256, 256)
+    with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
+        symmetric_projector(9)
+
+
+# ------------------------------------------------------- one home per policy
+
+def _package_sources():
+    for path in sorted(Path(statdisc.__file__).resolve().parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _core_nodes(tree, keep):
+    """Every node under the top-level statements of ``tree`` that ``keep``
+    accepts."""
+    return {id(node) for stmt in tree.body if keep(stmt)
+            for node in ast.walk(stmt)}
+
+
+def _is_tolerance_table(stmt):
+    targets = [getattr(t, "id", None) for t in getattr(stmt, "targets", ())]
+    return isinstance(stmt, ast.Assign) and targets in (["TOL"], ["SUM_TOL"])
+
+
+def _is_capacity_rule(stmt):
+    return isinstance(stmt, ast.FunctionDef) and stmt.name == "check_capacity"
+
+
+def test_tolerances_are_defined_only_in_the_core_table():
+    stray = []
+    for name, tree in _package_sources():
+        table = (_core_nodes(tree, _is_tolerance_table)
+                 if name == "core.py" else set())
+        stray += [f"{name}:{node.lineno}: {node.value!r}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, float)
+                  and 0.0 < abs(node.value) < 1e-6 and id(node) not in table]
+    assert stray == []
+
+
+def test_capacity_errors_are_raised_only_by_check_capacity():
+    stray = []
+    for name, tree in _package_sources():
+        rule = (_core_nodes(tree, _is_capacity_rule)
+                if name == "core.py" else set())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or id(node) in rule:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == \
+                    "CapacityError":
+                stray.append(f"{name}:{node.lineno}")
+    assert stray == []

@@ -103,6 +103,18 @@ def test_prepare_input_rejects_bad_dimension():
         prepare_input(np.array([1.0, 0.0, 0.0]), BOSON)
 
 
+def test_prepare_input_stops_at_the_capacity():
+    from statdisc.core import CapacityError, DensityMatrix
+    assert len(prepare_input(np.eye(2 ** 8)[5], BOSON)) == 1
+    rho8 = DensityMatrix(np.eye(2 ** 8) / 2 ** 8, (2,) * 8)
+    assert len(prepare_input(rho8, FERMION)) == 2 ** 8
+    with pytest.raises(CapacityError):
+        prepare_input(np.eye(2 ** 9)[5], BOSON)
+    rho9 = DensityMatrix(np.eye(2 ** 9) / 2 ** 9, (2,) * 9)
+    with pytest.raises(CapacityError):
+        prepare_input(rho9, FERMION)
+
+
 # ------------------------------------------------- two-particle interference
 
 def test_identical_bosons_always_bunch():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statdisc.core import (partial_trace, permutation_operator,
-                           symmetric_projector, tensor)
+from statdisc.core import (CapacityError, partial_trace,
+                           permutation_operator, symmetric_projector, tensor)
 from statdisc.states import (BlochDirection, aligned_direction_state,
                              aligned_mixture, antialigned_direction_state,
                              antialigned_mixture, bloch_state, bloch_vector,
@@ -116,6 +116,15 @@ def test_constructors_reject_zero_qubits():
         aligned_mixture(0)
     with pytest.raises(ValueError):
         maximally_mixed(0)
+
+
+@pytest.mark.parametrize("build", [
+    aligned_mixture, maximally_mixed,
+    lambda n: aligned_direction_state(BlochDirection(0.3, 1.2), n)])
+def test_constructors_stop_at_the_capacity(build):
+    assert build(8).factor_shape == (2,) * 8
+    with pytest.raises(CapacityError):
+        build(9)
 
 
 # ------------------------------------------------------------- dicke basis
