@@ -8,8 +8,7 @@ ceiling.
 """
 
 from .core import (CapacityError, DensityMatrix, partial_trace,
-                   permutation_operator, swap_operator, symmetric_projector,
-                   tensor, trace_norm)
+                   swap_operator, symmetric_projector, tensor, trace_norm)
 from .states import (BlochDirection, aligned_direction_state,
                      aligned_mixture, antialigned_direction_state,
                      antialigned_mixture, bloch_state, bloch_vector,
@@ -36,8 +35,8 @@ __all__ = [
     "beam_splitter_discrimination", "bloch_state", "bloch_vector",
     "classical_comparison", "classical_pauli_success", "detect_entanglement",
     "dft_unitary", "evolve", "helstrom_bound", "interfere", "map_strategy",
-    "maximally_mixed", "orthogonal_state", "partial_trace",
-    "permutation_operator", "prepare_input", "purify_symmetric",
-    "qubit_density", "scan_discrimination", "spatial_distribution",
-    "swap_operator", "symmetric_projector", "tensor", "trace_norm",
+    "maximally_mixed", "orthogonal_state", "partial_trace", "prepare_input",
+    "purify_symmetric", "qubit_density", "scan_discrimination",
+    "spatial_distribution", "swap_operator", "symmetric_projector", "tensor",
+    "trace_norm",
 ]

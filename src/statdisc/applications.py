@@ -146,6 +146,7 @@ def classical_comparison(n_max: int = 6) -> list[dict]:
     """Side-by-side table of both exclusion readings against the exact bound."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    check_capacity(n_max)
     rows = []
     for n in range(2, n_max + 1):
         standard = classical_pauli_success(n, "standard")

@@ -83,6 +83,7 @@ class DensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(
                 f"matrix shape {m.shape} does not match factor shape {shape}")
+        check_capacity(self.n_factors)
         if hermiticity_defect(m) > TOL:
             raise ValueError("density matrix must be Hermitian")
         if abs(complex(np.trace(m)) - 1.0) > TOL:
@@ -145,25 +146,6 @@ def trace_norm(h) -> float:
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
-def permutation_operator(perm: Sequence[int]) -> np.ndarray:
-    """Unitary permuting the qubits of a register.
-
-    Output qubit ``j`` carries what input qubit ``perm[j]`` carried.  Qubit 0
-    is the leftmost factor, hence the most significant bit of a basis index.
-    """
-    p = tuple(int(i) for i in perm)
-    n = len(p)
-    if sorted(p) != list(range(n)):
-        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
-    dim = 1 << n
-    shifts = np.arange(n - 1, -1, -1)
-    bits = (np.arange(dim)[:, None] >> shifts[None, :]) & 1
-    rows = bits[:, list(p)] @ (1 << shifts)
-    op = np.zeros((dim, dim), dtype=complex)
-    op[rows, np.arange(dim)] = 1.0
-    return op
-
-
 # check_capacity bounds this cache to MAX_QUBITS entries
 @lru_cache(maxsize=None)
 def symmetric_projector(n_qubits: int) -> np.ndarray:
@@ -189,5 +171,8 @@ def symmetric_projector(n_qubits: int) -> np.ndarray:
 
 
 def swap_operator() -> np.ndarray:
-    """The two-qubit exchange operator."""
-    return permutation_operator((1, 0))
+    """The two-qubit exchange operator: |ab> -> |ba>."""
+    return np.array([[1, 0, 0, 0],
+                     [0, 0, 1, 0],
+                     [0, 1, 0, 0],
+                     [0, 0, 0, 1]], dtype=complex)

@@ -21,6 +21,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +39,11 @@ class Statistics(Enum):
 
 @dataclass(frozen=True, eq=False)
 class MultiportUnitary:
-    """Balanced n-arm unitary: every entry has modulus 1/sqrt(n)."""
+    """Balanced n-arm unitary: every entry has modulus 1/sqrt(n).
+
+    It also carries the memo of what it does to each input configuration
+    (see ``_expand_configuration``).
+    """
 
     n: int
     matrix: np.ndarray
@@ -53,12 +58,17 @@ class MultiportUnitary:
             raise ValueError("matrix must be balanced: all entry moduli 1/sqrt(n)")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        # the expansion memo lives exactly as long as the unitary it describes
+        object.__setattr__(self, "_expansions", {})
 
 
+# check_capacity bounds this cache to MAX_QUBITS entries
+@lru_cache(maxsize=None)
 def dft_unitary(n: int) -> MultiportUnitary:
     """The discrete-Fourier multiport: u[a, b] = exp(2i pi a b / n) / sqrt(n)."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    check_capacity(n)
     a = np.arange(n)
     m = np.exp(2j * math.pi * np.outer(a, a) / n) / math.sqrt(n)
     return MultiportUnitary(n, m)
@@ -137,7 +147,6 @@ def prepare_input(internal, statistics: Statistics) -> Ensemble:
     if isinstance(internal, DensityMatrix):
         if any(d != 2 for d in internal.factor_shape):
             raise ValueError("internal register must consist of qubits")
-        check_capacity(internal.n_factors)
         vals, vecs = np.linalg.eigh(internal.matrix)
         ensemble = [(float(w), _pure_fock(vecs[:, i], statistics))
                     for i, w in enumerate(vals) if w > TOL]
@@ -165,16 +174,15 @@ def _apply_creation(config: Occupation, mode: int,
     return math.sqrt(occupied + 1.0), config[:mode] + (occupied + 1,) + config[mode + 1:]
 
 
-# Expansion of a single input configuration is independent of the rest of
-# the superposition, so it is cached across ensemble members.
-_EXPANSION_CACHE: dict = {}
-
-
 def _expand_configuration(config: Occupation, statistics: Statistics,
                           u: MultiportUnitary) -> dict[Occupation, complex]:
-    """Output amplitudes of one unit-amplitude input configuration."""
-    key = (config, statistics, u.matrix.tobytes())
-    cached = _EXPANSION_CACHE.get(key)
+    """Output amplitudes of one unit-amplitude input configuration.
+
+    Independent of the rest of the superposition, so memoized on ``u``
+    across ensemble members and calls.
+    """
+    key = (config, statistics)
+    cached = u._expansions.get(key)
     if cached is not None:
         return cached
     n = u.n
@@ -197,7 +205,7 @@ def _expand_configuration(config: Occupation, statistics: Statistics,
                 grown[cfg_new] += amp * row[dest] * factor
         working = grown
     result = dict(working)
-    _EXPANSION_CACHE[key] = result
+    u._expansions[key] = result
     return result
 
 

@@ -2,11 +2,11 @@
 
 Each oracle computes something the package also computes, by a route that
 shares no code with the production path: sphere quadrature for the
-direction-averaged mixtures, a Dicke basis for the symmetric projector,
-explicit (anti)symmetrization of labeled particles for the Fock pipeline,
-a second balanced two-port convention, and full enumeration of routings
-for the classical exclusion model.  They are slow on purpose and are
-never imported by ``src/``.
+direction-averaged mixtures, a Dicke basis and explicit qubit-permutation
+operators for the symmetric projector, explicit (anti)symmetrization of
+labeled particles for the Fock pipeline, a second balanced two-port
+convention, and full enumeration of routings for the classical exclusion
+model.  They are slow on purpose and are never imported by ``src/``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -138,6 +138,27 @@ def dicke_basis(n: int) -> DickeBasis:
     norms = np.sqrt(vectors.sum(axis=1).real)
     vectors /= norms[:, None]
     return DickeBasis(n, vectors)
+
+
+# --------------------------------------------------- qubit permutations
+
+def permutation_operator(perm: Sequence[int]) -> np.ndarray:
+    """Unitary permuting the qubits of a register.
+
+    Output qubit ``j`` carries what input qubit ``perm[j]`` carried.  Qubit 0
+    is the leftmost factor, hence the most significant bit of a basis index.
+    """
+    p = tuple(int(i) for i in perm)
+    n = len(p)
+    if sorted(p) != list(range(n)):
+        raise ValueError(f"not a permutation of 0..{n - 1}: {perm}")
+    dim = 1 << n
+    shifts = np.arange(n - 1, -1, -1)
+    bits = (np.arange(dim)[:, None] >> shifts[None, :]) & 1
+    rows = bits[:, list(p)] @ (1 << shifts)
+    op = np.zeros((dim, dim), dtype=complex)
+    op[rows, np.arange(dim)] = 1.0
+    return op
 
 
 # ------------------------------------------------------------ multiports

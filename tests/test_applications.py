@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statdisc import applications
 from statdisc.applications import (TwoQubitPureState, classical_comparison,
                                    classical_pauli_success,
                                    detect_entanglement, purify_symmetric,
@@ -199,10 +200,14 @@ def test_classical_comparison_table_shape():
         assert row["literal_deviation"] < -0.1
 
 
-def test_classical_comparison_stops_at_the_capacity():
+def test_classical_comparison_stops_at_the_capacity(monkeypatch):
     assert classical_comparison(8)[-1]["n"] == 8
+    calls = []
+    monkeypatch.setattr(applications, "classical_pauli_success",
+                        lambda *args: calls.append(args) or 0.0)
     with pytest.raises(CapacityError):
         classical_comparison(9)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------- scan

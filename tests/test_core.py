@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import statdisc
 from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
-                           permutation_operator, swap_operator,
-                           symmetric_projector, tensor, trace_norm)
+                           swap_operator, symmetric_projector, tensor,
+                           trace_norm)
+
+from oracles import permutation_operator
 
 
 def random_density(rng, dims):
@@ -61,6 +63,18 @@ def test_density_matrix_is_read_only():
     rho = DensityMatrix(np.eye(2) / 2, (2,))
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
+
+
+def test_density_matrix_stops_at_the_capacity(monkeypatch):
+    assert DensityMatrix(np.eye(2 ** 8) / 2 ** 8, (2,) * 8).n_factors == 8
+    # refused before the eigenvalue validation, the costly part
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(m.shape) or eigvalsh(m))
+    with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
+        DensityMatrix(np.eye(2 ** 9) / 2 ** 9, (2,) * 9)
+    assert calls == []
 
 
 # ------------------------------------------------------------------ tensor

@@ -1,8 +1,14 @@
+import gc
 import math
+import sys
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from statdisc.core import CapacityError
 from statdisc.multiport import (FockState, MultiportUnitary, Statistics,
                                 dft_unitary, evolve, interfere,
                                 prepare_input, spatial_distribution)
@@ -17,6 +23,13 @@ FERMION = Statistics.FERMION
 def max_pattern_deviation(d0, d1):
     patterns = set(d0.probabilities) | set(d1.probabilities)
     return max(abs(d0.probability(p) - d1.probability(p)) for p in patterns)
+
+
+def phased_dft(n, in_phases, out_phases):
+    """D1 @ F @ D2: the DFT multiport with phases on its input and output arms."""
+    d1 = np.diag(np.exp(1j * np.asarray(in_phases)))
+    d2 = np.diag(np.exp(1j * np.asarray(out_phases)))
+    return MultiportUnitary(n, d1 @ dft_unitary(n).matrix @ d2)
 
 
 # ----------------------------------------------------------------- unitaries
@@ -42,6 +55,47 @@ def test_multiport_rejects_non_unitary():
 def test_multiport_rejects_unbalanced_unitary():
     with pytest.raises(ValueError, match="balanced"):
         MultiportUnitary(2, np.eye(2))
+
+
+def test_dft_unitary_is_one_object_per_n_up_to_the_capacity():
+    assert dft_unitary(3) is dft_unitary(3)
+    assert dft_unitary(8).n == 8
+    with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
+        dft_unitary(9)
+
+
+def _module_state():
+    """Size of every container and lru_cache held by a statdisc module."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] != "statdisc":
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                sizes[name, attr] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[name, attr] = value.cache_info().currsize
+    return sizes
+
+
+def test_fresh_unitaries_leave_no_module_state_behind():
+    rng = np.random.default_rng(31)
+    rho = maximally_mixed(3)
+    before = _module_state()
+    freed = []
+    for _ in range(10):
+        u = phased_dft(3, rng.uniform(0, 2 * math.pi, 3),
+                       rng.uniform(0, 2 * math.pi, 3))
+        for stats in (BOSON, FERMION):
+            interfere(rho, stats, u)
+        freed.append(weakref.ref(u))
+        del u
+    gc.collect()
+    assert _module_state() == before
+    # the expansion memo goes with its unitary
+    assert all(ref() is None for ref in freed)
 
 
 # ---------------------------------------------------------------- FockState
@@ -110,8 +164,8 @@ def test_prepare_input_stops_at_the_capacity():
     assert len(prepare_input(rho8, FERMION)) == 2 ** 8
     with pytest.raises(CapacityError):
         prepare_input(np.eye(2 ** 9)[5], BOSON)
-    rho9 = DensityMatrix(np.eye(2 ** 9) / 2 ** 9, (2,) * 9)
     with pytest.raises(CapacityError):
+        rho9 = DensityMatrix(np.eye(2 ** 9) / 2 ** 9, (2,) * 9)
         prepare_input(rho9, FERMION)
 
 
@@ -204,6 +258,21 @@ def test_two_port_convention_does_not_change_arm_counts():
             d_dft = interfere(v, stats, dft_unitary(2))
             d_sym = interfere(v, stats, symmetric_two_port())
             assert max_pattern_deviation(d_dft, d_sym) < 1e-12
+
+
+# Phases on the input arms give every one-per-arm configuration the same
+# global phase; phases on the output arms only rephase each output
+# configuration.  Neither moves an arm-count probability.
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.sampled_from([BOSON, FERMION]),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=6, max_size=6),
+       st.integers(0, 2 ** 32 - 1))
+def test_arm_phases_do_not_change_arm_counts(n, stats, phases, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    u = phased_dft(n, phases[:n], phases[3:3 + n])
+    assert max_pattern_deviation(interfere(v, stats, u),
+                                 interfere(v, stats)) < 1e-12
 
 
 def test_spatial_distribution_rejects_empty_ensemble():
