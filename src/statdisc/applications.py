@@ -52,8 +52,7 @@ class TwoQubitPureState:
         return cls(np.array([math.sqrt(1.0 - lam), 0.0, 0.0, math.sqrt(lam)]))
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.amplitudes,
-                                      self.amplitudes.conj()), (2, 2))
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 def detect_entanglement(psi: TwoQubitPureState,
@@ -80,7 +79,7 @@ def purify_symmetric(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     success probability.  The Bloch direction is preserved and the Bloch
     length never decreases.
     """
-    if rho.factor_shape != (2,):
+    if rho.n_qubits != 1:
         raise ValueError("purification expects a single qubit")
     proj = symmetric_projector(2)
     joint = tensor(rho, rho).matrix
@@ -89,7 +88,7 @@ def purify_symmetric(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     # success = (3 + r^2)/4 >= 3/4 for any qubit, so this cannot fire
     if success <= 0.0:
         raise ValueError("projection annihilated the state")
-    normalized = DensityMatrix(projected / success, (2, 2))
+    normalized = DensityMatrix(projected / success)
     return partial_trace(normalized, keep=(0,)), success
 
 

@@ -72,10 +72,6 @@ def _row(name: str, value: float, paper_value: float | None = None) -> dict:
     return row
 
 
-def _statistics(name: str) -> Statistics:
-    return Statistics(name)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_reproduce(config: RunConfig) -> tuple[list[dict], int]:
@@ -134,7 +130,7 @@ def cmd_reproduce(config: RunConfig) -> tuple[list[dict], int]:
 
 
 def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
-    n = config.n if config.n is not None else 2
+    n = config.n
     # built first, so that its capacity check precedes the pair check
     aligned = aligned_mixture(n)
     if config.pair == "aligned-antialigned":
@@ -143,10 +139,9 @@ def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
         other = antialigned_mixture()
     else:
         other = maximally_mixed(n)
-    prior0 = config.prior0 if config.prior0 is not None else 0.5
-    h0 = Hypothesis("H0", aligned, prior0)
-    h1 = Hypothesis("H1", other, 1.0 - prior0)
-    report = beam_splitter_discrimination(h0, h1, _statistics(config.statistics))
+    h0 = Hypothesis("H0", aligned, config.prior0)
+    h1 = Hypothesis("H1", other, 1.0 - config.prior0)
+    report = beam_splitter_discrimination(h0, h1, Statistics(config.statistics))
     rows = [_row("p_helstrom", report.p_helstrom),
             _row("p_bs", report.p_bs),
             _row("gap", report.gap)]
@@ -157,7 +152,7 @@ def cmd_discriminate(config: RunConfig) -> tuple[list[dict], int]:
 
 
 def cmd_scan(config: RunConfig) -> tuple[list[dict], int]:
-    reports = scan_discrimination(config.n_max, _statistics(config.statistics))
+    reports = scan_discrimination(config.n_max, Statistics(config.statistics))
     rows = []
     for rep in reports:
         rows.append(_row(f"p_bs[n={rep.n}]", rep.p_bs))
@@ -169,7 +164,7 @@ def cmd_scan(config: RunConfig) -> tuple[list[dict], int]:
 
 def cmd_detect(config: RunConfig) -> tuple[list[dict], int]:
     psi = TwoQubitPureState.from_schmidt(config.schmidt)
-    p = detect_entanglement(psi, _statistics(config.statistics))
+    p = detect_entanglement(psi, Statistics(config.statistics))
     return [_row("detection success", p),
             _row("schmidt weight", psi.schmidt_lambda)], EXIT_OK
 

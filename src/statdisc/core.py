@@ -1,9 +1,11 @@
 """Exact dense linear algebra for small qubit registers.
 
-Everything here is plain numpy complex128.  Registers never exceed
-``MAX_QUBITS`` (eight) qubits, a limit that ``check_capacity`` enforces at
-every entry point of the package, so every operation is an exact
-eigendecomposition or an index manipulation; nothing is sampled and
+Every register is n qubits, the internal states of n two-level particles,
+so a ``DensityMatrix`` is a 2**n x 2**n matrix and reads n from its
+dimension.  Everything here is plain numpy complex128.  Registers never
+exceed ``MAX_QUBITS`` (eight) qubits, a limit that ``check_capacity``
+enforces at every entry point of the package, so every operation is an
+exact eigendecomposition or an index manipulation; nothing is sampled and
 nothing is sparse.
 
 This module also holds the package's two tolerances, ``TOL`` and
@@ -63,27 +65,24 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, positive semi-definite, unit-trace matrix over a register.
+    """Hermitian, positive semi-definite, unit-trace matrix over n qubits.
 
-    ``factor_shape`` records the tensor decomposition of the register, e.g.
-    (2, 2) for two qubits.  Factor 0 is the leftmost ket, i.e. the most
-    significant block of the row/column index.
+    n is read off the dimension 2**n.  Qubit 0 is the leftmost ket, i.e. the
+    most significant bit of the row/column index.  A 1 x 1 matrix is the
+    zero-qubit register that tracing out every qubit leaves.
     """
 
     matrix: np.ndarray
-    factor_shape: tuple[int, ...]
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        shape = tuple(int(d) for d in self.factor_shape)
-        object.__setattr__(self, "factor_shape", shape)
-        dim = math.prod(shape)
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match factor shape {shape}")
-        check_capacity(self.n_factors)
+        dim = m.shape[0]
+        if m.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
+            raise ValueError(f"matrix shape {m.shape} is not that of a "
+                             "register of qubits")
+        check_capacity(self.n_qubits)
         if hermiticity_defect(m) > TOL:
             raise ValueError("density matrix must be Hermitian")
         if abs(complex(np.trace(m)) - 1.0) > TOL:
@@ -99,41 +98,40 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     @property
-    def n_factors(self) -> int:
-        return len(self.factor_shape)
+    def n_qubits(self) -> int:
+        return self.dim.bit_length() - 1
 
 
 def tensor(a, b):
     """Kronecker product; two density matrices or two plain matrices."""
     if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(np.kron(a.matrix, b.matrix),
-                             a.factor_shape + b.factor_shape)
+        # before the product: two 8-qubit factors would allocate 69 GB
+        check_capacity(a.n_qubits + b.n_qubits)
+        return DensityMatrix(np.kron(a.matrix, b.matrix))
     if isinstance(a, DensityMatrix) or isinstance(b, DensityMatrix):
         raise TypeError("tensor expects operands of the same kind")
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every factor not listed in ``keep``.
+    """Trace out every qubit not listed in ``keep``.
 
-    ``keep`` must be strictly increasing, so the surviving factors retain
+    ``keep`` must be strictly increasing, so the surviving qubits retain
     their original order.
     """
     kept = tuple(int(i) for i in keep)
-    n = rho.n_factors
+    n = rho.n_qubits
     if any(i < 0 or i >= n for i in kept):
-        raise ValueError(f"factor index out of range for {n} factors: {kept}")
+        raise ValueError(f"qubit index out of range for {n} qubits: {kept}")
     if any(b <= a for a, b in zip(kept, kept[1:])):
         raise ValueError("keep indices must be strictly increasing")
-    dims = rho.factor_shape
-    reshaped = rho.matrix.reshape(dims + dims)
+    reshaped = rho.matrix.reshape((2,) * (2 * n))
     n_left = n
     for idx in sorted(set(range(n)) - set(kept), reverse=True):
         reshaped = np.trace(reshaped, axis1=idx, axis2=idx + n_left)
         n_left -= 1
-    kept_shape = tuple(dims[i] for i in kept)
-    dim = math.prod(kept_shape)
-    return DensityMatrix(reshaped.reshape(dim, dim), kept_shape)
+    dim = 1 << len(kept)
+    return DensityMatrix(reshaped.reshape(dim, dim))
 
 
 def trace_norm(h) -> float:
@@ -159,7 +157,7 @@ def symmetric_projector(n_qubits: int) -> np.ndarray:
     rank n + 1.
     """
     if n_qubits < 1:
-        raise ValueError("n_qubits must be at least 1")
+        raise ValueError("n must be at least 1")
     check_capacity(n_qubits)
     weight = np.array([1.0 / math.comb(n_qubits, k)
                        for k in range(n_qubits + 1)])

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 from .core import (SUM_TOL, TOL, DensityMatrix, symmetric_projector,
                    trace_norm)
-from .multiport import (MultiportUnitary, OutcomeDistribution, Pattern,
-                        Statistics, interfere)
+from .multiport import OutcomeDistribution, Pattern, Statistics, interfere
 
 LABELS = ("H0", "H1")
 
@@ -61,8 +60,6 @@ def aligned_vs_mixed_bound(n: int) -> float:
     hardcoded (a projector's trace is its rank), and the result equals
     1 - (n + 1) / 2**(n + 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     projector = symmetric_projector(n)
     d_s = round(float(projector.trace().real))
     d = projector.shape[0]
@@ -124,17 +121,13 @@ class DiscriminationReport:
 
 
 def beam_splitter_discrimination(h0: Hypothesis, h1: Hypothesis,
-                                 statistics: Statistics,
-                                 unitary: MultiportUnitary | None = None
+                                 statistics: Statistics
                                  ) -> DiscriminationReport:
     """Run both hypotheses through the multiport and decide from arm counts."""
     _check_pair(h0, h1)
-    shape = h0.state.factor_shape
-    if shape != h1.state.factor_shape or any(d != 2 for d in shape):
-        raise ValueError("hypotheses must be states of n qubits each")
-    n = len(shape)
-    dist0 = interfere(h0.state, statistics, unitary)
-    dist1 = interfere(h1.state, statistics, unitary)
+    n = h0.state.n_qubits
+    dist0 = interfere(h0.state, statistics)
+    dist1 = interfere(h1.state, statistics)
     strategy, p_bs = map_strategy(dist0, dist1, (h0.prior, h1.prior))
     p_h = helstrom_bound(h0, h1)
     return DiscriminationReport(n=n, statistics=statistics, p_helstrom=p_h,

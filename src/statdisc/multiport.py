@@ -90,6 +90,8 @@ class FockState:
     def __post_init__(self) -> None:
         if not self.amplitudes:
             raise ValueError("a Fock state needs at least one configuration")
+        check_capacity(self.n_arms)
+        check_capacity(self.n_particles)
         norm_sq = 0.0
         for config, amp in self.amplitudes.items():
             if len(config) != 2 * self.n_arms:
@@ -145,8 +147,6 @@ def prepare_input(internal, statistics: Statistics) -> Ensemble:
     spectrum yields the same downstream statistics.
     """
     if isinstance(internal, DensityMatrix):
-        if any(d != 2 for d in internal.factor_shape):
-            raise ValueError("internal register must consist of qubits")
         vals, vecs = np.linalg.eigh(internal.matrix)
         ensemble = [(float(w), _pure_fock(vecs[:, i], statistics))
                     for i, w in enumerate(vals) if w > TOL]

@@ -62,7 +62,7 @@ def aligned_direction_state(omega: BlochDirection, n: int) -> DensityMatrix:
     m = single
     for _ in range(n - 1):
         m = np.kron(m, single)
-    return DensityMatrix(m, (2,) * n)
+    return DensityMatrix(m)
 
 
 def antialigned_direction_state(omega: BlochDirection) -> DensityMatrix:
@@ -70,7 +70,7 @@ def antialigned_direction_state(omega: BlochDirection) -> DensityMatrix:
     up = bloch_state(omega)
     down = orthogonal_state(omega)
     m = np.kron(np.outer(up, up.conj()), np.outer(down, down.conj()))
-    return DensityMatrix(m, (2, 2))
+    return DensityMatrix(m)
 
 
 def aligned_mixture(n: int) -> DensityMatrix:
@@ -80,9 +80,7 @@ def aligned_mixture(n: int) -> DensityMatrix:
     onto the symmetric subspace, so the state has rank n + 1 with equal
     weights 1/(n + 1).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return DensityMatrix(symmetric_projector(n) / (n + 1), (2,) * n)
+    return DensityMatrix(symmetric_projector(n) / (n + 1))
 
 
 def antialigned_mixture() -> DensityMatrix:
@@ -92,7 +90,7 @@ def antialigned_mixture() -> DensityMatrix:
     triplet state.
     """
     m = np.eye(4, dtype=complex) / 3.0 - swap_operator() / 6.0
-    return DensityMatrix(m, (2, 2))
+    return DensityMatrix(m)
 
 
 def maximally_mixed(n: int) -> DensityMatrix:
@@ -101,7 +99,7 @@ def maximally_mixed(n: int) -> DensityMatrix:
         raise ValueError("n must be at least 1")
     check_capacity(n)
     dim = 2 ** n
-    return DensityMatrix(np.eye(dim, dtype=complex) / dim, (2,) * n)
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 def qubit_density(length: float, omega: BlochDirection) -> DensityMatrix:
@@ -111,12 +109,12 @@ def qubit_density(length: float, omega: BlochDirection) -> DensityMatrix:
     nx, ny, nz = omega.unit_vector()
     m = 0.5 * (np.eye(2, dtype=complex)
                + length * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z))
-    return DensityMatrix(m, (2,))
+    return DensityMatrix(m)
 
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     """Bloch components (x, y, z) of a single-qubit state."""
-    if rho.factor_shape != (2,):
+    if rho.n_qubits != 1:
         raise ValueError("bloch_vector expects a single qubit")
     return np.array([np.trace(rho.matrix @ p).real
                      for p in (PAULI_X, PAULI_Y, PAULI_Z)])

@@ -86,17 +86,17 @@ def quadrature_average(builder: Callable[[BlochDirection], DensityMatrix],
     bit for bit.
     """
     total = None
-    shape = None
+    n_qubits = None
     for direction, weight in zip(scheme.directions, scheme.weights):
         state = builder(direction)
         if total is None:
             total = weight * state.matrix
-            shape = state.factor_shape
+            n_qubits = state.n_qubits
         else:
-            if state.factor_shape != shape:
-                raise ValueError("builder returned inconsistent factor shapes")
+            if state.n_qubits != n_qubits:
+                raise ValueError("builder returned inconsistent registers")
             total = total + weight * state.matrix
-    return DensityMatrix(total, shape)
+    return DensityMatrix(total)
 
 
 # ----------------------------------------------------------- Dicke basis
@@ -204,6 +204,10 @@ def first_quantized_distribution(internal, statistics: Statistics,
     if 2 ** n != v.size or n < 1:
         raise ValueError(f"internal register dimension {v.size} is not a "
                          "power of two")
+    # the labeled wavefunction has (2n)**n entries: 1.7 GB per array at n = 7
+    if n > 6:
+        raise ValueError(f"the first-quantized oracle stops at n = 6, "
+                         f"got n = {n}")
     v = v / np.linalg.norm(v)
     u = dft_unitary(n) if unitary is None else unitary
     if u.n != n:

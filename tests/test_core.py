@@ -15,66 +15,85 @@ from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
 from oracles import permutation_operator
 
 
-def random_density(rng, dims):
-    dim = math.prod(dims)
+def random_density(rng, n_qubits):
+    dim = 2 ** n_qubits
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real, tuple(dims))
+    return DensityMatrix(m / np.trace(m).real)
 
 
 # ------------------------------------------------------------ DensityMatrix
 
 def test_density_matrix_accepts_valid_state():
-    rho = DensityMatrix(np.eye(2) / 2, (2,))
+    rho = DensityMatrix(np.eye(2) / 2)
     assert rho.dim == 2
-    assert rho.n_factors == 1
+    assert rho.n_qubits == 1
 
 
 def test_density_matrix_rejects_non_hermitian():
     m = np.array([[0.5, 0.3], [0.0, 0.5]])
     with pytest.raises(ValueError, match="Hermitian"):
-        DensityMatrix(m, (2,))
+        DensityMatrix(m)
 
 
 def test_density_matrix_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(2), (2,))
+        DensityMatrix(np.eye(2))
 
 
 def test_density_matrix_rejects_negative_eigenvalue():
     m = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError, match="positive semi-definite"):
-        DensityMatrix(m, (2,))
+        DensityMatrix(m)
 
 
 def test_density_matrix_rejects_shape_mismatch():
-    with pytest.raises(ValueError, match="factor shape"):
-        DensityMatrix(np.eye(4) / 4, (2,))
+    with pytest.raises(ValueError, match="qubit"):
+        DensityMatrix(np.eye(3) / 3)
 
 
 def test_density_matrix_rejects_non_finite():
     m = np.eye(2, dtype=complex) / 2
     m[0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        DensityMatrix(m, (2,))
+        DensityMatrix(m)
 
 
 def test_density_matrix_is_read_only():
-    rho = DensityMatrix(np.eye(2) / 2, (2,))
+    rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 1.0
 
 
 def test_density_matrix_stops_at_the_capacity(monkeypatch):
-    assert DensityMatrix(np.eye(2 ** 8) / 2 ** 8, (2,) * 8).n_factors == 8
+    assert DensityMatrix(np.eye(2 ** 8) / 2 ** 8).n_qubits == 8
     # refused before the eigenvalue validation, the costly part
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh",
                         lambda m: calls.append(m.shape) or eigvalsh(m))
     with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
-        DensityMatrix(np.eye(2 ** 9) / 2 ** 9, (2,) * 9)
+        DensityMatrix(np.eye(2 ** 9) / 2 ** 9)
     assert calls == []
+
+
+def test_density_matrix_refuses_non_qubit_dimensions_before_any_work(
+        monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(m.shape) or eigvalsh(m))
+    # seven qutrits: dimension 2187 lies between 2**11 and 2**12
+    for m in (np.eye(3 ** 7) / 3 ** 7, np.ones((2, 4)) / 2, np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="qubit"):
+            DensityMatrix(m)
+    assert calls == []
+
+
+def test_density_matrix_of_dimension_one_is_the_zero_qubit_register():
+    rho = DensityMatrix([[1.0]])
+    assert rho.dim == 1
+    assert rho.n_qubits == 0
 
 
 # ------------------------------------------------------------------ tensor
@@ -85,15 +104,27 @@ def test_tensor_of_identities():
 
 def test_tensor_concatenates_factor_shapes():
     rng = np.random.default_rng(3)
-    a = random_density(rng, (2,))
-    b = random_density(rng, (2, 2))
+    a = random_density(rng, 1)
+    b = random_density(rng, 2)
     joint = tensor(a, b)
-    assert joint.factor_shape == (2, 2, 2)
+    assert joint.n_qubits == 3
     assert np.allclose(joint.matrix, np.kron(a.matrix, b.matrix))
 
 
+def test_tensor_stops_at_the_capacity(monkeypatch):
+    big = DensityMatrix(np.eye(2 ** 8) / 2 ** 8)
+    assert tensor(big, DensityMatrix([[1.0]])).n_qubits == 8
+    calls = []
+    kron = np.kron
+    monkeypatch.setattr(np, "kron",
+                        lambda a, b: calls.append(a.shape) or kron(a, b))
+    with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
+        tensor(big, DensityMatrix(np.eye(2) / 2))
+    assert calls == []
+
+
 def test_tensor_rejects_mixed_kinds():
-    rho = DensityMatrix(np.eye(2) / 2, (2,))
+    rho = DensityMatrix(np.eye(2) / 2)
     with pytest.raises(TypeError):
         tensor(rho, np.eye(2))
 
@@ -109,7 +140,7 @@ def test_tensor_trace_is_multiplicative():
 
 def test_partial_trace_of_bell_pair_is_maximally_mixed():
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)
-    rho = DensityMatrix(np.outer(bell, bell), (2, 2))
+    rho = DensityMatrix(np.outer(bell, bell))
     for keep in ((0,), (1,)):
         reduced = partial_trace(rho, keep)
         assert np.allclose(reduced.matrix, np.eye(2) / 2, atol=1e-14)
@@ -117,15 +148,15 @@ def test_partial_trace_of_bell_pair_is_maximally_mixed():
 
 def test_partial_trace_keep_all_is_identity():
     rng = np.random.default_rng(5)
-    rho = random_density(rng, (2, 2, 2))
+    rho = random_density(rng, 3)
     same = partial_trace(rho, (0, 1, 2))
     assert np.allclose(same.matrix, rho.matrix, atol=1e-14)
 
 
 def test_partial_trace_of_product_recovers_factors():
     rng = np.random.default_rng(6)
-    a = random_density(rng, (2,))
-    b = random_density(rng, (2,))
+    a = random_density(rng, 1)
+    b = random_density(rng, 1)
     joint = tensor(a, b)
     assert np.allclose(partial_trace(joint, (0,)).matrix, a.matrix, atol=1e-14)
     assert np.allclose(partial_trace(joint, (1,)).matrix, b.matrix, atol=1e-14)
@@ -133,7 +164,7 @@ def test_partial_trace_of_product_recovers_factors():
 
 def test_partial_trace_composes_to_scalar_one():
     rng = np.random.default_rng(7)
-    rho = random_density(rng, (2, 2, 2))
+    rho = random_density(rng, 3)
     # peel one factor at a time, then drop the last one as well
     step = partial_trace(rho, (0, 1))
     step = partial_trace(step, (0,))
@@ -144,7 +175,7 @@ def test_partial_trace_composes_to_scalar_one():
 
 def test_partial_trace_rejects_unsorted_keep():
     rng = np.random.default_rng(8)
-    rho = random_density(rng, (2, 2))
+    rho = random_density(rng, 2)
     with pytest.raises(ValueError, match="strictly increasing"):
         partial_trace(rho, (1, 0))
     with pytest.raises(ValueError, match="strictly increasing"):

@@ -20,8 +20,7 @@ FERMION = Statistics.FERMION
 def pure(vec):
     v = np.asarray(vec, dtype=complex)
     v = v / np.linalg.norm(v)
-    n = v.size.bit_length() - 1
-    return DensityMatrix(np.outer(v, v.conj()), (2,) * n)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def pair(rho0, rho1, p0=0.5):
@@ -181,7 +180,7 @@ def test_unequal_priors_keep_strategy_below_bound():
 
 
 def test_beam_splitter_rejects_non_qubit_registers():
-    h0 = Hypothesis("H0", DensityMatrix(np.eye(3) / 3, (3,)), 0.5)
-    h1 = Hypothesis("H1", DensityMatrix(np.eye(3) / 3, (3,)), 0.5)
-    with pytest.raises(ValueError, match="qubits"):
+    with pytest.raises(ValueError, match="qubit"):
+        h0 = Hypothesis("H0", DensityMatrix(np.eye(3) / 3), 0.5)
+        h1 = Hypothesis("H1", DensityMatrix(np.eye(3) / 3), 0.5)
         beam_splitter_discrimination(h0, h1, BOSON)

@@ -12,7 +12,9 @@ from statdisc.core import CapacityError
 from statdisc.multiport import (FockState, MultiportUnitary, Statistics,
                                 dft_unitary, evolve, interfere,
                                 prepare_input, spatial_distribution)
-from statdisc.states import aligned_mixture, antialigned_mixture, maximally_mixed
+from statdisc.states import (BlochDirection, aligned_direction_state,
+                             aligned_mixture, antialigned_mixture,
+                             maximally_mixed)
 
 from oracles import first_quantized_distribution, symmetric_two_port
 
@@ -120,6 +122,20 @@ def test_fock_state_rejects_negative_occupation():
         FockState(BOSON, 2, 2, {(3, -1, 0, 0): 1.0})
 
 
+def test_fock_state_stops_at_the_capacity():
+    # bosons piled into arm 0 of the shared two-port: each particle number
+    # adds one memo entry to it, so the particle number must be capped
+    u = dft_unitary(2)
+    before = len(u._expansions)
+    for k in range(1, 9):
+        evolve(FockState(BOSON, 2, k, {(k, 0, 0, 0): 1.0}), u)
+    with pytest.raises(CapacityError):
+        FockState(BOSON, 2, 9, {(9, 0, 0, 0): 1.0})
+    with pytest.raises(CapacityError):
+        FockState(BOSON, 9, 1, {(1,) + (0,) * 17: 1.0})
+    assert len(u._expansions) - before <= 8
+
+
 # ------------------------------------------------------------ prepare_input
 
 def test_prepare_input_pure_vector_single_member():
@@ -147,8 +163,8 @@ def test_prepare_input_mixed_pair_has_four_members():
 
 def test_prepare_input_rejects_non_qubit_register():
     from statdisc.core import DensityMatrix
-    rho = DensityMatrix(np.eye(3) / 3, (3,))
     with pytest.raises(ValueError, match="qubit"):
+        rho = DensityMatrix(np.eye(3) / 3)
         prepare_input(rho, BOSON)
 
 
@@ -160,12 +176,12 @@ def test_prepare_input_rejects_bad_dimension():
 def test_prepare_input_stops_at_the_capacity():
     from statdisc.core import CapacityError, DensityMatrix
     assert len(prepare_input(np.eye(2 ** 8)[5], BOSON)) == 1
-    rho8 = DensityMatrix(np.eye(2 ** 8) / 2 ** 8, (2,) * 8)
+    rho8 = DensityMatrix(np.eye(2 ** 8) / 2 ** 8)
     assert len(prepare_input(rho8, FERMION)) == 2 ** 8
     with pytest.raises(CapacityError):
         prepare_input(np.eye(2 ** 9)[5], BOSON)
     with pytest.raises(CapacityError):
-        rho9 = DensityMatrix(np.eye(2 ** 9) / 2 ** 9, (2,) * 9)
+        rho9 = DensityMatrix(np.eye(2 ** 9) / 2 ** 9)
         prepare_input(rho9, FERMION)
 
 
@@ -275,6 +291,49 @@ def test_arm_phases_do_not_change_arm_counts(n, stats, phases, seed):
                                  interfere(v, stats)) < 1e-12
 
 
+def _check_zero_transmission_law(internal, n, stats):
+    # Tichy et al., PRL 104, 220405: fully indistinguishable particles, one
+    # per arm of the n-arm Fourier multiport, only leave in patterns with
+    # sum_b b * m_b = 0 mod n; identical fermions leave one per arm
+    dist = interfere(internal, stats)
+    if stats is FERMION:
+        assert set(dist.probabilities) == {(1,) * n}
+        return
+    off_law = [p for pattern, p in dist.probabilities.items()
+               if sum(b * m for b, m in enumerate(pattern)) % n]
+    assert max(off_law, default=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def test_aligned_mixture_obeys_the_zero_transmission_law(n, stats):
+    _check_zero_transmission_law(aligned_mixture(n), n, stats)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([BOSON, FERMION]),
+       st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi,
+                                           exclude_max=True))
+def test_aligned_directions_obey_the_zero_transmission_law(n, stats,
+                                                           theta, phi):
+    omega = BlochDirection(theta, phi)
+    _check_zero_transmission_law(aligned_direction_state(omega, n), n, stats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.sampled_from([BOSON, FERMION]),
+       st.integers(0, 2 ** 32 - 1))
+def test_rotating_the_input_arms_does_not_change_arm_counts(n, stats, seed):
+    # u[a - 1, b] = u[a, b] exp(-2i pi b / n): a cyclic shift of the input
+    # arms only puts phases on the output arms of the Fourier multiport
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    # the qubit that entered arm a now enters arm a - 1 (mod n)
+    rotated = np.moveaxis(v.reshape((2,) * n), 0, -1).reshape(-1)
+    assert max_pattern_deviation(interfere(rotated, stats),
+                                 interfere(v, stats)) < 1e-12
+
+
 def test_spatial_distribution_rejects_empty_ensemble():
     with pytest.raises(ValueError, match="empty"):
         spatial_distribution([])
@@ -299,6 +358,19 @@ def test_oracle_matches_fock_evolution_on_random_states(n, stats):
         d_fock = interfere(v, stats)
         d_first = first_quantized_distribution(v, stats)
         assert max_pattern_deviation(d_fock, d_first) < 1e-10
+
+
+def test_oracle_refuses_registers_beyond_six_qubits(monkeypatch):
+    # refused before its (2n)**n wavefunction exists: 1.7 GB at n = 7
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert math.prod(np.atleast_1d(shape)) < 10 ** 7
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    with pytest.raises(ValueError, match="n = 6"):
+        first_quantized_distribution(np.eye(2 ** 7)[0], BOSON)
 
 
 def test_oracle_matches_fock_evolution_on_mixed_states():

@@ -123,7 +123,7 @@ def test_constructors_reject_zero_qubits():
     aligned_mixture, maximally_mixed,
     lambda n: aligned_direction_state(BlochDirection(0.3, 1.2), n)])
 def test_constructors_stop_at_the_capacity(build):
-    assert build(8).factor_shape == (2,) * 8
+    assert build(8).n_qubits == 8
     with pytest.raises(CapacityError):
         build(9)
 
