@@ -84,10 +84,8 @@ def purify_symmetric(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     proj = symmetric_projector(2)
     joint = tensor(rho, rho).matrix
     projected = proj @ joint @ proj
+    # success = (3 + r^2)/4 >= 3/4 for any qubit, so the division is safe
     success = float(np.trace(projected).real)
-    # success = (3 + r^2)/4 >= 3/4 for any qubit, so this cannot fire
-    if success <= 0.0:
-        raise ValueError("projection annihilated the state")
     normalized = DensityMatrix(projected / success)
     return partial_trace(normalized, keep=(0,)), success
 

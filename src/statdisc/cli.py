@@ -6,7 +6,7 @@ single experiments.  Output is a table, JSON, or RFC-4180 CSV; identical
 configurations produce byte-identical JSON.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 internal error,
-64 usage error, 65 capacity exceeded.
+64 usage error (an unwritable ``--out`` too), 65 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -350,18 +350,18 @@ def main(argv=None) -> int:
     try:
         rows, code = COMMANDS[config.command](config)
         text = RENDERERS[config.format](config, rows)
+        if config.out:
+            Path(config.out).write_text(text, encoding="utf-8")
     except CapacityError as exc:
         print(f"statdisc: capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out
         print(f"statdisc: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 -- CLI boundary
         print(f"statdisc: internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
-    if config.out:
-        Path(config.out).write_text(text, encoding="utf-8")
-    else:
+    if not config.out:
         sys.stdout.write(text)
     return code
 

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (SUM_TOL, TOL, DensityMatrix, symmetric_projector,
-                   trace_norm)
+from .core import SUM_TOL, TOL, DensityMatrix, check_capacity, trace_norm
 from .multiport import OutcomeDistribution, Pattern, Statistics, interfere
 
 LABELS = ("H0", "H1")
@@ -55,15 +54,14 @@ def aligned_vs_mixed_bound(n: int) -> float:
     """Closed-form ceiling for aligned-direction vs maximally mixed, equal priors.
 
     The aligned state succeeds with certainty on its own subspace; the mixed
-    state is caught with probability (d - d_s)/d, where d_s is the symmetric
-    subspace dimension.  Both dimensions are read off the projector, not
-    hardcoded (a projector's trace is its rank), and the result equals
-    1 - (n + 1) / 2**(n + 1).
+    state is caught with probability (d - d_s)/d, with d = 2**n and d_s =
+    n + 1 the symmetric subspace dimension: 1 - (n + 1) / 2**(n + 1) in all.
     """
-    projector = symmetric_projector(n)
-    d_s = round(float(projector.trace().real))
-    d = projector.shape[0]
-    return 0.5 * (1.0 + (d - d_s) / d)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    check_capacity(n)
+    d = 2 ** n
+    return 0.5 * (1.0 + (d - (n + 1)) / d)
 
 
 def map_strategy(d0: OutcomeDistribution, d1: OutcomeDistribution,
@@ -100,15 +98,18 @@ class DiscriminationReport:
     """Outcome of one discrimination task.
 
     Invariant: 1/2 <= p_bs <= p_helstrom <= 1 up to SUM_TOL; the arm-count
-    strategy can never beat the optimal measurement.
+    strategy can never beat the optimal measurement: ``gap`` >= -SUM_TOL.
     """
 
     n: int
     statistics: Statistics
     p_helstrom: float
     p_bs: float
-    gap: float
     strategy: dict[Pattern, str] = field(repr=False)
+
+    @property
+    def gap(self) -> float:
+        return self.p_helstrom - self.p_bs
 
     def __post_init__(self) -> None:
         if self.p_bs < 0.5 - SUM_TOL:
@@ -131,4 +132,4 @@ def beam_splitter_discrimination(h0: Hypothesis, h1: Hypothesis,
     strategy, p_bs = map_strategy(dist0, dist1, (h0.prior, h1.prior))
     p_h = helstrom_bound(h0, h1)
     return DiscriminationReport(n=n, statistics=statistics, p_helstrom=p_h,
-                                p_bs=p_bs, gap=p_h - p_bs, strategy=strategy)
+                                p_bs=p_bs, strategy=strategy)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -45,13 +45,14 @@ class MultiportUnitary:
     (see ``_expand_configuration``).
     """
 
-    n: int
     matrix: np.ndarray
+    n: int = field(init=False)  # the side of the square matrix
 
     def __post_init__(self) -> None:
         m = as_complex_matrix(self.matrix).copy()
+        object.__setattr__(self, "n", m.shape[0])
         if m.shape != (self.n, self.n):
-            raise ValueError(f"expected a {self.n}x{self.n} matrix")
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if np.max(np.abs(m.conj().T @ m - np.eye(self.n))) > TOL:
             raise ValueError("matrix must be unitary")
         if np.max(np.abs(np.abs(m) - 1.0 / math.sqrt(self.n))) > TOL:
@@ -71,7 +72,7 @@ def dft_unitary(n: int) -> MultiportUnitary:
     check_capacity(n)
     a = np.arange(n)
     m = np.exp(2j * math.pi * np.outer(a, a) / n) / math.sqrt(n)
-    return MultiportUnitary(n, m)
+    return MultiportUnitary(m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +84,17 @@ class FockState:
     """
 
     statistics: Statistics
-    n_arms: int
-    n_particles: int
     amplitudes: dict[Occupation, complex]
+    n_arms: int = field(init=False)  # half the first configuration's length
 
     def __post_init__(self) -> None:
         if not self.amplitudes:
             raise ValueError("a Fock state needs at least one configuration")
+        first = next(iter(self.amplitudes))
+        object.__setattr__(self, "n_arms", len(first) // 2)
+        n_particles = sum(first)
         check_capacity(self.n_arms)
-        check_capacity(self.n_particles)
+        check_capacity(n_particles)
         norm_sq = 0.0
         for config, amp in self.amplitudes.items():
             if len(config) != 2 * self.n_arms:
@@ -99,9 +102,9 @@ class FockState:
                                  f"{2 * self.n_arms} modes")
             if any(k < 0 for k in config):
                 raise ValueError("occupation numbers must be non-negative")
-            if sum(config) != self.n_particles:
+            if sum(config) != n_particles:
                 raise ValueError(f"configuration {config} does not hold "
-                                 f"{self.n_particles} particles")
+                                 f"{n_particles} particles")
             if self.statistics is Statistics.FERMION and any(k > 1 for k in config):
                 raise ValueError("fermionic occupation numbers cannot exceed 1")
             norm_sq += abs(amp) ** 2
@@ -135,7 +138,7 @@ def _pure_fock(vec: np.ndarray, statistics: Statistics) -> FockState:
             spin = (idx >> (n - 1 - arm)) & 1
             config[2 * arm + spin] = 1
         amplitudes[tuple(config)] = c
-    return FockState(statistics, n, n, amplitudes)
+    return FockState(statistics, amplitudes)
 
 
 def prepare_input(internal, statistics: Statistics) -> Ensemble:
@@ -219,17 +222,19 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
             out[cfg] += amp * a
     # amplitudes below TOL are interference zeros
     kept = {cfg: a for cfg, a in out.items() if abs(a) > TOL}
-    return FockState(state.statistics, state.n_arms, state.n_particles, kept)
+    return FockState(state.statistics, kept)
 
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
     """Probabilities of per-arm particle counts, internal states traced out."""
 
-    n_arms: int
     probabilities: dict[Pattern, float]
+    n_arms: int = field(init=False)  # the first pattern's length, 0 if none
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_arms",
+                           len(next(iter(self.probabilities), ())))
         total = 0.0
         for pattern, p in self.probabilities.items():
             if len(pattern) != self.n_arms:
@@ -253,16 +258,13 @@ def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
     """Arm-count distribution of a weighted ensemble of Fock states."""
     if not ensemble:
         raise ValueError("ensemble must not be empty")
-    n_arms = ensemble[0][1].n_arms
     probs: dict[Pattern, float] = defaultdict(float)
     for weight, state in ensemble:
-        if state.n_arms != n_arms:
-            raise ValueError("ensemble members disagree on the arm count")
         for config, amp in state.amplitudes.items():
             pattern = tuple(config[2 * a] + config[2 * a + 1]
-                            for a in range(n_arms))
+                            for a in range(state.n_arms))
             probs[pattern] += weight * abs(amp) ** 2
-    return OutcomeDistribution(n_arms, dict(probs))
+    return OutcomeDistribution(dict(probs))
 
 
 def interfere(internal, statistics: Statistics,
@@ -273,7 +275,6 @@ def interfere(internal, statistics: Statistics,
     default unitary is the n-arm discrete-Fourier multiport.
     """
     ensemble = prepare_input(internal, statistics)
-    n = ensemble[0][1].n_arms
-    u = dft_unitary(n) if unitary is None else unitary
+    u = dft_unitary(ensemble[0][1].n_arms) if unitary is None else unitary
     evolved = [(w, evolve(s, u)) for w, s in ensemble]
     return spatial_distribution(evolved)

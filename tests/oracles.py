@@ -170,7 +170,7 @@ def symmetric_two_port() -> MultiportUnitary:
     tests re-run the two-particle cases through this one.
     """
     m = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
-    return MultiportUnitary(2, m)
+    return MultiportUnitary(m)
 
 
 def _parity(perm: tuple[int, ...]) -> int:
@@ -235,7 +235,7 @@ def first_quantized_distribution(internal, statistics: Statistics,
         for mode in slot:
             counts[mode // 2] += 1
         probs[tuple(counts)] += p
-    return OutcomeDistribution(n, dict(probs))
+    return OutcomeDistribution(dict(probs))
 
 
 # ------------------------------------------------------- classical model

@@ -32,6 +32,13 @@ def test_reproduce_exits_clean(capsys):
         assert row["abs_error"] < 1e-10
 
 
+def test_reproduce_json_matches_the_benchmark_reference_bytes(capsys):
+    reference = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference" / "reproduce.json")
+    _, out, _ = run(["reproduce", "--format", "json"], capsys)
+    assert out.encode("utf-8") == reference.read_bytes()
+
+
 def test_reproduce_covers_every_headline_number(capsys):
     _, out, _ = run(["reproduce", "--format", "json"], capsys)
     rows = {r["name"]: r for r in json.loads(out)["results"]}
@@ -67,6 +74,19 @@ def test_out_flag_writes_the_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("name,")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json" if where == "missing directory" \
+        else tmp_path
+    code, out, err = run(["classical", "--n", "3", "--out", str(target)],
+                         capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("statdisc: error: ")
+    assert err.count("\n") == 1
+    assert str(target) in err
 
 
 # ------------------------------------------------------------------ formats

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statdisc.core import DensityMatrix
+from statdisc.core import CapacityError, DensityMatrix, symmetric_projector
 from statdisc.discrimination import (DiscriminationReport, Hypothesis,
                                      aligned_vs_mixed_bound,
                                      beam_splitter_discrimination,
@@ -91,27 +91,42 @@ def test_closed_form_matches_eigendecomposition_route(n):
     assert abs(closed - (1.0 - (n + 1) / 2.0 ** (n + 1))) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_equals_the_projector_route_exactly(n):
+    # the symmetric subspace dimension read off the projector's trace
+    projector = symmetric_projector(n)
+    d, d_s = projector.shape[0], round(float(projector.trace().real))
+    assert aligned_vs_mixed_bound(n) == 0.5 * (1.0 + (d - d_s) / d)
+
+
+def test_closed_form_refuses_empty_and_oversized_registers():
+    with pytest.raises(ValueError, match="at least 1"):
+        aligned_vs_mixed_bound(0)
+    with pytest.raises(CapacityError):
+        aligned_vs_mixed_bound(9)
+
+
 # -------------------------------------------------------------- map strategy
 
 def test_map_strategy_on_a_hand_checked_example():
-    d0 = OutcomeDistribution(2, {(1, 1): 1.0})
-    d1 = OutcomeDistribution(2, {(1, 1): 0.5, (2, 0): 0.25, (0, 2): 0.25})
+    d0 = OutcomeDistribution({(1, 1): 1.0})
+    d1 = OutcomeDistribution({(1, 1): 0.5, (2, 0): 0.25, (0, 2): 0.25})
     strategy, success = map_strategy(d0, d1)
     assert strategy == {(1, 1): "H0", (2, 0): "H1", (0, 2): "H1"}
     assert abs(success - 0.75) < 1e-14
 
 
 def test_map_strategy_breaks_ties_toward_h0():
-    d0 = OutcomeDistribution(2, {(1, 1): 0.5, (2, 0): 0.5})
-    d1 = OutcomeDistribution(2, {(1, 1): 0.5, (0, 2): 0.5})
+    d0 = OutcomeDistribution({(1, 1): 0.5, (2, 0): 0.5})
+    d1 = OutcomeDistribution({(1, 1): 0.5, (0, 2): 0.5})
     strategy, success = map_strategy(d0, d1)
     assert strategy[(1, 1)] == "H0"
     assert abs(success - 0.75) < 1e-14
 
 
 def test_map_strategy_with_lopsided_priors_ignores_the_rare_hypothesis():
-    d0 = OutcomeDistribution(2, {(1, 1): 1.0})
-    d1 = OutcomeDistribution(2, {(2, 0): 1.0})
+    d0 = OutcomeDistribution({(1, 1): 1.0})
+    d1 = OutcomeDistribution({(2, 0): 1.0})
     _, success = map_strategy(d0, d1, priors=(0.9, 0.1))
     assert abs(success - 1.0) < 1e-14
     _, success = map_strategy(d0, d0, priors=(0.9, 0.1))
@@ -119,14 +134,14 @@ def test_map_strategy_with_lopsided_priors_ignores_the_rare_hypothesis():
 
 
 def test_map_strategy_rejects_mismatched_outcome_spaces():
-    d0 = OutcomeDistribution(2, {(1, 1): 1.0})
-    d1 = OutcomeDistribution(3, {(1, 1, 1): 1.0})
+    d0 = OutcomeDistribution({(1, 1): 1.0})
+    d1 = OutcomeDistribution({(1, 1, 1): 1.0})
     with pytest.raises(ValueError, match="outcome space"):
         map_strategy(d0, d1)
 
 
 def test_map_strategy_rejects_bad_priors():
-    d0 = OutcomeDistribution(2, {(1, 1): 1.0})
+    d0 = OutcomeDistribution({(1, 1): 1.0})
     with pytest.raises(ValueError, match="sum to one"):
         map_strategy(d0, d0, priors=(0.6, 0.6))
 
@@ -136,13 +151,22 @@ def test_map_strategy_rejects_bad_priors():
 def test_report_rejects_strategy_beating_the_bound():
     with pytest.raises(ValueError, match="exceeds"):
         DiscriminationReport(n=2, statistics=FERMION, p_helstrom=0.6,
-                             p_bs=0.7, gap=-0.1, strategy={})
+                             p_bs=0.7, strategy={})
+
+
+def test_report_gap_is_derived_from_the_two_probabilities():
+    report = DiscriminationReport(n=2, statistics=FERMION, p_helstrom=0.75,
+                                  p_bs=0.625, strategy={})
+    assert report.gap == 0.75 - 0.625
+    with pytest.raises(TypeError):
+        DiscriminationReport(n=2, statistics=FERMION, p_helstrom=0.75,
+                             p_bs=0.625, gap=0.125, strategy={})
 
 
 def test_report_rejects_below_coin_flip():
     with pytest.raises(ValueError, match="below"):
         DiscriminationReport(n=2, statistics=FERMION, p_helstrom=0.6,
-                             p_bs=0.4, gap=0.2, strategy={})
+                             p_bs=0.4, strategy={})
 
 
 # ------------------------------------------------- beam splitter discrimination

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statdisc.core import CapacityError
-from statdisc.multiport import (FockState, MultiportUnitary, Statistics,
-                                dft_unitary, evolve, interfere,
-                                prepare_input, spatial_distribution)
+from statdisc.core import CapacityError, DensityMatrix
+from statdisc.multiport import (FockState, MultiportUnitary,
+                                OutcomeDistribution, Statistics, dft_unitary,
+                                evolve, interfere, prepare_input,
+                                spatial_distribution)
 from statdisc.states import (BlochDirection, aligned_direction_state,
                              aligned_mixture, antialigned_mixture,
                              maximally_mixed)
@@ -31,7 +32,7 @@ def phased_dft(n, in_phases, out_phases):
     """D1 @ F @ D2: the DFT multiport with phases on its input and output arms."""
     d1 = np.diag(np.exp(1j * np.asarray(in_phases)))
     d2 = np.diag(np.exp(1j * np.asarray(out_phases)))
-    return MultiportUnitary(n, d1 @ dft_unitary(n).matrix @ d2)
+    return MultiportUnitary(d1 @ dft_unitary(n).matrix @ d2)
 
 
 # ----------------------------------------------------------------- unitaries
@@ -51,12 +52,32 @@ def test_dft_unitary_is_balanced_and_unitary(n):
 
 def test_multiport_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
-        MultiportUnitary(2, np.ones((2, 2)) / math.sqrt(2))
+        MultiportUnitary(np.ones((2, 2)) / math.sqrt(2))
 
 
 def test_multiport_rejects_unbalanced_unitary():
     with pytest.raises(ValueError, match="balanced"):
-        MultiportUnitary(2, np.eye(2))
+        MultiportUnitary(np.eye(2))
+
+
+def test_multiport_rejects_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        MultiportUnitary(np.ones((2, 3)) / math.sqrt(2))
+    # a single row would broadcast against the identity in the unitarity check
+    with pytest.raises(ValueError, match="square"):
+        MultiportUnitary(np.ones((1, 2)) / math.sqrt(2))
+
+
+def test_sizes_are_read_off_the_data():
+    assert MultiportUnitary(dft_unitary(3).matrix).n == 3
+    assert FockState(FERMION, {(1, 0, 0, 1): 1.0}).n_arms == 2
+    assert OutcomeDistribution({(2, 0, 1): 1.0}).n_arms == 3
+    with pytest.raises(TypeError):
+        MultiportUnitary(dft_unitary(2).matrix, n=2)
+    with pytest.raises(TypeError):
+        FockState(FERMION, {(1, 0, 0, 1): 1.0}, n_arms=2)
+    with pytest.raises(TypeError):
+        OutcomeDistribution({(1, 1): 1.0}, n_arms=2)
 
 
 def test_dft_unitary_is_one_object_per_n_up_to_the_capacity():
@@ -104,22 +125,30 @@ def test_fresh_unitaries_leave_no_module_state_behind():
 
 def test_fock_state_rejects_wrong_particle_count():
     with pytest.raises(ValueError, match="particles"):
-        FockState(BOSON, 2, 3, {(1, 0, 1, 0): 1.0})
+        FockState(BOSON, {(1, 0, 1, 0): 0.6, (1, 0, 0, 0): 0.8})
+
+
+def test_fock_state_rejects_configurations_of_different_mode_counts():
+    with pytest.raises(ValueError, match="4 modes"):
+        FockState(BOSON, {(1, 0, 1, 0): 0.6, (1, 0, 1, 0, 0, 0): 0.8})
+    # an odd mode count does not split into arms
+    with pytest.raises(ValueError, match="2 modes"):
+        FockState(BOSON, {(1, 0, 1): 1.0})
 
 
 def test_fock_state_rejects_fermion_double_occupancy():
     with pytest.raises(ValueError, match="exceed"):
-        FockState(FERMION, 2, 2, {(2, 0, 0, 0): 1.0})
+        FockState(FERMION, {(2, 0, 0, 0): 1.0})
 
 
 def test_fock_state_rejects_unnormalized_amplitudes():
     with pytest.raises(ValueError, match="normalized"):
-        FockState(BOSON, 2, 2, {(1, 0, 1, 0): 0.5})
+        FockState(BOSON, {(1, 0, 1, 0): 0.5})
 
 
 def test_fock_state_rejects_negative_occupation():
     with pytest.raises(ValueError, match="non-negative"):
-        FockState(BOSON, 2, 2, {(3, -1, 0, 0): 1.0})
+        FockState(BOSON, {(3, -1, 0, 0): 1.0})
 
 
 def test_fock_state_stops_at_the_capacity():
@@ -128,11 +157,11 @@ def test_fock_state_stops_at_the_capacity():
     u = dft_unitary(2)
     before = len(u._expansions)
     for k in range(1, 9):
-        evolve(FockState(BOSON, 2, k, {(k, 0, 0, 0): 1.0}), u)
+        evolve(FockState(BOSON, {(k, 0, 0, 0): 1.0}), u)
     with pytest.raises(CapacityError):
-        FockState(BOSON, 2, 9, {(9, 0, 0, 0): 1.0})
+        FockState(BOSON, {(9, 0, 0, 0): 1.0})
     with pytest.raises(CapacityError):
-        FockState(BOSON, 9, 1, {(1,) + (0,) * 17: 1.0})
+        FockState(BOSON, {(1,) + (0,) * 17: 1.0})
     assert len(u._expansions) - before <= 8
 
 
@@ -337,6 +366,78 @@ def test_rotating_the_input_arms_does_not_change_arm_counts(n, stats, seed):
 def test_spatial_distribution_rejects_empty_ensemble():
     with pytest.raises(ValueError, match="empty"):
         spatial_distribution([])
+
+
+def test_outcome_distribution_rejects_patterns_of_different_lengths():
+    with pytest.raises(ValueError, match="cover 2 arms"):
+        OutcomeDistribution({(1, 1): 0.5, (1, 1, 0): 0.5})
+    # no pattern at all has no arm count and no probability to sum
+    with pytest.raises(ValueError, match="sum to one"):
+        OutcomeDistribution({})
+
+
+# ------------------------------------------------ excitation-block lemmas
+
+def _random_state(n, rank, rng):
+    a = (rng.normal(size=(2 ** n, rank))
+         + 1j * rng.normal(size=(2 ** n, rank)))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _random_qubit_unitary(rng):
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(rho, v, n_rotated):
+    """rho under v on the first ``n_rotated`` qubits, identity on the rest."""
+    n = len(rho).bit_length() - 1
+    op = np.eye(1)
+    for qubit in range(n):
+        op = np.kron(op, v if qubit < n_rotated else np.eye(2))
+    return op @ rho @ op.conj().T
+
+
+# Arm counts trace out the internal state, and spin-0 and spin-1 particles
+# never share a mode, so only the blocks of rho between strings of equal
+# Hamming weight reach the arm counts, and a rotation of every internal
+# state alike cannot move them.
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([BOSON, FERMION]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_coherences_between_excitation_numbers_do_not_reach_arm_counts(
+        n, stats, rank, seed):
+    rho = _random_state(n, rank, np.random.default_rng(seed))
+    k = np.array([idx.bit_count() for idx in range(2 ** n)])
+    pinched = np.where(k[:, None] == k[None, :], rho, 0.0)
+    assert max_pattern_deviation(interfere(DensityMatrix(rho), stats),
+                                 interfere(DensityMatrix(pinched), stats)
+                                 ) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([BOSON, FERMION]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_a_global_internal_rotation_does_not_change_arm_counts(
+        n, stats, rank, seed):
+    rng = np.random.default_rng(seed)
+    rho = _random_state(n, rank, rng)
+    rotated = _rotated(rho, _random_qubit_unitary(rng), n)
+    assert max_pattern_deviation(interfere(DensityMatrix(rho), stats),
+                                 interfere(DensityMatrix(rotated), stats)
+                                 ) < 1e-12
+
+
+def test_rotating_one_qubit_does_change_arm_counts():
+    # the rotation lemma needs every particle rotated alike: rotating only
+    # the particle in arm 0 makes it partly distinguishable from the rest
+    rng = np.random.default_rng(5)
+    rho = _random_state(3, 2, rng)
+    rotated = _rotated(rho, _random_qubit_unitary(rng), 1)
+    assert max_pattern_deviation(interfere(DensityMatrix(rho), BOSON),
+                                 interfere(DensityMatrix(rotated), BOSON)
+                                 ) > 1e-3
 
 
 # ------------------------------------------------------ first-quantized oracle
