@@ -160,8 +160,9 @@ def scan_discrimination(n_max: int, statistics: Statistics
                         ) -> list[DiscriminationReport]:
     """Aligned-vs-mixed discrimination for every particle number up to n_max.
 
-    For two fermions, three fermions and two bosons the arm-count strategy
-    meets the Helstrom bound exactly; beyond that the gap is recorded as
+    For two and three fermions and for two and three bosons the arm-count
+    strategy meets the Helstrom bound exactly (up to rounding, which can
+    leave the gap a few ulp below zero); beyond that the gap is recorded as
     data, not asserted, since whether interference stays optimal for larger
     registers is an open question.
     """

@@ -7,6 +7,10 @@ operators for the symmetric projector, explicit (anti)symmetrization of
 labeled particles for the Fock pipeline, a second balanced two-port
 convention, and full enumeration of routings for the classical exclusion
 model.  They are slow on purpose and are never imported by ``src/``.
+
+One oracle is not independent but literal: the Fock pipeline as the plain
+dict loop it replaced, which the numpy kernel must match bit for bit, key
+order included.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from statdisc.core import DensityMatrix
-from statdisc.multiport import (MultiportUnitary, OutcomeDistribution,
-                                Pattern, Statistics, dft_unitary)
+from statdisc.core import TOL, DensityMatrix
+from statdisc.multiport import (Ensemble, FockState, MultiportUnitary,
+                                Occupation, OutcomeDistribution, Pattern,
+                                Statistics, dft_unitary, prepare_input)
 from statdisc.states import BlochDirection
 
 
@@ -236,6 +241,77 @@ def first_quantized_distribution(internal, statistics: Statistics,
             counts[mode // 2] += 1
         probs[tuple(counts)] += p
     return OutcomeDistribution(dict(probs))
+
+
+# ---------------------------------------------- Fock pipeline as a dict loop
+
+def _apply_creation(config: Occupation, mode: int, statistics: Statistics):
+    """Create one particle in ``mode``; returns (factor, new_config) or None."""
+    occupied = config[mode]
+    if statistics is Statistics.FERMION:
+        if occupied:
+            return None
+        sign = -1.0 if sum(config[:mode]) % 2 else 1.0
+        return sign, config[:mode] + (1,) + config[mode + 1:]
+    return (math.sqrt(occupied + 1.0),
+            config[:mode] + (occupied + 1,) + config[mode + 1:])
+
+
+def dict_expansion(config: Occupation, statistics: Statistics,
+                   u: MultiportUnitary) -> dict[Occupation, complex]:
+    """Output amplitudes of one unit-amplitude input configuration.
+
+    Each creation operator of the ascending product, rightmost first, is
+    replaced by its image under the arm unitary and multiplied out.
+    """
+    n = u.n
+    modes = [m for m, k in enumerate(config) for _ in range(k)]
+    start = 1.0 / math.sqrt(math.prod(math.factorial(k) for k in config))
+    working: dict[Occupation, complex] = {(0,) * (2 * n): start}
+    for mode in reversed(modes):
+        arm, spin = divmod(mode, 2)
+        row = u.matrix[arm]
+        grown: dict[Occupation, complex] = defaultdict(complex)
+        for cfg, amp in working.items():
+            for dest in range(n):
+                created = _apply_creation(cfg, 2 * dest + spin, statistics)
+                if created is None:
+                    continue
+                factor, cfg_new = created
+                grown[cfg_new] += amp * row[dest] * factor
+        working = grown
+    return dict(working)
+
+
+def dict_evolve(state: FockState, u: MultiportUnitary) -> FockState:
+    """The state sent through the multiport, interference zeros dropped."""
+    out: dict[Occupation, complex] = defaultdict(complex)
+    for config, amp in state.amplitudes.items():
+        for cfg, a in dict_expansion(config, state.statistics, u).items():
+            out[cfg] += amp * a
+    kept = {cfg: a for cfg, a in out.items() if abs(a) > TOL}
+    return FockState(state.statistics, kept)
+
+
+def dict_spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
+    """Arm-count distribution of a weighted ensemble of Fock states."""
+    probs: dict[Pattern, float] = defaultdict(float)
+    for weight, state in ensemble:
+        for config, amp in state.amplitudes.items():
+            pattern = tuple(config[2 * a] + config[2 * a + 1]
+                            for a in range(state.n_arms))
+            probs[pattern] += weight * abs(amp) ** 2
+    return OutcomeDistribution(dict(probs))
+
+
+def dict_interfere(internal, statistics: Statistics,
+                   unitary: MultiportUnitary | None = None
+                   ) -> OutcomeDistribution:
+    """``interfere`` as load, evolve each member, count arms."""
+    ensemble = prepare_input(internal, statistics)
+    u = dft_unitary(ensemble[0][1].n_arms) if unitary is None else unitary
+    return dict_spatial_distribution([(w, dict_evolve(s, u))
+                                      for w, s in ensemble])
 
 
 # ------------------------------------------------------- classical model

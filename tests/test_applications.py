@@ -11,7 +11,7 @@ from statdisc.applications import (TwoQubitPureState, classical_comparison,
                                    classical_pauli_success,
                                    detect_entanglement, purify_symmetric,
                                    scan_discrimination)
-from statdisc.core import CapacityError, partial_trace, tensor
+from statdisc.core import SUM_TOL, CapacityError, partial_trace, tensor
 from statdisc.multiport import Statistics, interfere
 from statdisc.states import (BlochDirection, bloch_vector, maximally_mixed,
                              qubit_density)
@@ -223,6 +223,20 @@ def test_scan_records_positive_gap_for_four_bosons():
     records = scan_discrimination(4, BOSON)
     assert records[-1].gap > 1e-3
     assert all(rec.p_bs <= rec.p_helstrom + 1e-10 for rec in records)
+
+
+def test_scan_gaps_are_pinned_up_to_the_largest_scanned_registers():
+    # the scan the benchmark runs: fermions to n = 7, bosons to n = 6
+    fermion = [rec.gap for rec in scan_discrimination(7, FERMION)]
+    boson = [rec.gap for rec in scan_discrimination(6, BOSON)]
+    # two and three particles meet the bound, up to rounding of either sign
+    for gap in fermion[1:3] + boson[1:3]:
+        assert abs(gap) <= SUM_TOL
+    for gap, expected in zip(fermion[3:], (1 / 128, 1 / 160, 1 / 128,
+                                           1 / 196)):
+        assert abs(gap - expected) < 1e-10
+    for gap, expected in zip(boson[3:], (1 / 32, 1 / 32, 5 / 128)):
+        assert abs(gap - expected) < 1e-10
 
 
 def test_scan_validates_input():

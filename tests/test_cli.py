@@ -9,6 +9,7 @@ import pytest
 import statdisc
 import statdisc.cli as cli
 from statdisc.cli import main
+from statdisc.core import SUM_TOL
 
 
 def run(args, capsys):
@@ -179,6 +180,15 @@ def test_domain_errors_exit_64(capsys):
     code, _, err = run(["discriminate", "--pair", "aligned-antialigned",
                         "--n", "3"], capsys)
     assert code == 64
+
+
+def test_discriminate_runs_at_the_capacity_edge(capsys):
+    # the largest register the capacity rule admits, through the Fock kernel
+    code, out, _ = run(["discriminate", "--n", "8", "--statistics", "fermion",
+                        "--format", "json"], capsys)
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in json.loads(out)["results"]}
+    assert 0.5 <= rows["p_bs"] <= rows["p_helstrom"] + SUM_TOL
 
 
 def test_capacity_errors_exit_65(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statdisc import multiport
 from statdisc.core import CapacityError, DensityMatrix
 from statdisc.multiport import (FockState, MultiportUnitary,
                                 OutcomeDistribution, Statistics, dft_unitary,
@@ -17,7 +18,9 @@ from statdisc.states import (BlochDirection, aligned_direction_state,
                              aligned_mixture, antialigned_mixture,
                              maximally_mixed)
 
-from oracles import first_quantized_distribution, symmetric_two_port
+from oracles import (dict_evolve, dict_expansion, dict_interfere,
+                     dict_spatial_distribution, first_quantized_distribution,
+                     symmetric_two_port)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -119,6 +122,37 @@ def test_fresh_unitaries_leave_no_module_state_behind():
     assert _module_state() == before
     # the expansion memo goes with its unitary
     assert all(ref() is None for ref in freed)
+
+
+def test_a_repeated_call_adds_nothing_to_the_memo():
+    u = phased_dft(3, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+    for rho in (aligned_mixture(3), maximally_mixed(3)):
+        for stats in (BOSON, FERMION):
+            first = interfere(rho, stats, u)
+            expansions = len(u._expansions)
+            plans = dict(u._plans)
+            again = interfere(rho, stats, u)
+            assert len(u._expansions) == expansions
+            assert u._plans == plans
+            assert list(again.probabilities.items()) == list(
+                first.probabilities.items())
+
+
+def test_kept_plans_stay_within_their_budget(monkeypatch):
+    # every subset of the eight basis states is its own support, so its own
+    # plan; with a budget of a few plans the oldest must give way
+    monkeypatch.setattr(multiport, "_PLAN_BUDGET", 300)
+    u = phased_dft(3, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+    for mask in range(1, 2 ** 8):
+        v = np.array([(mask >> i) & 1 for i in range(8)], dtype=float)
+        interfere(v, BOSON, u)
+        assert sum(p.size for p in u._plans.values()) <= 300
+    assert 1 < len(u._plans) < 2 ** 8 - 1
+    # three members of 128 outputs each are more than the whole budget
+    kept = dict(u._plans)
+    rho = DensityMatrix(_random_state(3, 3, np.random.default_rng(3)))
+    interfere(rho, BOSON, u)
+    assert u._plans == kept
 
 
 # ---------------------------------------------------------------- FockState
@@ -368,6 +402,12 @@ def test_spatial_distribution_rejects_empty_ensemble():
         spatial_distribution([])
 
 
+def test_spatial_distribution_rejects_members_of_different_arm_counts():
+    two, three = (prepare_input(np.eye(2 ** n)[0], BOSON) for n in (2, 3))
+    with pytest.raises(ValueError):
+        spatial_distribution(two + three)
+
+
 def test_outcome_distribution_rejects_patterns_of_different_lengths():
     with pytest.raises(ValueError, match="cover 2 arms"):
         OutcomeDistribution({(1, 1): 0.5, (1, 1, 0): 0.5})
@@ -383,6 +423,12 @@ def _random_state(n, rank, rng):
          + 1j * rng.normal(size=(2 ** n, rank)))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def _pinched(rho):
+    """rho with its coherences between different excitation numbers cut."""
+    k = np.array([idx.bit_count() for idx in range(len(rho))])
+    return np.where(k[:, None] == k[None, :], rho, 0.0)
 
 
 def _random_qubit_unitary(rng):
@@ -409,10 +455,8 @@ def _rotated(rho, v, n_rotated):
 def test_coherences_between_excitation_numbers_do_not_reach_arm_counts(
         n, stats, rank, seed):
     rho = _random_state(n, rank, np.random.default_rng(seed))
-    k = np.array([idx.bit_count() for idx in range(2 ** n)])
-    pinched = np.where(k[:, None] == k[None, :], rho, 0.0)
     assert max_pattern_deviation(interfere(DensityMatrix(rho), stats),
-                                 interfere(DensityMatrix(pinched), stats)
+                                 interfere(DensityMatrix(_pinched(rho)), stats)
                                  ) < 1e-12
 
 
@@ -487,3 +531,47 @@ def test_oracle_matches_fock_evolution_on_mixed_states():
                 oracle[p] = oracle.get(p, 0.0) + 0.25 * val
         for p in set(d_fock.probabilities) | set(oracle):
             assert abs(d_fock.probability(p) - oracle.get(p, 0.0)) < 1e-12
+
+
+# --------------------------------------------------------- dict-loop oracle
+
+@pytest.mark.parametrize("n, stats", [(n, stats) for n in range(1, 7)
+                                      for stats in (BOSON, FERMION)]
+                         + [(7, FERMION)])
+def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
+    # same output configurations in the same order, same amplitudes by ==
+    u = dft_unitary(n)
+    for config in multiport._one_per_arm(n):
+        e = multiport._expand_configuration(config, stats, u)
+        kernel = list(zip(multiport._configurations(e.codes, stats, n, 2 * n),
+                          e.amplitudes))
+        assert kernel == list(dict_expansion(config, stats, u).items())
+
+
+# The pinched states have members confined to one excitation number, with
+# exact interference zeros among their outputs, and the unpinched ones
+# members spread over all of them.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.sampled_from([BOSON, FERMION]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_interfere_is_the_dict_loop_bit_for_bit(n, stats, rank, pinch, seed):
+    rho = _random_state(n, rank, np.random.default_rng(seed))
+    rho = DensityMatrix(_pinched(rho) if pinch else rho)
+    assert (list(interfere(rho, stats).probabilities.items())
+            == list(dict_interfere(rho, stats).probabilities.items()))
+
+
+def test_evolve_and_spatial_distribution_are_the_dict_loop_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for n in (2, 3):
+        for stats in (BOSON, FERMION):
+            u = phased_dft(n, rng.uniform(0, 6, n), rng.uniform(0, 6, n))
+            rho = DensityMatrix(_pinched(_random_state(n, 2, rng)))
+            ensemble = prepare_input(rho, stats)
+            kernel = [(w, evolve(s, u)) for w, s in ensemble]
+            oracle = [(w, dict_evolve(s, u)) for w, s in ensemble]
+            for (_, a), (_, b) in zip(kernel, oracle):
+                assert list(a.amplitudes.items()) == list(b.amplitudes.items())
+            assert (list(spatial_distribution(kernel).probabilities.items())
+                    == list(dict_spatial_distribution(oracle)
+                            .probabilities.items()))
