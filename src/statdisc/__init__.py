@@ -13,9 +13,8 @@ from .states import (BlochDirection, aligned_direction_state,
                      aligned_mixture, antialigned_direction_state,
                      antialigned_mixture, bloch_state, bloch_vector,
                      maximally_mixed, orthogonal_state, qubit_density)
-from .multiport import (FockState, MultiportUnitary, OutcomeDistribution,
-                        Statistics, dft_unitary, evolve, interfere,
-                        prepare_input, spatial_distribution)
+from .multiport import (MultiportUnitary, OutcomeDistribution, Statistics,
+                        dft_unitary, interfere)
 from .discrimination import (DiscriminationReport, Hypothesis,
                              aligned_vs_mixed_bound,
                              beam_splitter_discrimination, helstrom_bound,
@@ -28,15 +27,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlochDirection", "CapacityError", "DensityMatrix",
-    "DiscriminationReport", "FockState", "Hypothesis", "MultiportUnitary",
+    "DiscriminationReport", "Hypothesis", "MultiportUnitary",
     "OutcomeDistribution", "Statistics", "TwoQubitPureState",
     "aligned_direction_state", "aligned_mixture", "aligned_vs_mixed_bound",
     "antialigned_direction_state", "antialigned_mixture",
     "beam_splitter_discrimination", "bloch_state", "bloch_vector",
     "classical_comparison", "classical_pauli_success", "detect_entanglement",
-    "dft_unitary", "evolve", "helstrom_bound", "interfere", "map_strategy",
-    "maximally_mixed", "orthogonal_state", "partial_trace", "prepare_input",
+    "dft_unitary", "helstrom_bound", "interfere", "map_strategy",
+    "maximally_mixed", "orthogonal_state", "partial_trace",
     "purify_symmetric", "qubit_density", "scan_discrimination",
-    "spatial_distribution", "swap_operator", "symmetric_projector", "tensor",
-    "trace_norm",
+    "swap_operator", "symmetric_projector", "tensor", "trace_norm",
 ]

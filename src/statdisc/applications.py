@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (TOL, DensityMatrix, check_capacity, partial_trace,
-                   symmetric_projector, tensor)
+from .core import (TOL, DensityMatrix, check_capacity, check_register,
+                   partial_trace, symmetric_projector, tensor)
 from .discrimination import (DiscriminationReport, Hypothesis,
                              aligned_vs_mixed_bound,
                              beam_splitter_discrimination)
@@ -119,9 +119,7 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     so P(distinct | k) = n! / (R(n, k) R(n, n - k)) with R the capped
     routing count.  The mixed hypothesis weighs k by C(n, k) / 2^n.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    check_capacity(n)
+    check_register(n)
     if interpretation not in ("standard", "literal"):
         raise ValueError("interpretation must be 'standard' or 'literal'")
     cap = 1 if interpretation == "standard" else 2

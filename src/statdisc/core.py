@@ -4,9 +4,10 @@ Every register is n qubits, the internal states of n two-level particles,
 so a ``DensityMatrix`` is a 2**n x 2**n matrix and reads n from its
 dimension.  Everything here is plain numpy complex128.  Registers never
 exceed ``MAX_QUBITS`` (eight) qubits, a limit that ``check_capacity``
-enforces at every entry point of the package, so every operation is an
-exact eigendecomposition or an index manipulation; nothing is sampled and
-nothing is sparse.
+enforces at every entry point of the package (``check_register`` where the
+entry point is given a size n, refusing n < 1 as well), so every operation
+is an exact eigendecomposition or an index manipulation; nothing is
+sampled and nothing is sparse.
 
 This module also holds the package's two tolerances, ``TOL`` and
 ``SUM_TOL``; no other module defines its own.
@@ -48,6 +49,13 @@ def check_capacity(n: int) -> None:
     if n > MAX_QUBITS:
         raise CapacityError(f"n = {n} is above the {MAX_QUBITS}-qubit limit "
                             "of exact evaluation")
+
+
+def check_register(n: int) -> None:
+    """Refuse a register size n below one or above ``MAX_QUBITS``."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    check_capacity(n)
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -146,7 +154,7 @@ def trace_norm(h) -> float:
     return float(np.abs(np.linalg.eigvalsh(m)).sum())
 
 
-# check_capacity bounds this cache to MAX_QUBITS entries
+# check_register bounds this cache to MAX_QUBITS entries
 @lru_cache(maxsize=None)
 def symmetric_projector(n_qubits: int) -> np.ndarray:
     """Orthogonal projector onto the permutation-symmetric subspace.
@@ -158,9 +166,7 @@ def symmetric_projector(n_qubits: int) -> np.ndarray:
     symmetric subspace of n qubits has dimension n + 1, so the result has
     rank n + 1.
     """
-    if n_qubits < 1:
-        raise ValueError("n must be at least 1")
-    check_capacity(n_qubits)
+    check_register(n_qubits)
     weight = np.array([1.0 / math.comb(n_qubits, k)
                        for k in range(n_qubits + 1)])
     excitations = np.array([idx.bit_count() for idx in range(1 << n_qubits)])

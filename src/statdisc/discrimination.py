@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import SUM_TOL, TOL, DensityMatrix, check_capacity, trace_norm
+from .core import SUM_TOL, TOL, DensityMatrix, check_register, trace_norm
 from .multiport import OutcomeDistribution, Pattern, Statistics, interfere
 
 LABELS = ("H0", "H1")
@@ -31,8 +31,9 @@ class Hypothesis:
 
 
 def _check_pair(h0: Hypothesis, h1: Hypothesis) -> None:
-    if h0.label == h1.label:
-        raise ValueError("hypotheses must carry distinct labels")
+    # the strategy's "H0"/"H1" guesses name the first and second argument
+    if (h0.label, h1.label) != LABELS:
+        raise ValueError(f"hypotheses must be passed in the order {LABELS}")
     if h0.state.dim != h1.state.dim:
         raise ValueError("hypotheses must live on the same register")
     if abs(h0.prior + h1.prior - 1.0) > TOL:
@@ -57,9 +58,7 @@ def aligned_vs_mixed_bound(n: int) -> float:
     state is caught with probability (d - d_s)/d, with d = 2**n and d_s =
     n + 1 the symmetric subspace dimension: 1 - (n + 1) / 2**(n + 1) in all.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    check_capacity(n)
+    check_register(n)
     d = 2 ** n
     return 0.5 * (1.0 + (d - (n + 1)) / d)
 
@@ -122,10 +121,11 @@ class DiscriminationReport:
 
 
 def beam_splitter_discrimination(h0: Hypothesis, h1: Hypothesis,
-                                 statistics: Statistics
+                                 statistics: Statistics | str
                                  ) -> DiscriminationReport:
     """Run both hypotheses through the multiport and decide from arm counts."""
     _check_pair(h0, h1)
+    statistics = Statistics(statistics)
     n = h0.state.n_qubits
     dist0 = interfere(h0.state, statistics)
     dist1 = interfere(h1.state, statistics)

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (SUM_TOL, TOL, DensityMatrix, as_complex_matrix,
-                   check_capacity)
+                   check_capacity, check_register)
 
 Occupation = tuple[int, ...]
 Pattern = tuple[int, ...]
@@ -83,13 +83,11 @@ class MultiportUnitary:
         object.__setattr__(self, "_plans", {})
 
 
-# check_capacity bounds this cache to MAX_QUBITS entries
+# check_register bounds this cache to MAX_QUBITS entries
 @lru_cache(maxsize=None)
 def dft_unitary(n: int) -> MultiportUnitary:
     """The discrete-Fourier multiport: u[a, b] = exp(2i pi a b / n) / sqrt(n)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    check_capacity(n)
+    check_register(n)
     a = np.arange(n)
     m = np.exp(2j * math.pi * np.outer(a, a) / n) / math.sqrt(n)
     return MultiportUnitary(m)
@@ -101,6 +99,7 @@ class FockState:
 
     ``amplitudes`` maps configurations (length ``2 * n_arms``, mode order as
     in the module docstring) to complex amplitudes.  Treated as immutable.
+    ``statistics`` may be given as its value; the state stores the member.
     """
 
     statistics: Statistics
@@ -108,6 +107,9 @@ class FockState:
     n_arms: int = field(init=False)  # half the first configuration's length
 
     def __post_init__(self) -> None:
+        # the enum call alone would cost every state about 0.2 us
+        if not isinstance(self.statistics, Statistics):
+            object.__setattr__(self, "statistics", Statistics(self.statistics))
         if not self.amplitudes:
             raise ValueError("a Fock state needs at least one configuration")
         first = next(iter(self.amplitudes))
@@ -145,47 +147,45 @@ def _one_per_arm(n: int) -> list[Occupation]:
     return [sum(arms, ()) for arms in product(((1, 0), (0, 1)), repeat=n)]
 
 
-def _pure_fock(vec: np.ndarray, statistics: Statistics,
-               configs: list[Occupation]) -> FockState:
-    """One particle per arm, internal register given by the flat ``vec``.
-
-    Basis index i stands for ``configs[i]`` (see ``_one_per_arm``).  With
-    one particle per arm the creation operators already appear in
-    ascending mode order, so amplitudes carry over without sign for either
-    statistics.
-    """
-    norm = np.linalg.norm(vec)
-    if norm < TOL:
-        raise ValueError("internal state vector must be nonzero")
-    v = vec / norm
-    return FockState(statistics, {config: c for config, c
-                                  in zip(configs, v.tolist())
-                                  if abs(c) > TOL})
-
-
-def prepare_input(internal, statistics: Statistics) -> Ensemble:
+def prepare_input(internal, statistics: Statistics | str) -> Ensemble:
     """Load an internal state, one particle per arm, into Fock form.
 
-    A state vector gives a single pure Fock state of weight one.  A density
-    matrix is eigendecomposed and each eigenvector above the weight cutoff
-    becomes an ensemble member; any orthonormal eigenbasis of a degenerate
-    spectrum yields the same downstream statistics.
+    ``internal`` is a one-dimensional state vector over n qubits or a
+    ``DensityMatrix``; ``statistics`` is a ``Statistics`` member or its
+    value.  A state vector gives a single pure Fock state of weight one.  A
+    density matrix is eigendecomposed and each eigenvector above the weight
+    cutoff becomes an ensemble member; any orthonormal eigenbasis of a
+    degenerate spectrum yields the same downstream statistics.
     """
     if isinstance(internal, DensityMatrix):
+        n = internal.n_qubits
         vals, vecs = np.linalg.eigh(internal.matrix)
-        configs = _one_per_arm(internal.n_qubits)
-        ensemble = [(float(w), _pure_fock(vecs[:, i], statistics, configs))
-                    for i, w in enumerate(vals) if w > TOL]
-        if not ensemble:
-            raise ValueError("density matrix has no weight above the cutoff")
-        return ensemble
-    v = np.asarray(internal, dtype=complex).reshape(-1)
-    n = v.size.bit_length() - 1
-    if 2 ** n != v.size or n < 1:
-        raise ValueError(f"internal register dimension {v.size} is not a "
-                         "power of two")
-    check_capacity(n)
-    return [(1.0, _pure_fock(v, statistics, _one_per_arm(n)))]
+        # unit trace over at most 2**8 eigenvalues leaves one above TOL
+        members = [(float(w), vec) for w, vec in zip(vals, vecs.T) if w > TOL]
+    else:
+        v = np.asarray(internal, dtype=complex)
+        if v.ndim != 1:
+            raise ValueError(f"a state vector is one-dimensional, not of "
+                             f"shape {v.shape}; pass a DensityMatrix instead")
+        n = v.size.bit_length() - 1
+        if 2 ** n != v.size:
+            raise ValueError(f"internal register dimension {v.size} is not a "
+                             "power of two")
+        check_register(n)
+        members = [(1.0, v)]
+    # basis index i stands for configs[i]; with one particle per arm the
+    # creation operators already appear in ascending mode order, so
+    # amplitudes carry over without sign for either statistics
+    configs = _one_per_arm(n)
+    ensemble = []
+    for weight, vec in members:
+        norm = np.linalg.norm(vec)
+        if norm < TOL:
+            raise ValueError("internal state vector must be nonzero")
+        amplitudes = zip(configs, (vec / norm).tolist())
+        ensemble.append((weight, FockState(statistics, {
+            config: c for config, c in amplitudes if abs(c) > TOL})))
+    return ensemble
 
 
 class _Expansion(NamedTuple):
@@ -505,14 +505,15 @@ def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
                                               probabilities)
 
 
-def interfere(internal, statistics: Statistics,
+def interfere(internal, statistics: Statistics | str,
               unitary: MultiportUnitary | None = None) -> OutcomeDistribution:
     """Full pipeline: load, evolve through the multiport, count arms.
 
-    ``internal`` is a state vector or DensityMatrix over n qubits; the
-    default unitary is the n-arm discrete-Fourier multiport.  The result
-    is ``spatial_distribution`` of every member ``evolve``d, computed
-    without building the evolved states.
+    ``internal`` and ``statistics`` are as ``prepare_input`` takes them: a
+    one-dimensional state vector or a ``DensityMatrix`` over n qubits, and
+    a ``Statistics`` member or its value.  The default unitary is the n-arm
+    discrete-Fourier multiport.  The result is ``spatial_distribution`` of
+    every member ``evolve``d, computed without building the evolved states.
     """
     ensemble = prepare_input(internal, statistics)
     n = ensemble[0][1].n_arms

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DensityMatrix, check_capacity, swap_operator,
+from .core import (DensityMatrix, check_register, swap_operator,
                    symmetric_projector)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -54,9 +54,7 @@ def orthogonal_state(omega: BlochDirection) -> np.ndarray:
 
 def aligned_direction_state(omega: BlochDirection, n: int) -> DensityMatrix:
     """n qubits all pointing along the same known direction."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    check_capacity(n)
+    check_register(n)
     ket = bloch_state(omega)
     single = np.outer(ket, ket.conj())
     m = single
@@ -95,9 +93,7 @@ def antialigned_mixture() -> DensityMatrix:
 
 def maximally_mixed(n: int) -> DensityMatrix:
     """Every qubit independently maximally mixed: I / 2**n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    check_capacity(n)
+    check_register(n)
     dim = 2 ** n
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 

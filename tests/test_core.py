@@ -8,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statdisc
+from statdisc.applications import classical_pauli_success
 from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
                            swap_operator, symmetric_projector, tensor,
                            trace_norm)
+from statdisc.discrimination import aligned_vs_mixed_bound
+from statdisc.multiport import Statistics, dft_unitary, prepare_input
+from statdisc.states import (BlochDirection, aligned_direction_state,
+                             maximally_mixed)
 
 from oracles import permutation_operator
 
@@ -299,6 +304,10 @@ def _is_capacity_rule(stmt):
     return isinstance(stmt, ast.FunctionDef) and stmt.name == "check_capacity"
 
 
+def _is_register_rule(stmt):
+    return isinstance(stmt, ast.FunctionDef) and stmt.name == "check_register"
+
+
 def test_tolerances_are_defined_only_in_the_core_table():
     stray = []
     for name, tree in _package_sources():
@@ -325,3 +334,34 @@ def test_capacity_errors_are_raised_only_by_check_capacity():
                     "CapacityError":
                 stray.append(f"{name}:{node.lineno}")
     assert stray == []
+
+
+def test_empty_registers_are_refused_only_by_check_register():
+    stray = []
+    for name, tree in _package_sources():
+        rule = (_core_nodes(tree, _is_register_rule)
+                if name == "core.py" else set())
+        stray += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and node.value == "n must be at least 1"
+                  and id(node) not in rule]
+    assert stray == []
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(symmetric_projector, id="symmetric_projector"),
+    pytest.param(aligned_vs_mixed_bound, id="aligned_vs_mixed_bound"),
+    pytest.param(dft_unitary, id="dft_unitary"),
+    pytest.param(lambda n: aligned_direction_state(BlochDirection(0.3, 1.2),
+                                                   n),
+                 id="aligned_direction_state"),
+    pytest.param(maximally_mixed, id="maximally_mixed"),
+    pytest.param(classical_pauli_success, id="classical_pauli_success"),
+    pytest.param(lambda n: prepare_input(np.ones(2 ** n),
+                                         Statistics.FERMION),
+                 id="prepare_input")])
+def test_every_register_size_meets_the_one_rule(entry):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        entry(0)
+    with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
+        entry(9)

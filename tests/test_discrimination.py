@@ -81,6 +81,18 @@ def test_hypothesis_rejects_bad_label_and_prior():
         Hypothesis("H0", maximally_mixed(1), 1.5)
 
 
+@pytest.mark.parametrize("decide", [
+    pytest.param(helstrom_bound, id="helstrom_bound"),
+    pytest.param(lambda h0, h1: beam_splitter_discrimination(h0, h1, BOSON),
+                 id="beam_splitter_discrimination")])
+def test_hypotheses_must_come_in_label_order(decide):
+    # the strategy's "H1" guesses would name the hypothesis labelled "H0"
+    h0, h1 = pair(aligned_mixture(2), maximally_mixed(2))
+    for first, second in ((h1, h0), (h0, h0)):
+        with pytest.raises(ValueError, match="order"):
+            decide(first, second)
+
+
 # ----------------------------------------------------------- closed-form bound
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -185,8 +197,9 @@ def test_headline_pair_values_and_swapped_strategies():
 
 def test_aligned_vs_mixed_meets_the_bound_for_two_particles():
     h0, h1 = pair(aligned_mixture(2), maximally_mixed(2))
-    for stats in (FERMION, BOSON):
+    for stats in (FERMION, BOSON, "fermion", "boson"):
         report = beam_splitter_discrimination(h0, h1, stats)
+        assert report.statistics is Statistics(stats)
         assert abs(report.p_bs - 0.625) < 1e-12
         assert abs(report.gap) < 1e-12
 

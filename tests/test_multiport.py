@@ -234,6 +234,21 @@ def test_prepare_input_rejects_non_qubit_register():
 def test_prepare_input_rejects_bad_dimension():
     with pytest.raises(ValueError, match="power of two"):
         prepare_input(np.array([1.0, 0.0, 0.0]), BOSON)
+    # a bare density matrix would otherwise read as a 4-qubit state vector
+    with pytest.raises(ValueError, match="DensityMatrix"):
+        interfere(np.eye(4) / 4, FERMION)
+
+
+def test_statistics_may_be_given_as_its_value():
+    # both spins up: bosons bunch, fermions antibunch
+    v = np.array([1.0, 0.0, 0.0, 0.0])
+    for stats in Statistics:
+        assert (interfere(v, stats.value).probabilities
+                == interfere(v, stats).probabilities)
+        (_, state), = prepare_input(v, stats.value)
+        assert state.statistics is stats
+    with pytest.raises(ValueError, match="fermionic"):
+        interfere(v, "fermionic")
 
 
 def test_prepare_input_stops_at_the_capacity():
