@@ -34,7 +34,7 @@ SUM_TOL = 1e-10
 # Largest register evaluated exactly.  Every published number lies within
 # it and dense 2**n matrices stay small (256 x 256).  The Fock evolution
 # grows much faster than that: at n = 8 the expansions of one fermion task
-# hold 0.74 million outputs (about 2 s on a 2-core Xeon), and those of a
+# hold 0.74 million outputs (about 1.1 s on a 2-core Xeon), and those of a
 # boson task 22 million, so raise this only when the benchmark shows a
 # scan at the new size fits its time budget.
 MAX_QUBITS = 8

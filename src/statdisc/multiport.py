@@ -26,6 +26,18 @@ the scalar operations the loop performed.  Every amplitude and
 probability, and the key order of every dict, is therefore the dict
 loop's bit for bit; that loop lives on in the test suite as an oracle.
 
+The configurations of a call are expanded together, one creation step for
+all of them at a time.  A configuration's creations act on the vacuum in
+descending mode order, so the configurations that start from the same
+amplitude and have created the same modes so far share a node of a prefix
+tree, and its terms are computed once: for one particle per arm, step t
+has at most 2**(t+1) nodes rather than 2**n configurations.  Each term
+carries its node, merge keys are node-major, and the terms of each node
+are listed, grouped and added as that configuration's own loop would, so
+the sharing changes no bit.  A step runs in chunks of whole nodes and
+about ``_CHUNK_TERMS`` creations, which bounds its transient memory, and
+the last step's chunks go to the memo one slice per configuration.
+
 Two memos live on each ``MultiportUnitary``: the expansion of every input
 configuration met so far, and, within a fixed budget, the plan of each
 small ensemble met so far (how its outputs merge and in what order), so a
@@ -60,7 +72,7 @@ class MultiportUnitary:
     """Balanced n-arm unitary: every entry has modulus 1/sqrt(n).
 
     It also carries the memos of what it does to each input configuration
-    and to each small ensemble (see ``_expand_configuration`` and
+    and to each small ensemble (see ``_expand_configurations`` and
     ``_Plan``).
     """
 
@@ -194,7 +206,9 @@ class _Expansion(NamedTuple):
     Output ``i`` is configuration ``codes[i]`` (coded as ``_place_values``
     says) with amplitude ``amplitudes[i]``; ``patterns[i]`` codes its arm
     counts as the digits, base n_particles + 1, of a number whose lowest
-    digit is arm 0.
+    digit is arm 0.  The arrays are read-only slices of the arrays of the
+    expansion step that made them, shared with the other configurations
+    of that step's chunk.
     """
 
     codes: np.ndarray
@@ -239,75 +253,160 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the other from 0.0, as the dict loop ``out[key] += term`` does, and
     ``argsort(perm[starts])`` lists the runs in that dict's key order.
     """
-    perm = np.argsort(keys, kind="stable")
-    ordered = keys[perm]
-    new = np.empty(keys.size, dtype=bool)
+    size = keys.size
+    # numpy's stable argsort is a merge sort and its plain sort is
+    # vectorised: where it fits int64, sort each key with its input
+    # position below it, which puts equal keys in input order
+    if size and keys.max() < (2 ** 63 - size) // size:
+        ordered, perm = np.divmod(np.sort(keys * size + np.arange(size)), size)
+    else:
+        perm = np.argsort(keys, kind="stable")
+        ordered = keys[perm]
+    new = np.empty(size, dtype=bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     return perm, np.cumsum(new) - 1, np.flatnonzero(new)
 
 
-def _expand_configuration(config: Occupation, statistics: Statistics,
-                          u: MultiportUnitary) -> _Expansion:
-    """Output amplitudes of one unit-amplitude input configuration.
+# Creations per chunk of one expansion step, at most about this many: a
+# chunk holds whole nodes, so a node with more makes a chunk of its own.
+# On a 2-core Xeon, expanding the 2**n one-per-arm configurations of 7
+# fermions or 6 bosons took as long with 2**11 to 2**13 and needed 0.9 and
+# 1.5 MB beyond the memo at 2**13 (2**14: 10% faster, 1.7 and 2.9 MB).
+# One chunk per step took 25-55% longer and needed 64 and 58 MB, and it
+# raised the peak RSS of aligned and mixed calls up to those sizes from
+# 56 to 111 MB (fermions) and from 64 to 103 MB (bosons).
+_CHUNK_TERMS = 1 << 13
 
-    Independent of the rest of the superposition, so memoized on ``u``
-    across ensemble members and calls.
+
+def _expand_configurations(configs: list[Occupation], statistics: Statistics,
+                           u: MultiportUnitary) -> list[_Expansion]:
+    """What the multiport does to each of ``configs``, all of the same
+    particle and mode numbers.
+
+    An expansion is independent of the rest of the superposition, so it is
+    memoized on ``u`` across ensemble members and calls.  Those not yet
+    memoized are expanded together, one creation step for all of them at a
+    time (see the module docstring).
     """
-    key = (config, statistics)
-    cached = u._expansions.get(key)
-    if cached is not None:
-        return cached
-    n_particles = sum(config)
-    base, place = _place_values(statistics, n_particles, len(config))
-    modes = [m for m, k in enumerate(config) for _ in range(k)]
-    # |config> = prod(creations, ascending) / sqrt(prod n_m!) applied to vacuum
-    codes = np.zeros(1, dtype=np.int64)
-    re = np.array([1.0 / math.sqrt(math.prod(math.factorial(k)
-                                             for k in config))])
-    im = np.zeros(1)
-    # rightmost operator of the ascending product acts on the vacuum first;
-    # one step creates into mode 2 * dest + spin for every dest, and its
-    # terms run configuration-major, dest-minor, as the loop visits them
-    for mode in reversed(modes):
-        arm, spin = divmod(mode, 2)
-        row_re, row_im = u.matrix.real[arm], u.matrix.imag[arm]
-        dest = place[spin::2]
-        held, amp_re, amp_im = codes[:, None], re[:, None], im[:, None]
-        created = held + dest
-        # amp * row[dest], rounded as numpy rounds a scalar complex product
-        term_re = amp_re * row_re - amp_im * row_im
-        term_im = amp_re * row_im + amp_im * row_re
-        if statistics is Statistics.FERMION:
-            # the sign (-1) ** (number of occupied modes below the new one)
-            sign = 1.0 - 2.0 * (np.bitwise_count(held & (dest - 1)) & 1)
-            free = (held & dest) == 0
-            created, term_re, term_im = (created[free], (term_re * sign)[free],
-                                         (term_im * sign)[free])
-        else:
-            factor = np.sqrt(held // dest % base + 1.0)
-            created = created.ravel()
-            term_re = (term_re * factor).ravel()
-            term_im = (term_im * factor).ravel()
-        perm, group, starts = _groups(created)
-        order = np.argsort(perm[starts])
-        codes = created[perm[starts[order]]]
-        re = np.bincount(group, term_re[perm])[order]
-        im = np.bincount(group, term_im[perm])[order]
-    digits = codes[:, None] // place % base
-    # a creation into an occupied fermion mode would carry into the next
-    # digit and lose a particle
-    if np.any(digits.sum(axis=1) != n_particles):
-        raise ValueError(f"an output of {config} does not hold "
-                         f"{n_particles} particles")
-    amplitudes = np.empty(codes.size, dtype=complex)
-    amplitudes.real = re
-    amplitudes.imag = im
-    result = _Expansion(codes, amplitudes, _pattern_codes(digits, n_particles))
-    for a in result:
-        a.setflags(write=False)
-    u._expansions[key] = result
-    return result
+    memo = u._expansions
+    new = [c for c in dict.fromkeys(configs) if (c, statistics) not in memo]
+    if new:
+        n_particles, n_modes = sum(new[0]), len(new[0])
+        base, place = _place_values(statistics, n_particles, n_modes)
+        # by the mode m a creation substitutes and the arm it goes to, at
+        # m * u.n + arm when flat: the place value of the mode created
+        # into, and the unitary's entry
+        by_mode = np.arange(n_modes)
+        dest = place.reshape(-1, 2).T[by_mode % 2]
+        entry = u.matrix[by_mode // 2].ravel()
+        entry_re, entry_im = entry.real.copy(), entry.imag.copy()
+        arm_digit = (n_particles + 1) ** np.arange(u.n, dtype=np.int64)
+        # node-major merge keys: a chunk holds at most _CHUNK_TERMS / u.n
+        # nodes (or one), and codes stay below span <= 9**16 < 2**51, so
+        # the keys stay inside int64
+        span = base * int(place[-1])
+        # |config> = prod(creations, ascending) / sqrt(prod n_m!) applied to
+        # the vacuum: a node is a starting amplitude and the modes created
+        # so far, rightmost operator first; a root holds the vacuum
+        starts = [1.0 / math.sqrt(math.prod(math.factorial(k) for k in c))
+                  for c in new]
+        roots = list(dict.fromkeys(starts))
+        node = [roots.index(a) for a in starts]
+        modes = [[m for m in reversed(range(n_modes)) for _ in range(c[m])]
+                 for c in new]
+        vacuum = np.zeros(len(roots), dtype=np.int64)
+        # each chunk of a level: codes, amplitudes and arm patterns of its
+        # terms, node-major, and the number of terms of each of its nodes
+        level = [(vacuum, np.array(roots, dtype=complex), vacuum,
+                  np.ones(len(roots), dtype=np.int64))]
+        for step in range(n_particles):
+            sizes = np.concatenate([c[3] for c in level])
+            # the chunk of each node, and the level's first term of each chunk
+            in_chunk = np.repeat(np.arange(len(level)),
+                                 [c[3].size for c in level])
+            chunk_from = np.cumsum([0] + [c[0].size for c in level])
+            keys = list(zip(node, (m[step] for m in modes)))
+            children = sorted(set(keys))
+            index = {key: i for i, key in enumerate(children)}
+            node = [index[key] for key in keys]
+            parent = np.array([p for p, _ in children])
+            mode = np.array([m for _, m in children])
+            held_from = (np.cumsum(sizes) - sizes)[parent]
+            held_sizes = sizes[parent]
+            bounds, total = [0], 0
+            for i, size in enumerate((held_sizes * u.n).tolist()):
+                if total and total + size > _CHUNK_TERMS:
+                    bounds.append(i)
+                    total = 0
+                total += size
+            bounds.append(len(children))
+            previous, level = level, []
+            for a, b in zip(bounds, bounds[1:]):
+                # the chunks that hold these nodes' parents; no later chunk
+                # reads the ones before them, so those are let go
+                lo, hi = in_chunk[parent[a]], in_chunk[parent[b - 1]] + 1
+                previous[:lo] = [None] * lo
+                codes, amplitudes, patterns = (
+                    np.concatenate(f) for f in zip(*(c[:3] for c in
+                                                     previous[lo:hi])))
+                # each node's parent's terms, each created into mode
+                # 2 * arm + spin for every arm, term-major, arm-minor, as
+                # the node's own loop visits them
+                n_held = held_sizes[a:b]
+                owner = np.repeat(np.arange(b - a), n_held)
+                src = np.arange(owner.size) + np.repeat(
+                    held_from[a:b] - chunk_from[lo]
+                    - (np.cumsum(n_held) - n_held), n_held)
+                m = mode[a:b][owner]
+                if statistics is Statistics.FERMION:
+                    # only free modes are created into
+                    term, arm = np.nonzero((codes[src, None] & dest[m]) == 0)
+                else:
+                    term, arm = np.divmod(np.arange(owner.size * u.n), u.n)
+                held_at = src[term]
+                k = m[term] * u.n + arm
+                held, d = codes[held_at], dest.ravel()[k]
+                amp, u_re, u_im = amplitudes[held_at], entry_re[k], entry_im[k]
+                # amp * entry, rounded as numpy rounds a scalar complex
+                # product
+                term_re = amp.real * u_re - amp.imag * u_im
+                term_im = amp.real * u_im + amp.imag * u_re
+                if statistics is Statistics.FERMION:
+                    # the sign (-1) ** (number of occupied modes below)
+                    factor = 1.0 - 2.0 * (np.bitwise_count(held & (d - 1)) & 1)
+                else:
+                    factor = np.sqrt(held // d % base + 1.0)
+                term_re *= factor
+                term_im *= factor
+                created = held + d
+                owner = owner[term]
+                perm, group, firsts = _groups(owner * span + created)
+                order = np.argsort(perm[firsts])
+                first = perm[firsts[order]]
+                amp = np.empty(first.size, dtype=complex)
+                amp.real = np.bincount(group, term_re[perm])[order]
+                amp.imag = np.bincount(group, term_im[perm])[order]
+                level.append((
+                    created[first], amp,
+                    patterns[held_at[first]] + arm_digit[arm[first]],
+                    np.bincount(owner[first], minlength=b - a)))
+        # a creation never lands in an occupied fermion mode and a boson
+        # digit of base n_particles + 1 cannot overflow, so every output
+        # holds n_particles particles; each leaf is one configuration, and
+        # the memo takes its slice of the last level's chunk
+        config = dict(zip(node, new))
+        leaf = 0
+        for codes, amplitudes, patterns, sizes in level:
+            for array in (codes, amplitudes, patterns):
+                array.setflags(write=False)
+            ends = np.cumsum(sizes).tolist()
+            for begin, end in zip([0] + ends[:-1], ends):
+                memo[config[leaf], statistics] = _Expansion(
+                    codes[begin:end], amplitudes[begin:end],
+                    patterns[begin:end])
+                leaf += 1
+    return [memo[c, statistics] for c in configs]
 
 
 class _Arms:
@@ -352,8 +451,9 @@ class _Plan:
 
     def __init__(self, supports: tuple[tuple[Occupation, ...], ...],
                  statistics: Statistics, u: MultiportUnitary):
-        terms = [_expand_configuration(config, statistics, u)
-                 for support in supports for config in support]
+        terms = _expand_configurations(
+            [config for support in supports for config in support],
+            statistics, u)
         lengths = [e.codes.size for e in terms]
         self.size = sum(lengths)
         self.term = np.repeat(np.arange(len(terms)), lengths)
@@ -412,10 +512,13 @@ class _Plan:
         return re, im, kept, weights[self.owner] * squares
 
 
-# Expansion outputs of the plans kept on one unitary, at most: about 2 MB.
-# A repeated small call reuses its plan; a large call is dominated by its
-# arithmetic and need not.
-_PLAN_BUDGET = 1 << 14
+# Expansion outputs of the plans kept on one unitary, at most.  A plan's
+# arrays take 45-82 bytes per output by nbytes, so at most about 5 MB; the
+# plans of every call the benchmark's sweep makes (aligned vs mixed up to
+# five particles, both statistics) fit together, 2.3 MB in all, so none
+# evicts another.  A repeated small call reuses its plan; a large call is
+# dominated by its arithmetic and need not.
+_PLAN_BUDGET = 1 << 16
 
 
 def _evolve_ensemble(ensemble: Ensemble, u: MultiportUnitary):

@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -152,6 +153,25 @@ def test_kept_plans_stay_within_their_budget(monkeypatch):
     kept = dict(u._plans)
     rho = DensityMatrix(_random_state(3, 3, np.random.default_rng(3)))
     interfere(rho, BOSON, u)
+    assert u._plans == kept
+
+
+def test_the_plans_of_both_statistics_at_five_particles_stay_kept(monkeypatch):
+    # the two boson plans at n = 5 hold 14,252 outputs each and the fermion
+    # ones 2,252: all four fit the budget, so none evicts another
+    u = MultiportUnitary(dft_unitary(5).matrix)
+    states = (aligned_mixture(5), maximally_mixed(5))
+    for stats in (BOSON, FERMION):
+        for rho in states:
+            interfere(rho, stats, u)
+    kept = dict(u._plans)
+
+    def no_plan(*args):
+        raise AssertionError("a kept plan was built again")
+
+    monkeypatch.setattr(multiport, "_Plan", no_plan)
+    for rho in states:
+        interfere(rho, BOSON, u)
     assert u._plans == kept
 
 
@@ -550,17 +570,89 @@ def test_oracle_matches_fock_evolution_on_mixed_states():
 
 # --------------------------------------------------------- dict-loop oracle
 
+@pytest.mark.parametrize("high", [50, 2 ** 62])
+def test_groups_are_the_stable_sort(high):
+    # small keys take the tagged plain sort, keys near 2**63 the stable
+    # argsort; both must order equal keys by input position
+    rng = np.random.default_rng(high % 1000)
+    for size in (1, 2, 7, 1000):
+        keys = rng.choice(rng.integers(0, high, 20), size)
+        perm, group, starts = multiport._groups(keys)
+        assert perm.tolist() == np.argsort(keys, kind="stable").tolist()
+        ordered = keys[perm]
+        assert (np.diff(group) == (ordered[1:] != ordered[:-1])).all()
+        assert starts.tolist() == np.flatnonzero(
+            np.r_[True, ordered[1:] != ordered[:-1]]).tolist()
+
+
 @pytest.mark.parametrize("n, stats", [(n, stats) for n in range(1, 7)
                                       for stats in (BOSON, FERMION)]
                          + [(7, FERMION)])
 def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
-    # same output configurations in the same order, same amplitudes by ==
-    u = dft_unitary(n)
-    for config in multiport._one_per_arm(n):
-        e = multiport._expand_configuration(config, stats, u)
+    # same output configurations in the same order, same amplitudes by ==;
+    # all 2**n configurations in one call on a fresh memo, so they share
+    # their creation prefixes
+    u = MultiportUnitary(dft_unitary(n).matrix)
+    configs = multiport._one_per_arm(n)
+    expansions = multiport._expand_configurations(configs, stats, u)
+    assert len(u._expansions) == len(configs)
+    for config, e in zip(configs, expansions):
         kernel = list(zip(multiport._configurations(e.codes, stats, n, 2 * n),
                           e.amplitudes))
         assert kernel == list(dict_expansion(config, stats, u).items())
+        assert e.patterns.tolist() == [
+            sum((c[2 * a] + c[2 * a + 1]) * (n + 1) ** a for a in range(n))
+            for c, _ in kernel]
+
+
+@st.composite
+def fock_states(draw):
+    """A random Fock state of 1-6 configurations on 2-4 arms, through a
+    random phased DFT; boson configurations may pile particles into one
+    mode, so configurations of different starting amplitudes share
+    creation prefixes."""
+    n = draw(st.integers(2, 4))
+    stats = draw(st.sampled_from([BOSON, FERMION]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_particles = draw(st.integers(1, n))
+    if stats is BOSON:
+        # few modes, so that configurations meet often
+        modes = st.lists(st.integers(0, min(2 * n, 4) - 1),
+                         min_size=n_particles, max_size=n_particles)
+    else:
+        modes = st.lists(st.integers(0, 2 * n - 1), min_size=n_particles,
+                         max_size=n_particles, unique=True)
+    configs = list(dict.fromkeys(
+        tuple(ms.count(m) for m in range(2 * n))
+        for ms in draw(st.lists(modes, min_size=1, max_size=6))))
+    amplitudes = rng.normal(size=len(configs)) + 1j * rng.normal(
+        size=len(configs))
+    amplitudes /= np.linalg.norm(amplitudes)
+    u = phased_dft(n, rng.uniform(0, 6, n), rng.uniform(0, 6, n))
+    return FockState(stats, dict(zip(configs, amplitudes.tolist()))), u
+
+
+@settings(max_examples=200, deadline=None)
+@given(fock_states())
+def test_evolve_of_random_fock_states_is_the_dict_loop_bit_for_bit(case):
+    state, u = case
+    assert (list(evolve(state, u).amplitudes.items())
+            == list(dict_evolve(state, u).amplitudes.items()))
+
+
+@pytest.mark.parametrize("n, stats", [(7, FERMION), (6, BOSON)])
+def test_expanding_every_configuration_stays_near_the_memo_in_memory(n, stats):
+    # the steps run in chunks of bounded size: the transient arrays of a
+    # whole step would take tens of megabytes here
+    u = MultiportUnitary(dft_unitary(n).matrix)
+    tracemalloc.start()
+    try:
+        multiport._expand_configurations(multiport._one_per_arm(n), stats, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    memo = sum(a.nbytes for e in u._expansions.values() for a in e)
+    assert peak - memo <= 8 * 2 ** 20
 
 
 # The pinched states have members confined to one excitation number, with
