@@ -26,22 +26,24 @@ the scalar operations the loop performed.  Every amplitude and
 probability, and the key order of every dict, is therefore the dict
 loop's bit for bit; that loop lives on in the test suite as an oracle.
 
-The configurations of a call are expanded together, one creation step for
-all of them at a time.  A configuration's creations act on the vacuum in
-descending mode order, so the configurations that start from the same
-amplitude and have created the same modes so far share a node of a prefix
-tree, and its terms are computed once: for one particle per arm, step t
-has at most 2**(t+1) nodes rather than 2**n configurations.  Each term
-carries its node, merge keys are node-major, and the terms of each node
-are listed, grouped and added as that configuration's own loop would, so
-the sharing changes no bit.  A step runs in chunks of whole nodes and
-about ``_CHUNK_TERMS`` creations, which bounds its transient memory, and
-the last step's chunks go to the memo one slice per configuration.
+The kernel takes the one input the package makes: n particles on the n
+arms, one per arm.  Its 2**n configurations, one per spin string, are
+expanded together, one creation step for all of them at a time.  A
+configuration's creations act on the vacuum in descending mode order, so
+step t creates the particle of arm n - 1 - t, and the configurations that
+agree on the spins created so far share a node of a binary prefix tree:
+step t has 2**(t+1) nodes, node 2p + s being node p of the step before
+with spin s, and each node's terms are computed once.  Each term carries
+its node, merge keys are node-major, and the terms of each node are
+listed, grouped and added as that configuration's own loop would, so the
+sharing changes no bit.  A step runs in chunks of whole nodes and about
+``_CHUNK_TERMS`` creations, which bounds its transient memory, and the last
+step's chunks go to the memo one slice per configuration.
 
-Two memos live on each ``MultiportUnitary``: the expansion of every input
-configuration met so far, and, within a fixed budget, the plan of each
-small ensemble met so far (how its outputs merge and in what order), so a
-repeated small call does only its arithmetic.
+Two memos live on each ``MultiportUnitary``: one entry per statistics,
+the expansions of all 2**n configurations, and, within a fixed budget, the
+plan of each small ensemble met so far (how its outputs merge and in what
+order), so a repeated small call does only its arithmetic.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ class Statistics(Enum):
 class MultiportUnitary:
     """Balanced n-arm unitary: every entry has modulus 1/sqrt(n).
 
-    It also carries the memos of what it does to each input configuration
-    and to each small ensemble (see ``_expand_configurations`` and
-    ``_Plan``).
+    It also carries the memos of what it does, for each statistics, to the
+    2**n configurations of one particle per arm, and to each small ensemble
+    (see ``_expansions`` and ``_Plan``).
     """
 
     matrix: np.ndarray
@@ -84,6 +86,8 @@ class MultiportUnitary:
         object.__setattr__(self, "n", m.shape[0])
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not self.n:
+            raise ValueError("a multiport needs at least one arm")
         if np.max(np.abs(m.conj().T @ m - np.eye(self.n))) > TOL:
             raise ValueError("matrix must be unitary")
         if np.max(np.abs(np.abs(m) - 1.0 / math.sqrt(self.n))) > TOL:
@@ -184,6 +188,8 @@ def prepare_input(internal, statistics: Statistics | str) -> Ensemble:
             raise ValueError(f"internal register dimension {v.size} is not a "
                              "power of two")
         check_register(n)
+        if not np.isfinite(v).all():
+            raise ValueError("state vector entries must be finite")
         members = [(1.0, v)]
     # basis index i stands for configs[i]; with one particle per arm the
     # creation operators already appear in ascending mode order, so
@@ -201,12 +207,13 @@ def prepare_input(internal, statistics: Statistics | str) -> Ensemble:
 
 
 class _Expansion(NamedTuple):
-    """What the multiport does to one unit-amplitude input configuration.
+    """What the multiport does to one unit-amplitude input configuration
+    of n particles, one per arm.
 
     Output ``i`` is configuration ``codes[i]`` (coded as ``_place_values``
     says) with amplitude ``amplitudes[i]``; ``patterns[i]`` codes its arm
-    counts as the digits, base n_particles + 1, of a number whose lowest
-    digit is arm 0.  The arrays are read-only slices of the arrays of the
+    counts as the digits, base n + 1, of a number whose lowest digit is
+    arm 0.  The arrays are read-only slices of the arrays of the
     expansion step that made them, shared with the other configurations
     of that step's chunk.
     """
@@ -216,32 +223,24 @@ class _Expansion(NamedTuple):
     patterns: np.ndarray
 
 
-def _place_values(statistics: Statistics, n_particles: int,
-                  n_modes: int) -> tuple[int, np.ndarray]:
-    """Base and per-mode place values of the configuration code.
+def _place_values(statistics: Statistics, n: int) -> tuple[int, np.ndarray]:
+    """Base and per-mode place values of the configuration code of n
+    particles on n arms.
 
-    A configuration is coded as sum_m n_m * base**m, with base 2 for
-    fermions and n_particles + 1 for bosons, so no occupation of a valid
-    configuration overflows its digit.  The capacity rule caps particles
-    and arms at eight, so codes stay below 9**16 < 2**51.
+    A configuration is coded as sum_m n_m * base**m over its 2n modes, with
+    base 2 for fermions and n + 1 for bosons, so no occupation of a valid
+    configuration overflows its digit.  The capacity rule caps n at eight,
+    so codes stay below 9**16 < 2**51.
     """
-    base = 2 if statistics is Statistics.FERMION else n_particles + 1
-    return base, base ** np.arange(n_modes, dtype=np.int64)
+    base = 2 if statistics is Statistics.FERMION else n + 1
+    return base, base ** np.arange(2 * n, dtype=np.int64)
 
 
 def _configurations(codes: np.ndarray, statistics: Statistics,
-                    n_particles: int, n_modes: int) -> list[Occupation]:
+                    n: int) -> list[Occupation]:
     """The occupation tuples that ``codes`` stand for."""
-    base, place = _place_values(statistics, n_particles, n_modes)
+    base, place = _place_values(statistics, n)
     return list(map(tuple, (codes[:, None] // place % base).tolist()))
-
-
-def _pattern_codes(occupations: np.ndarray, n_particles: int) -> np.ndarray:
-    """Arm-count pattern of each row of mode occupations, coded as
-    ``_Expansion`` says."""
-    counts = occupations[:, 0::2] + occupations[:, 1::2]
-    return counts @ (n_particles + 1) ** np.arange(counts.shape[1],
-                                                   dtype=np.int64)
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -279,145 +278,135 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CHUNK_TERMS = 1 << 13
 
 
-def _expand_configurations(configs: list[Occupation], statistics: Statistics,
-                           u: MultiportUnitary) -> list[_Expansion]:
-    """What the multiport does to each of ``configs``, all of the same
-    particle and mode numbers.
+def _expansions(statistics: Statistics,
+                u: MultiportUnitary) -> list[_Expansion]:
+    """What the multiport does to each of the 2**n one-per-arm input
+    configurations, listed by basis index (see ``_one_per_arm``).
 
-    An expansion is independent of the rest of the superposition, so it is
-    memoized on ``u`` across ensemble members and calls.  Those not yet
-    memoized are expanded together, one creation step for all of them at a
-    time (see the module docstring).
+    An expansion is independent of the rest of the superposition, so all
+    2**n are expanded together, one creation step for all of them at a time
+    (see the module docstring), and memoized on ``u`` once per statistics.
     """
     memo = u._expansions
-    new = [c for c in dict.fromkeys(configs) if (c, statistics) not in memo]
-    if new:
-        n_particles, n_modes = sum(new[0]), len(new[0])
-        base, place = _place_values(statistics, n_particles, n_modes)
-        # by the mode m a creation substitutes and the arm it goes to, at
-        # m * u.n + arm when flat: the place value of the mode created
-        # into, and the unitary's entry
-        by_mode = np.arange(n_modes)
-        dest = place.reshape(-1, 2).T[by_mode % 2]
-        entry = u.matrix[by_mode // 2].ravel()
-        entry_re, entry_im = entry.real.copy(), entry.imag.copy()
-        arm_digit = (n_particles + 1) ** np.arange(u.n, dtype=np.int64)
-        # node-major merge keys: a chunk holds at most _CHUNK_TERMS / u.n
-        # nodes (or one), and codes stay below span <= 9**16 < 2**51, so
-        # the keys stay inside int64
-        span = base * int(place[-1])
-        # |config> = prod(creations, ascending) / sqrt(prod n_m!) applied to
-        # the vacuum: a node is a starting amplitude and the modes created
-        # so far, rightmost operator first; a root holds the vacuum
-        starts = [1.0 / math.sqrt(math.prod(math.factorial(k) for k in c))
-                  for c in new]
-        roots = list(dict.fromkeys(starts))
-        node = [roots.index(a) for a in starts]
-        modes = [[m for m in reversed(range(n_modes)) for _ in range(c[m])]
-                 for c in new]
-        vacuum = np.zeros(len(roots), dtype=np.int64)
-        # each chunk of a level: codes, amplitudes and arm patterns of its
-        # terms, node-major, and the number of terms of each of its nodes
-        level = [(vacuum, np.array(roots, dtype=complex), vacuum,
-                  np.ones(len(roots), dtype=np.int64))]
-        for step in range(n_particles):
-            sizes = np.concatenate([c[3] for c in level])
-            # the chunk of each node, and the level's first term of each chunk
-            in_chunk = np.repeat(np.arange(len(level)),
-                                 [c[3].size for c in level])
-            chunk_from = np.cumsum([0] + [c[0].size for c in level])
-            keys = list(zip(node, (m[step] for m in modes)))
-            children = sorted(set(keys))
-            index = {key: i for i, key in enumerate(children)}
-            node = [index[key] for key in keys]
-            parent = np.array([p for p, _ in children])
-            mode = np.array([m for _, m in children])
-            held_from = (np.cumsum(sizes) - sizes)[parent]
-            held_sizes = sizes[parent]
-            bounds, total = [0], 0
-            for i, size in enumerate((held_sizes * u.n).tolist()):
-                if total and total + size > _CHUNK_TERMS:
-                    bounds.append(i)
-                    total = 0
-                total += size
-            bounds.append(len(children))
-            previous, level = level, []
-            for a, b in zip(bounds, bounds[1:]):
-                # the chunks that hold these nodes' parents; no later chunk
-                # reads the ones before them, so those are let go
-                lo, hi = in_chunk[parent[a]], in_chunk[parent[b - 1]] + 1
-                previous[:lo] = [None] * lo
-                codes, amplitudes, patterns = (
-                    np.concatenate(f) for f in zip(*(c[:3] for c in
-                                                     previous[lo:hi])))
-                # each node's parent's terms, each created into mode
-                # 2 * arm + spin for every arm, term-major, arm-minor, as
-                # the node's own loop visits them
-                n_held = held_sizes[a:b]
-                owner = np.repeat(np.arange(b - a), n_held)
-                src = np.arange(owner.size) + np.repeat(
-                    held_from[a:b] - chunk_from[lo]
-                    - (np.cumsum(n_held) - n_held), n_held)
-                m = mode[a:b][owner]
-                if statistics is Statistics.FERMION:
-                    # only free modes are created into
-                    term, arm = np.nonzero((codes[src, None] & dest[m]) == 0)
-                else:
-                    term, arm = np.divmod(np.arange(owner.size * u.n), u.n)
-                held_at = src[term]
-                k = m[term] * u.n + arm
-                held, d = codes[held_at], dest.ravel()[k]
-                amp, u_re, u_im = amplitudes[held_at], entry_re[k], entry_im[k]
-                # amp * entry, rounded as numpy rounds a scalar complex
-                # product
-                term_re = amp.real * u_re - amp.imag * u_im
-                term_im = amp.real * u_im + amp.imag * u_re
-                if statistics is Statistics.FERMION:
-                    # the sign (-1) ** (number of occupied modes below)
-                    factor = 1.0 - 2.0 * (np.bitwise_count(held & (d - 1)) & 1)
-                else:
-                    factor = np.sqrt(held // d % base + 1.0)
-                term_re *= factor
-                term_im *= factor
-                created = held + d
-                owner = owner[term]
-                perm, group, firsts = _groups(owner * span + created)
-                order = np.argsort(perm[firsts])
-                first = perm[firsts[order]]
-                amp = np.empty(first.size, dtype=complex)
-                amp.real = np.bincount(group, term_re[perm])[order]
-                amp.imag = np.bincount(group, term_im[perm])[order]
-                level.append((
-                    created[first], amp,
-                    patterns[held_at[first]] + arm_digit[arm[first]],
-                    np.bincount(owner[first], minlength=b - a)))
-        # a creation never lands in an occupied fermion mode and a boson
-        # digit of base n_particles + 1 cannot overflow, so every output
-        # holds n_particles particles; each leaf is one configuration, and
-        # the memo takes its slice of the last level's chunk
-        config = dict(zip(node, new))
-        leaf = 0
-        for codes, amplitudes, patterns, sizes in level:
-            for array in (codes, amplitudes, patterns):
-                array.setflags(write=False)
-            ends = np.cumsum(sizes).tolist()
-            for begin, end in zip([0] + ends[:-1], ends):
-                memo[config[leaf], statistics] = _Expansion(
-                    codes[begin:end], amplitudes[begin:end],
-                    patterns[begin:end])
-                leaf += 1
-    return [memo[c, statistics] for c in configs]
+    if statistics in memo:
+        return memo[statistics]
+    n = u.n
+    base, place = _place_values(statistics, n)
+    # by the mode m a creation substitutes and the arm it goes to, at
+    # m * n + arm when flat: the place value of the mode created into, and
+    # the unitary's entry
+    by_mode = np.arange(2 * n)
+    dest = place.reshape(-1, 2).T[by_mode % 2]
+    entry = u.matrix[by_mode // 2].ravel()
+    entry_re, entry_im = entry.real.copy(), entry.imag.copy()
+    arm_digit = (n + 1) ** np.arange(n, dtype=np.int64)
+    # node-major merge keys: a chunk holds at most _CHUNK_TERMS / n nodes
+    # (or one), and codes stay below span <= 9**16 < 2**51, so the keys
+    # stay inside int64
+    span = base * int(place[-1])
+    # |config> = prod(creations, ascending) applied to the vacuum: step t
+    # creates the particle of arm n - 1 - t, and node 2p + s of step t is
+    # node p of step t - 1 with spin s; the root holds the vacuum
+    vacuum = np.zeros(1, dtype=np.int64)
+    # each chunk of a level: codes, amplitudes and arm patterns of its
+    # terms, node-major, and the number of terms of each of its nodes
+    level = [(vacuum, np.ones(1, dtype=complex), vacuum,
+              np.ones(1, dtype=np.int64))]
+    for step in range(n):
+        sizes = np.concatenate([c[3] for c in level])
+        # the chunk of each node, and the level's first term of each chunk
+        in_chunk = np.repeat(np.arange(len(level)),
+                             [c[3].size for c in level])
+        chunk_from = np.cumsum([0] + [c[0].size for c in level])
+        children = np.arange(2 ** (step + 1))
+        parent = children >> 1
+        mode = 2 * (n - 1 - step) + (children & 1)
+        held_from = (np.cumsum(sizes) - sizes)[parent]
+        held_sizes = sizes[parent]
+        bounds, total = [0], 0
+        for i, size in enumerate((held_sizes * n).tolist()):
+            if total and total + size > _CHUNK_TERMS:
+                bounds.append(i)
+                total = 0
+            total += size
+        bounds.append(children.size)
+        previous, level = level, []
+        for a, b in zip(bounds, bounds[1:]):
+            # the chunks that hold these nodes' parents; no later chunk
+            # reads the ones before them, so those are let go
+            lo, hi = in_chunk[parent[a]], in_chunk[parent[b - 1]] + 1
+            previous[:lo] = [None] * lo
+            codes, amplitudes, patterns = (
+                np.concatenate(f) for f in zip(*(c[:3] for c in
+                                                 previous[lo:hi])))
+            # each node's parent's terms, each created into mode
+            # 2 * arm + spin for every arm, term-major, arm-minor, as
+            # the node's own loop visits them
+            n_held = held_sizes[a:b]
+            owner = np.repeat(np.arange(b - a), n_held)
+            src = np.arange(owner.size) + np.repeat(
+                held_from[a:b] - chunk_from[lo]
+                - (np.cumsum(n_held) - n_held), n_held)
+            m = mode[a:b][owner]
+            if statistics is Statistics.FERMION:
+                # only free modes are created into
+                term, arm = np.nonzero((codes[src, None] & dest[m]) == 0)
+            else:
+                term, arm = np.divmod(np.arange(owner.size * n), n)
+            held_at = src[term]
+            k = m[term] * n + arm
+            held, d = codes[held_at], dest.ravel()[k]
+            amp, u_re, u_im = amplitudes[held_at], entry_re[k], entry_im[k]
+            # amp * entry, rounded as numpy rounds a scalar complex
+            # product
+            term_re = amp.real * u_re - amp.imag * u_im
+            term_im = amp.real * u_im + amp.imag * u_re
+            if statistics is Statistics.FERMION:
+                # the sign (-1) ** (number of occupied modes below)
+                factor = 1.0 - 2.0 * (np.bitwise_count(held & (d - 1)) & 1)
+            else:
+                factor = np.sqrt(held // d % base + 1.0)
+            term_re *= factor
+            term_im *= factor
+            created = held + d
+            owner = owner[term]
+            perm, group, firsts = _groups(owner * span + created)
+            order = np.argsort(perm[firsts])
+            first = perm[firsts[order]]
+            amp = np.empty(first.size, dtype=complex)
+            amp.real = np.bincount(group, term_re[perm])[order]
+            amp.imag = np.bincount(group, term_im[perm])[order]
+            level.append((
+                created[first], amp,
+                patterns[held_at[first]] + arm_digit[arm[first]],
+                np.bincount(owner[first], minlength=b - a)))
+    # a creation never lands in an occupied fermion mode and a boson digit
+    # of base n + 1 cannot overflow, so every output holds n particles; each
+    # leaf is one configuration and takes its slice of the last level's chunk
+    leaves = []
+    for codes, amplitudes, patterns, sizes in level:
+        for array in (codes, amplitudes, patterns):
+            array.setflags(write=False)
+        ends = np.cumsum(sizes).tolist()
+        leaves += [_Expansion(codes[begin:end], amplitudes[begin:end],
+                              patterns[begin:end])
+                   for begin, end in zip([0] + ends[:-1], ends)]
+    # a leaf's number holds the spin of arm i in bit i, a basis index in bit
+    # n - 1 - i: the leaves come in bit-reversed basis-index order
+    memo[statistics] = [leaves[int(f"{i:0{n}b}"[::-1], 2)]
+                        for i in range(2 ** n)]
+    return memo[statistics]
 
 
 class _Arms:
     """How a list of output configurations falls into arm-count patterns.
 
-    ``patterns`` codes each output's pattern as ``_Expansion`` does.
+    ``patterns`` codes each output's pattern as ``_Expansion`` does, in
+    digits of the given base, one more than the particle number.
     """
 
-    def __init__(self, patterns: np.ndarray, n_particles: int, n_arms: int):
+    def __init__(self, patterns: np.ndarray, base: int, n_arms: int):
         self.perm, self.group, self.starts = _groups(patterns)
-        base = n_particles + 1
         digits = (patterns[self.perm[self.starts], None]
                   // base ** np.arange(n_arms) % base)
         self.labels = list(map(tuple, digits.tolist()))
@@ -451,9 +440,17 @@ class _Plan:
 
     def __init__(self, supports: tuple[tuple[Occupation, ...], ...],
                  statistics: Statistics, u: MultiportUnitary):
-        terms = _expand_configurations(
-            [config for support in supports for config in support],
-            statistics, u)
+        n = u.n
+        configs = np.array([config for support in supports
+                            for config in support])
+        if (configs.shape[1:] != (2 * n,)
+                or (configs[:, 0::2] + configs[:, 1::2] != 1).any()):
+            raise ValueError("the multiport takes one particle in each of "
+                             f"its {n} arms")
+        # the spins, arm 0 first, are the bits of the basis index
+        index = configs[:, 1::2] @ (1 << np.arange(n - 1, -1, -1))
+        expansions = _expansions(statistics, u)
+        terms = [expansions[i] for i in index.tolist()]
         lengths = [e.codes.size for e in terms]
         self.size = sum(lengths)
         self.term = np.repeat(np.arange(len(terms)), lengths)
@@ -463,8 +460,7 @@ class _Plan:
         owner = np.repeat(np.arange(len(supports)),
                           [len(s) for s in supports])[self.term]
         codes = np.concatenate([e.codes for e in terms])
-        n_particles, n_modes = sum(supports[0][0]), len(supports[0][0])
-        base, place = _place_values(statistics, n_particles, n_modes)
+        base, place = _place_values(statistics, n)
         # member-major keys keep the members apart: at most 2**8 members
         # of codes below 2**51 stay inside int64
         self.perm, group, starts = _groups(owner * (base * place[-1]) + codes)
@@ -478,13 +474,13 @@ class _Plan:
         self.owner = owner[first]
         self.codes = codes[first]
         self.patterns = np.concatenate([e.patterns for e in terms])[first]
-        self.shape = n_particles, n_modes // 2
+        self.n = n
 
     @cached_property
     def arms(self) -> _Arms:
         """Built at the first count, after the first run: built with the
         plan, its arrays would add to that run's peak memory."""
-        return _Arms(self.patterns, *self.shape)
+        return _Arms(self.patterns, self.n + 1, self.n)
 
     def run(self, members: Ensemble):
         """Merged output amplitudes (re, im) of ``members``, which of them
@@ -533,10 +529,6 @@ def _evolve_ensemble(ensemble: Ensemble, u: MultiportUnitary):
     key = (statistics, supports)
     plan = u._plans.get(key)
     if plan is None:
-        for _, state in ensemble:
-            if u.n != state.n_arms:
-                raise ValueError(f"unitary has {u.n} arms, state has "
-                                 f"{state.n_arms}")
         plan = _Plan(supports, statistics, u)
         if plan.size <= _PLAN_BUDGET:
             plans = u._plans
@@ -555,8 +547,7 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     amplitudes = np.empty(kept.size, dtype=complex)
     amplitudes.real = re[kept]
     amplitudes.imag = im[kept]
-    configs = _configurations(plan.codes[kept], state.statistics,
-                              sum(next(iter(state.amplitudes))), 2 * u.n)
+    configs = _configurations(plan.codes[kept], state.statistics, u.n)
     return FockState(state.statistics, dict(zip(configs, amplitudes)))
 
 
@@ -602,10 +593,12 @@ def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
                         [len(state.amplitudes) for _, state in ensemble])
     # weight * abs(amp) ** 2, rounded as Python rounds it
     probabilities = weights * np.float_power(np.hypot(amp.real, amp.imag), 2.0)
-    n_particles = int(configs.sum(axis=1).max())
-    return _Arms(_pattern_codes(configs, n_particles), n_particles,
-                 configs.shape[1] // 2).count(np.ones(amp.size, dtype=bool),
-                                              probabilities)
+    # arm counts, coded as _Expansion codes them
+    counts = configs[:, 0::2] + configs[:, 1::2]
+    base = int(counts.sum(axis=1).max()) + 1
+    patterns = counts @ base ** np.arange(counts.shape[1], dtype=np.int64)
+    return _Arms(patterns, base, counts.shape[1]).count(
+        np.ones(amp.size, dtype=bool), probabilities)
 
 
 def interfere(internal, statistics: Statistics | str,

@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -70,6 +71,9 @@ def test_multiport_rejects_non_square_matrix():
     # a single row would broadcast against the identity in the unitarity check
     with pytest.raises(ValueError, match="square"):
         MultiportUnitary(np.ones((1, 2)) / math.sqrt(2))
+    # no arms: square, but nothing to check unitarity or balance on
+    with pytest.raises(ValueError, match="at least one arm"):
+        MultiportUnitary(np.zeros((0, 0)))
 
 
 def test_sizes_are_read_off_the_data():
@@ -156,6 +160,19 @@ def test_kept_plans_stay_within_their_budget(monkeypatch):
     assert u._plans == kept
 
 
+def test_the_expansion_memo_holds_one_entry_per_statistics():
+    # every subset of the eight basis states, for both statistics: the memo
+    # keeps one list of all 2**3 expansions per statistics, whatever the
+    # supports met
+    u = phased_dft(3, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+    for stats in (BOSON, FERMION):
+        for mask in range(1, 2 ** 8):
+            v = np.array([(mask >> i) & 1 for i in range(8)], dtype=float)
+            interfere(v, stats, u)
+    assert set(u._expansions) == {BOSON, FERMION}
+    assert all(len(e) == 2 ** 3 for e in u._expansions.values())
+
+
 def test_the_plans_of_both_statistics_at_five_particles_stay_kept(monkeypatch):
     # the two boson plans at n = 5 hold 14,252 outputs each and the fermion
     # ones 2,252: all four fit the budget, so none evicts another
@@ -206,17 +223,10 @@ def test_fock_state_rejects_negative_occupation():
 
 
 def test_fock_state_stops_at_the_capacity():
-    # bosons piled into arm 0 of the shared two-port: each particle number
-    # adds one memo entry to it, so the particle number must be capped
-    u = dft_unitary(2)
-    before = len(u._expansions)
-    for k in range(1, 9):
-        evolve(FockState(BOSON, {(k, 0, 0, 0): 1.0}), u)
     with pytest.raises(CapacityError):
         FockState(BOSON, {(9, 0, 0, 0): 1.0})
     with pytest.raises(CapacityError):
         FockState(BOSON, {(1,) + (0,) * 17: 1.0})
-    assert len(u._expansions) - before <= 8
 
 
 # ------------------------------------------------------------ prepare_input
@@ -257,6 +267,12 @@ def test_prepare_input_rejects_bad_dimension():
     # a bare density matrix would otherwise read as a 4-qubit state vector
     with pytest.raises(ValueError, match="DensityMatrix"):
         interfere(np.eye(4) / 4, FERMION)
+    # refused before the norm, which would warn and then lose every entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ([np.nan, 0, 0, 0], [np.inf, 0, 0, 0], [1, np.nan, 0, 0]):
+            with pytest.raises(ValueError, match="must be finite"):
+                interfere(np.array(v), BOSON)
 
 
 def test_statistics_may_be_given_as_its_value():
@@ -332,6 +348,18 @@ def test_evolve_rejects_arm_mismatch():
     (_, state), = prepare_input(np.array([1.0, 0.0, 0.0, 0.0]), BOSON)
     with pytest.raises(ValueError, match="arms"):
         evolve(state, dft_unitary(3))
+
+
+def test_evolve_takes_one_particle_per_arm():
+    # two piled bosons, too few particles, two in one arm, too many arms:
+    # each is refused before anything is expanded or planned
+    u = MultiportUnitary(dft_unitary(2).matrix)
+    for config in [(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0),
+                   (1, 0, 0, 1, 1, 0)]:
+        with pytest.raises(ValueError, match="arms"):
+            evolve(FockState(BOSON, {config: 1.0}), u)
+    assert not u._expansions
+    assert not u._plans
 
 
 # --------------------------------------------------- distribution invariance
@@ -590,14 +618,15 @@ def test_groups_are_the_stable_sort(high):
                          + [(7, FERMION)])
 def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
     # same output configurations in the same order, same amplitudes by ==;
-    # all 2**n configurations in one call on a fresh memo, so they share
-    # their creation prefixes
+    # all 2**n configurations, expanded together on a fresh memo so that
+    # they share their creation prefixes, listed by basis index
     u = MultiportUnitary(dft_unitary(n).matrix)
     configs = multiport._one_per_arm(n)
-    expansions = multiport._expand_configurations(configs, stats, u)
-    assert len(u._expansions) == len(configs)
+    expansions = multiport._expansions(stats, u)
+    assert list(u._expansions) == [stats]
+    assert len(expansions) == len(configs)
     for config, e in zip(configs, expansions):
-        kernel = list(zip(multiport._configurations(e.codes, stats, n, 2 * n),
+        kernel = list(zip(multiport._configurations(e.codes, stats, n),
                           e.amplitudes))
         assert kernel == list(dict_expansion(config, stats, u).items())
         assert e.patterns.tolist() == [
@@ -607,24 +636,15 @@ def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
 
 @st.composite
 def fock_states(draw):
-    """A random Fock state of 1-6 configurations on 2-4 arms, through a
-    random phased DFT; boson configurations may pile particles into one
-    mode, so configurations of different starting amplitudes share
-    creation prefixes."""
+    """A random Fock state of 1-6 distinct spin strings, one particle per
+    arm on 2-4 arms, with random complex amplitudes, through a random
+    phased DFT."""
     n = draw(st.integers(2, 4))
     stats = draw(st.sampled_from([BOSON, FERMION]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n_particles = draw(st.integers(1, n))
-    if stats is BOSON:
-        # few modes, so that configurations meet often
-        modes = st.lists(st.integers(0, min(2 * n, 4) - 1),
-                         min_size=n_particles, max_size=n_particles)
-    else:
-        modes = st.lists(st.integers(0, 2 * n - 1), min_size=n_particles,
-                         max_size=n_particles, unique=True)
-    configs = list(dict.fromkeys(
-        tuple(ms.count(m) for m in range(2 * n))
-        for ms in draw(st.lists(modes, min_size=1, max_size=6))))
+    strings = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
+                            max_size=min(6, 2 ** n), unique=True))
+    configs = [multiport._one_per_arm(n)[i] for i in strings]
     amplitudes = rng.normal(size=len(configs)) + 1j * rng.normal(
         size=len(configs))
     amplitudes /= np.linalg.norm(amplitudes)
@@ -647,11 +667,11 @@ def test_expanding_every_configuration_stays_near_the_memo_in_memory(n, stats):
     u = MultiportUnitary(dft_unitary(n).matrix)
     tracemalloc.start()
     try:
-        multiport._expand_configurations(multiport._one_per_arm(n), stats, u)
+        multiport._expansions(stats, u)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    memo = sum(a.nbytes for e in u._expansions.values() for a in e)
+    memo = sum(a.nbytes for e in u._expansions[stats] for a in e)
     assert peak - memo <= 8 * 2 ** 20
 
 
