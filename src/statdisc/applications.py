@@ -164,9 +164,7 @@ def scan_discrimination(n_max: int, statistics: Statistics
     data, not asserted, since whether interference stays optimal for larger
     registers is an open question.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    check_capacity(n_max)
+    check_register(n_max)
     return [beam_splitter_discrimination(
                 Hypothesis("H0", aligned_mixture(n), 0.5),
                 Hypothesis("H1", maximally_mixed(n), 0.5), statistics)

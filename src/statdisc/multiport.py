@@ -27,18 +27,24 @@ probability, and the key order of every dict, is therefore the dict
 loop's bit for bit; that loop lives on in the test suite as an oracle.
 
 The kernel takes the one input the package makes: n particles on the n
-arms, one per arm.  Its 2**n configurations, one per spin string, are
-expanded together, one creation step for all of them at a time.  A
-configuration's creations act on the vacuum in descending mode order, so
-step t creates the particle of arm n - 1 - t, and the configurations that
-agree on the spins created so far share a node of a binary prefix tree:
-step t has 2**(t+1) nodes, node 2p + s being node p of the step before
-with spin s, and each node's terms are computed once.  Each term carries
-its node, merge keys are node-major, and the terms of each node are
-listed, grouped and added as that configuration's own loop would, so the
-sharing changes no bit.  A step runs in chunks of whole nodes and about
-``_CHUNK_TERMS`` creations, which bounds its transient memory, and the last
-step's chunks go to the memo one slice per configuration.
+arms, one per arm.  Bit i of a basis index of the n-qubit internal state,
+most significant first, is the internal state s of the particle in arm i,
+in mode 2*i + s; these creations stand in ascending mode order, so an
+internal amplitude is the Fock amplitude, without sign, for either
+statistics, and ``interfere`` hands eigenvectors to the kernel as basis
+indices and amplitudes, building no ``FockState``.  The 2**n
+configurations, one per spin string, are expanded together, one creation
+step for all of them at a time.  A configuration's creations act on the
+vacuum in descending mode order, so step t creates the particle of arm
+n - 1 - t, and the configurations that agree on the spins created so far
+share a node of a binary prefix tree: step t has 2**(t+1) nodes, node
+2p + s being node p of the step before with spin s, and each node's terms
+are computed once.  Each term carries its node, merge keys are node-major,
+and the terms of each node are listed, grouped and added as that
+configuration's own loop would, so the sharing changes no bit.  A step
+runs in chunks of whole nodes and about ``_CHUNK_TERMS`` creations, which
+bounds its transient memory, and the last step's chunks go to the memo
+one slice per configuration.
 
 Two memos live on each ``MultiportUnitary``: one entry per statistics,
 the expansions of all 2**n configurations, and, within a fixed budget, the
@@ -52,7 +58,6 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -123,9 +128,7 @@ class FockState:
     n_arms: int = field(init=False)  # half the first configuration's length
 
     def __post_init__(self) -> None:
-        # the enum call alone would cost every state about 0.2 us
-        if not isinstance(self.statistics, Statistics):
-            object.__setattr__(self, "statistics", Statistics(self.statistics))
+        object.__setattr__(self, "statistics", Statistics(self.statistics))
         if not self.amplitudes:
             raise ValueError("a Fock state needs at least one configuration")
         first = next(iter(self.amplitudes))
@@ -154,30 +157,20 @@ class FockState:
 Ensemble = list[tuple[float, FockState]]
 
 
-def _one_per_arm(n: int) -> list[Occupation]:
-    """The configuration that each basis index of n qubits stands for.
-
-    Basis index bit i (most significant first) is the internal state s of
-    the particle entering arm i, which occupies mode 2*i + s.
-    """
-    return [sum(arms, ()) for arms in product(((1, 0), (0, 1)), repeat=n)]
-
-
-def prepare_input(internal, statistics: Statistics | str) -> Ensemble:
-    """Load an internal state, one particle per arm, into Fock form.
+def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
+    """Load an internal state, one particle per arm: weighted unit vectors.
 
     ``internal`` is a one-dimensional state vector over n qubits or a
-    ``DensityMatrix``; ``statistics`` is a ``Statistics`` member or its
-    value.  A state vector gives a single pure Fock state of weight one.  A
-    density matrix is eigendecomposed and each eigenvector above the weight
-    cutoff becomes an ensemble member; any orthonormal eigenbasis of a
-    degenerate spectrum yields the same downstream statistics.
+    ``DensityMatrix``.  A state vector gives a single member of weight one.
+    A density matrix is eigendecomposed and each eigenvector above the
+    weight cutoff becomes a member; any orthonormal eigenbasis of a
+    degenerate spectrum yields the same downstream statistics.  Each
+    member's vector, divided by its norm, lists the amplitudes of the 2**n
+    configurations by basis index (see the module docstring).
     """
-    if isinstance(internal, DensityMatrix):
+    mixed = isinstance(internal, DensityMatrix)
+    if mixed:
         n = internal.n_qubits
-        vals, vecs = np.linalg.eigh(internal.matrix)
-        # unit trace over at most 2**8 eigenvalues leaves one above TOL
-        members = [(float(w), vec) for w, vec in zip(vals, vecs.T) if w > TOL]
     else:
         v = np.asarray(internal, dtype=complex)
         if v.ndim != 1:
@@ -187,22 +180,21 @@ def prepare_input(internal, statistics: Statistics | str) -> Ensemble:
         if 2 ** n != v.size:
             raise ValueError(f"internal register dimension {v.size} is not a "
                              "power of two")
-        check_register(n)
-        if not np.isfinite(v).all():
-            raise ValueError("state vector entries must be finite")
+    check_register(n)
+    if mixed:
+        vals, vecs = np.linalg.eigh(internal.matrix)
+        # unit trace over at most 2**8 eigenvalues leaves one above TOL
+        members = [(float(w), vec) for w, vec in zip(vals, vecs.T) if w > TOL]
+    elif not np.isfinite(v).all():
+        raise ValueError("state vector entries must be finite")
+    else:
         members = [(1.0, v)]
-    # basis index i stands for configs[i]; with one particle per arm the
-    # creation operators already appear in ascending mode order, so
-    # amplitudes carry over without sign for either statistics
-    configs = _one_per_arm(n)
     ensemble = []
     for weight, vec in members:
         norm = np.linalg.norm(vec)
         if norm < TOL:
             raise ValueError("internal state vector must be nonzero")
-        amplitudes = zip(configs, (vec / norm).tolist())
-        ensemble.append((weight, FockState(statistics, {
-            config: c for config, c in amplitudes if abs(c) > TOL})))
+        ensemble.append((weight, vec / norm))
     return ensemble
 
 
@@ -281,7 +273,7 @@ _CHUNK_TERMS = 1 << 13
 def _expansions(statistics: Statistics,
                 u: MultiportUnitary) -> list[_Expansion]:
     """What the multiport does to each of the 2**n one-per-arm input
-    configurations, listed by basis index (see ``_one_per_arm``).
+    configurations, listed by basis index (see the module docstring).
 
     An expansion is independent of the rest of the superposition, so all
     2**n are expanded together, one creation step for all of them at a time
@@ -431,24 +423,16 @@ class _Arms:
 class _Plan:
     """How an ensemble passes through the multiport.
 
-    A plan depends on the members' configurations, not on their
-    amplitudes: it lists every expansion output in the dict loop's order
-    (member by member, configuration by configuration), the merge of equal
-    output configurations within a member, and the merged outputs in the
-    order in which the loop first meets them.
+    Input k, listed member by member as the dict loop visits them, is
+    basis index ``index[k]`` of member ``member[k]``.  A plan depends on
+    the inputs, not on their amplitudes: it lists every expansion output
+    in the loop's order, the merge of equal output configurations within a
+    member, and the merged outputs in the order the loop first meets them.
     """
 
-    def __init__(self, supports: tuple[tuple[Occupation, ...], ...],
+    def __init__(self, member: np.ndarray, index: np.ndarray,
                  statistics: Statistics, u: MultiportUnitary):
         n = u.n
-        configs = np.array([config for support in supports
-                            for config in support])
-        if (configs.shape[1:] != (2 * n,)
-                or (configs[:, 0::2] + configs[:, 1::2] != 1).any()):
-            raise ValueError("the multiport takes one particle in each of "
-                             f"its {n} arms")
-        # the spins, arm 0 first, are the bits of the basis index
-        index = configs[:, 1::2] @ (1 << np.arange(n - 1, -1, -1))
         expansions = _expansions(statistics, u)
         terms = [expansions[i] for i in index.tolist()]
         lengths = [e.codes.size for e in terms]
@@ -457,8 +441,7 @@ class _Plan:
         out = np.concatenate([e.amplitudes for e in terms])
         self.out_re = out.real.copy()
         self.out_im = out.imag.copy()
-        owner = np.repeat(np.arange(len(supports)),
-                          [len(s) for s in supports])[self.term]
+        owner = member[self.term]
         codes = np.concatenate([e.codes for e in terms])
         base, place = _place_values(statistics, n)
         # member-major keys keep the members apart: at most 2**8 members
@@ -482,13 +465,10 @@ class _Plan:
         plan, its arrays would add to that run's peak memory."""
         return _Arms(self.patterns, self.n + 1, self.n)
 
-    def run(self, members: Ensemble):
-        """Merged output amplitudes (re, im) of ``members``, which of them
-        stay above ``TOL``, and weight * abs(amp) ** 2 of each, 0.0 if
-        dropped; the members must have the configurations planned for."""
-        amplitudes = np.array([amp for _, state in members
-                               for amp in state.amplitudes.values()],
-                              dtype=complex)
+    def run(self, amplitudes: np.ndarray, weights: np.ndarray):
+        """Merged output amplitudes (re, im) of the planned inputs with
+        these amplitudes, which of them stay above ``TOL``, and
+        weights[member] * abs(amp) ** 2 of each, 0.0 if dropped."""
         a = amplitudes[self.term]
         # amp * a, rounded as numpy rounds a scalar complex product
         term_re = a.real * self.out_re - a.imag * self.out_im
@@ -500,11 +480,10 @@ class _Plan:
         # amplitudes below TOL are interference zeros
         kept = moduli > TOL
         squares = np.where(kept, np.float_power(moduli, 2.0), 0.0)
-        norm_sq = np.bincount(self.owner, squares, len(members))
+        norm_sq = np.bincount(self.owner, squares, weights.size)
         if np.abs(norm_sq - 1.0).max() > SUM_TOL:
             raise ValueError("evolved states must be normalized, got "
                              f"|psi|^2 = {norm_sq.tolist()!r}")
-        weights = np.array([weight for weight, _ in members])
         return re, im, kept, weights[self.owner] * squares
 
 
@@ -517,19 +496,15 @@ class _Plan:
 _PLAN_BUDGET = 1 << 16
 
 
-def _evolve_ensemble(ensemble: Ensemble, u: MultiportUnitary):
-    """Send every member through the multiport: its plan, and the result of
-    running it.
-
-    The plan is kept on ``u`` for the next call with the same
-    configurations, within ``_PLAN_BUDGET``.
+def _plan(member: np.ndarray, index: np.ndarray, statistics: Statistics,
+          u: MultiportUnitary) -> _Plan:
+    """The plan of these inputs through ``u`` (see ``_Plan``), kept on
+    ``u`` for the next call with the same inputs, within ``_PLAN_BUDGET``.
     """
-    statistics = ensemble[0][1].statistics
-    supports = tuple(tuple(state.amplitudes) for _, state in ensemble)
-    key = (statistics, supports)
+    key = (statistics, member.tobytes(), index.tobytes())
     plan = u._plans.get(key)
     if plan is None:
-        plan = _Plan(supports, statistics, u)
+        plan = _Plan(member, index, statistics, u)
         if plan.size <= _PLAN_BUDGET:
             plans = u._plans
             # the oldest plans give way first
@@ -537,12 +512,26 @@ def _evolve_ensemble(ensemble: Ensemble, u: MultiportUnitary):
                              > _PLAN_BUDGET):
                 del plans[next(iter(plans))]
             plans[key] = plan
-    return plan, plan.run(ensemble)
+    return plan
+
+
+def _arms_error(u: MultiportUnitary) -> ValueError:
+    """The refusal of an input that is not one particle in each arm of u."""
+    return ValueError("the multiport takes one particle in each of its "
+                      f"{u.n} arms")
 
 
 def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     """Send the state through the multiport: a+_{a,s} -> sum_b u[a,b] a+_{b,s}."""
-    plan, (re, im, kept, _) = _evolve_ensemble([(1.0, state)], u)
+    configs = np.array(list(state.amplitudes))
+    if (state.n_arms != u.n
+            or (configs[:, 0::2] + configs[:, 1::2] != 1).any()):
+        raise _arms_error(u)
+    # the spins, arm 0 first, are the bits of the basis index
+    index = configs[:, 1::2] @ (1 << np.arange(u.n - 1, -1, -1))
+    amplitudes = np.array(list(state.amplitudes.values()), dtype=complex)
+    plan = _plan(np.zeros_like(index), index, state.statistics, u)
+    re, im, kept, _ = plan.run(amplitudes, np.ones(1))
     kept = np.flatnonzero(kept)
     amplitudes = np.empty(kept.size, dtype=complex)
     amplitudes.real = re[kept]
@@ -605,14 +594,25 @@ def interfere(internal, statistics: Statistics | str,
               unitary: MultiportUnitary | None = None) -> OutcomeDistribution:
     """Full pipeline: load, evolve through the multiport, count arms.
 
-    ``internal`` and ``statistics`` are as ``prepare_input`` takes them: a
-    one-dimensional state vector or a ``DensityMatrix`` over n qubits, and
-    a ``Statistics`` member or its value.  The default unitary is the n-arm
+    ``internal`` is as ``prepare_input`` takes it, a one-dimensional state
+    vector or a ``DensityMatrix`` over n qubits, and ``statistics`` is a
+    ``Statistics`` member or its value.  The default unitary is the n-arm
     discrete-Fourier multiport.  The result is ``spatial_distribution`` of
-    every member ``evolve``d, computed without building the evolved states.
+    every member ``evolve``d, computed from the members' vectors without
+    building a ``FockState``.
     """
-    ensemble = prepare_input(internal, statistics)
-    n = ensemble[0][1].n_arms
+    ensemble = prepare_input(internal)
+    statistics = Statistics(statistics)
+    vectors = np.array([vec for _, vec in ensemble])
+    n = vectors.shape[1].bit_length() - 1
     u = dft_unitary(n) if unitary is None else unitary
-    plan, (_, _, kept, probabilities) = _evolve_ensemble(ensemble, u)
+    if n != u.n:
+        raise _arms_error(u)
+    # the entries above TOL, member by member in ascending basis index:
+    # np.hypot is abs(complex), so these are the entries and the order of
+    # the Fock states that the dict loop evolves
+    member, index = np.nonzero(np.hypot(vectors.real, vectors.imag) > TOL)
+    weights = np.array([weight for weight, _ in ensemble])
+    plan = _plan(member, index, statistics, u)
+    _, _, kept, probabilities = plan.run(vectors[member, index], weights)
     return plan.arms.count(kept, probabilities)

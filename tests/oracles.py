@@ -9,8 +9,8 @@ convention, and full enumeration of routings for the classical exclusion
 model.  They are slow on purpose and are never imported by ``src/``.
 
 One oracle is not independent but literal: the Fock pipeline as the plain
-dict loop it replaced, which the numpy kernel must match bit for bit, key
-order included.
+dict loop it replaced, on the ``FockState`` members that ``fock_ensemble``
+loads, which the numpy kernel must match bit for bit, key order included.
 """
 
 from __future__ import annotations
@@ -245,6 +245,29 @@ def first_quantized_distribution(internal, statistics: Statistics,
 
 # ---------------------------------------------- Fock pipeline as a dict loop
 
+def one_per_arm(n: int) -> list[Occupation]:
+    """The configuration that each basis index of n qubits stands for.
+
+    Basis index bit i (most significant first) is the internal state s of
+    the particle entering arm i, which occupies mode 2*i + s.
+    """
+    return [sum(arms, ()) for arms in product(((1, 0), (0, 1)), repeat=n)]
+
+
+def fock_ensemble(internal, statistics: Statistics | str) -> Ensemble:
+    """``prepare_input``'s members as Fock states: each entry of a unit
+    vector above ``TOL`` becomes its configuration's amplitude, in basis
+    index order.  One particle per arm puts the creation operators in
+    ascending mode order, so no entry changes sign."""
+    ensemble = []
+    for weight, vec in prepare_input(internal):
+        configs = one_per_arm(vec.size.bit_length() - 1)
+        ensemble.append((weight, FockState(statistics, {
+            config: c for config, c in zip(configs, vec.tolist())
+            if abs(c) > TOL})))
+    return ensemble
+
+
 def _apply_creation(config: Occupation, mode: int, statistics: Statistics):
     """Create one particle in ``mode``; returns (factor, new_config) or None."""
     occupied = config[mode]
@@ -308,7 +331,7 @@ def dict_interfere(internal, statistics: Statistics,
                    unitary: MultiportUnitary | None = None
                    ) -> OutcomeDistribution:
     """``interfere`` as load, evolve each member, count arms."""
-    ensemble = prepare_input(internal, statistics)
+    ensemble = fock_ensemble(internal, statistics)
     u = dft_unitary(ensemble[0][1].n_arms) if unitary is None else unitary
     return dict_spatial_distribution([(w, dict_evolve(s, u))
                                       for w, s in ensemble])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import statdisc
-from statdisc.applications import classical_pauli_success
+from statdisc.applications import classical_pauli_success, scan_discrimination
 from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
                            swap_operator, symmetric_projector, tensor,
                            trace_norm)
@@ -357,9 +357,13 @@ def test_empty_registers_are_refused_only_by_check_register():
                  id="aligned_direction_state"),
     pytest.param(maximally_mixed, id="maximally_mixed"),
     pytest.param(classical_pauli_success, id="classical_pauli_success"),
-    pytest.param(lambda n: prepare_input(np.ones(2 ** n),
-                                         Statistics.FERMION),
-                 id="prepare_input")])
+    pytest.param(lambda n: prepare_input(np.ones(2 ** n)),
+                 id="prepare_input"),
+    pytest.param(lambda n: prepare_input(DensityMatrix(np.eye(2 ** n)
+                                                       / 2 ** n)),
+                 id="prepare_input_density_matrix"),
+    pytest.param(lambda n: scan_discrimination(n, Statistics.FERMION),
+                 id="scan_discrimination")])
 def test_every_register_size_meets_the_one_rule(entry):
     with pytest.raises(ValueError, match="n must be at least 1"):
         entry(0)

@@ -22,7 +22,7 @@ from statdisc.states import (BlochDirection, aligned_direction_state,
 
 from oracles import (dict_evolve, dict_expansion, dict_interfere,
                      dict_spatial_distribution, first_quantized_distribution,
-                     symmetric_two_port)
+                     fock_ensemble, one_per_arm, symmetric_two_port)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -232,23 +232,26 @@ def test_fock_state_stops_at_the_capacity():
 # ------------------------------------------------------------ prepare_input
 
 def test_prepare_input_pure_vector_single_member():
-    ensemble = prepare_input(np.array([0.0, 1.0, 0.0, 0.0]), FERMION)
+    v = np.array([0.0, 2.0, 0.0, 0.0])
+    ensemble = prepare_input(v)
     assert len(ensemble) == 1
-    weight, state = ensemble[0]
+    weight, vec = ensemble[0]
     assert weight == 1.0
-    # arm 0 spin 0 occupies mode 0, arm 1 spin 1 occupies mode 3
+    assert vec.tolist() == [0.0, 1.0, 0.0, 0.0]
+    # basis index 1: arm 0 spin 0 occupies mode 0, arm 1 spin 1 mode 3
+    (_, state), = fock_ensemble(v, FERMION)
     assert state.amplitudes == {(1, 0, 0, 1): 1.0}
 
 
 def test_prepare_input_aligned_pair_has_three_members():
-    ensemble = prepare_input(aligned_mixture(2), BOSON)
+    ensemble = prepare_input(aligned_mixture(2))
     assert len(ensemble) == 3
     for weight, _ in ensemble:
         assert abs(weight - 1.0 / 3.0) < 1e-12
 
 
 def test_prepare_input_mixed_pair_has_four_members():
-    ensemble = prepare_input(maximally_mixed(2), FERMION)
+    ensemble = prepare_input(maximally_mixed(2))
     assert len(ensemble) == 4
     for weight, _ in ensemble:
         assert abs(weight - 0.25) < 1e-12
@@ -258,12 +261,12 @@ def test_prepare_input_rejects_non_qubit_register():
     from statdisc.core import DensityMatrix
     with pytest.raises(ValueError, match="qubit"):
         rho = DensityMatrix(np.eye(3) / 3)
-        prepare_input(rho, BOSON)
+        prepare_input(rho)
 
 
 def test_prepare_input_rejects_bad_dimension():
     with pytest.raises(ValueError, match="power of two"):
-        prepare_input(np.array([1.0, 0.0, 0.0]), BOSON)
+        prepare_input(np.array([1.0, 0.0, 0.0]))
     # a bare density matrix would otherwise read as a 4-qubit state vector
     with pytest.raises(ValueError, match="DensityMatrix"):
         interfere(np.eye(4) / 4, FERMION)
@@ -281,7 +284,7 @@ def test_statistics_may_be_given_as_its_value():
     for stats in Statistics:
         assert (interfere(v, stats.value).probabilities
                 == interfere(v, stats).probabilities)
-        (_, state), = prepare_input(v, stats.value)
+        (_, state), = fock_ensemble(v, stats.value)
         assert state.statistics is stats
     with pytest.raises(ValueError, match="fermionic"):
         interfere(v, "fermionic")
@@ -289,14 +292,44 @@ def test_statistics_may_be_given_as_its_value():
 
 def test_prepare_input_stops_at_the_capacity():
     from statdisc.core import CapacityError, DensityMatrix
-    assert len(prepare_input(np.eye(2 ** 8)[5], BOSON)) == 1
+    assert len(prepare_input(np.eye(2 ** 8)[5])) == 1
     rho8 = DensityMatrix(np.eye(2 ** 8) / 2 ** 8)
-    assert len(prepare_input(rho8, FERMION)) == 2 ** 8
+    assert len(prepare_input(rho8)) == 2 ** 8
     with pytest.raises(CapacityError):
-        prepare_input(np.eye(2 ** 9)[5], BOSON)
+        prepare_input(np.eye(2 ** 9)[5])
     with pytest.raises(CapacityError):
         rho9 = DensityMatrix(np.eye(2 ** 9) / 2 ** 9)
-        prepare_input(rho9, FERMION)
+        prepare_input(rho9)
+
+
+def test_interfere_builds_no_fock_state(monkeypatch):
+    # eigenvectors go to the kernel as basis indices and amplitudes
+    def refuse(self):
+        raise AssertionError("interfere built a FockState")
+
+    monkeypatch.setattr(FockState, "__post_init__", refuse)
+    v = np.random.default_rng(7).normal(size=8) + 0j
+    for internal in (maximally_mixed(3), aligned_mixture(3), v):
+        for stats in (BOSON, FERMION):
+            assert interfere(internal, stats).probabilities
+
+
+def test_interfere_loads_through_the_module_prepare_input_once(monkeypatch):
+    # the benchmark's tracer counts calls and members at this attribute
+    calls = []
+    original = multiport.prepare_input
+
+    def counted(internal):
+        calls.append(internal)
+        return original(internal)
+
+    monkeypatch.setattr(multiport, "prepare_input", counted)
+    rho = maximally_mixed(2)
+    for stats in (BOSON, FERMION):
+        for internal in (rho, np.array([0.0, 1.0, 0.0, 0.0])):
+            calls.clear()
+            interfere(internal, stats)
+            assert len(calls) == 1 and calls[0] is internal
 
 
 # ------------------------------------------------- two-particle interference
@@ -338,26 +371,29 @@ def test_evolution_preserves_norm_for_random_states():
         for stats in (BOSON, FERMION):
             for _ in range(10):
                 v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-                (_, state), = prepare_input(v, stats)
+                (_, state), = fock_ensemble(v, stats)
                 out = evolve(state, u)
                 total = sum(abs(a) ** 2 for a in out.amplitudes.values())
                 assert abs(total - 1.0) < 1e-12
 
 
 def test_evolve_rejects_arm_mismatch():
-    (_, state), = prepare_input(np.array([1.0, 0.0, 0.0, 0.0]), BOSON)
+    (_, state), = fock_ensemble(np.array([1.0, 0.0, 0.0, 0.0]), BOSON)
     with pytest.raises(ValueError, match="arms"):
         evolve(state, dft_unitary(3))
 
 
 def test_evolve_takes_one_particle_per_arm():
-    # two piled bosons, too few particles, two in one arm, too many arms:
+    # two piled bosons, too few particles, two in one arm, too many arms,
+    # and a register of three qubits sent to interfere through two arms:
     # each is refused before anything is expanded or planned
     u = MultiportUnitary(dft_unitary(2).matrix)
     for config in [(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0),
                    (1, 0, 0, 1, 1, 0)]:
         with pytest.raises(ValueError, match="arms"):
             evolve(FockState(BOSON, {config: 1.0}), u)
+    with pytest.raises(ValueError, match="each of its 2 arms"):
+        interfere(np.eye(2 ** 3)[0], BOSON, u)
     assert not u._expansions
     assert not u._plans
 
@@ -384,9 +420,9 @@ def test_distribution_ignores_eigenbasis_choice():
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         q, _ = np.linalg.qr(a)
         remixed = vecs[:, :3] @ q
-        ensemble = [(1 / 6, prepare_input(remixed[:, i], stats)[0][1])
+        ensemble = [(1 / 6, fock_ensemble(remixed[:, i], stats)[0][1])
                     for i in range(3)]
-        ensemble.append((1 / 2, prepare_input(vecs[:, 3], stats)[0][1]))
+        ensemble.append((1 / 2, fock_ensemble(vecs[:, 3], stats)[0][1]))
         u = dft_unitary(2)
         rebuilt = spatial_distribution([(w, evolve(s, u)) for w, s in ensemble])
         assert max_pattern_deviation(reference, rebuilt) < 1e-12
@@ -466,7 +502,7 @@ def test_spatial_distribution_rejects_empty_ensemble():
 
 
 def test_spatial_distribution_rejects_members_of_different_arm_counts():
-    two, three = (prepare_input(np.eye(2 ** n)[0], BOSON) for n in (2, 3))
+    two, three = (fock_ensemble(np.eye(2 ** n)[0], BOSON) for n in (2, 3))
     with pytest.raises(ValueError):
         spatial_distribution(two + three)
 
@@ -621,7 +657,7 @@ def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
     # all 2**n configurations, expanded together on a fresh memo so that
     # they share their creation prefixes, listed by basis index
     u = MultiportUnitary(dft_unitary(n).matrix)
-    configs = multiport._one_per_arm(n)
+    configs = one_per_arm(n)
     expansions = multiport._expansions(stats, u)
     assert list(u._expansions) == [stats]
     assert len(expansions) == len(configs)
@@ -644,7 +680,7 @@ def fock_states(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     strings = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1,
                             max_size=min(6, 2 ** n), unique=True))
-    configs = [multiport._one_per_arm(n)[i] for i in strings]
+    configs = [one_per_arm(n)[i] for i in strings]
     amplitudes = rng.normal(size=len(configs)) + 1j * rng.normal(
         size=len(configs))
     amplitudes /= np.linalg.norm(amplitudes)
@@ -694,7 +730,7 @@ def test_evolve_and_spatial_distribution_are_the_dict_loop_bit_for_bit():
         for stats in (BOSON, FERMION):
             u = phased_dft(n, rng.uniform(0, 6, n), rng.uniform(0, 6, n))
             rho = DensityMatrix(_pinched(_random_state(n, 2, rng)))
-            ensemble = prepare_input(rho, stats)
+            ensemble = fock_ensemble(rho, stats)
             kernel = [(w, evolve(s, u)) for w, s in ensemble]
             oracle = [(w, dict_evolve(s, u)) for w, s in ensemble]
             for (_, a), (_, b) in zip(kernel, oracle):
