@@ -35,8 +35,10 @@ SUM_TOL = 1e-10
 # it and dense 2**n matrices stay small (256 x 256).  The Fock evolution
 # grows much faster than that: at n = 8 the expansions of one fermion task
 # hold 0.74 million outputs (about 1.1 s on a 2-core Xeon), and those of a
-# boson task 22 million, so raise this only when the benchmark shows a
-# scan at the new size fits its time budget.
+# boson task 22 million, at 20 bytes each in the memo.  On that machine
+# `discriminate --n 8` peaks at about 80 MB RSS for fermions and 1.1 GB
+# for bosons (in 20-25 s).  Raise this only when the benchmark shows a
+# scan at the new size fits its time and memory.
 MAX_QUBITS = 8
 
 

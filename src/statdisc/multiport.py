@@ -17,14 +17,15 @@ explicit (anti)symmetrization of labeled particles, lives in the test suite.
 The kernel does this on numpy arrays of integer configuration codes, and
 performs the floating-point operations of the plain dict loop
 ``out[config] += term`` in that loop's order: the terms are listed as the
-loop visits them, equal keys are grouped by a stable sort, and
-``np.bincount`` adds each group's terms one after the other from 0.0.
-Complex products are spelled out in real arithmetic, and moduli and
-squares are taken with ``np.hypot`` and ``np.float_power``, because numpy's
-vectorised complex product, ``abs`` and ``** 2`` round differently from
-the scalar operations the loop performed.  Every amplitude and
-probability, and the key order of every dict, is therefore the dict
-loop's bit for bit; that loop lives on in the test suite as an oracle.
+loop visits them and ``np.bincount`` adds each configuration's terms one
+after the other from 0.0, in list order, or after a stable sort that
+groups equal keys.  Complex products are spelled out in real arithmetic,
+and moduli and squares are taken with ``np.hypot`` and ``np.float_power``,
+because numpy's vectorised complex product, ``abs`` and ``** 2`` round
+differently from the scalar operations the loop performed.  Every
+amplitude and probability, and the key order of every dict, is therefore
+the dict loop's bit for bit; that loop lives on in the test suite as an
+oracle.
 
 The kernel takes the one input the package makes: n particles on the n
 arms, one per arm.  Bit i of a basis index of the n-qubit internal state,
@@ -43,13 +44,22 @@ are computed once.  Each term carries its node, merge keys are node-major,
 and the terms of each node are listed, grouped and added as that
 configuration's own loop would, so the sharing changes no bit.  A step
 runs in chunks of whole nodes and about ``_CHUNK_TERMS`` creations, which
-bounds its transient memory, and the last step's chunks go to the memo
-one slice per configuration.
+bounds its transient memory.  The last step numbers its outputs among the
+n-particle configurations of the 2n modes, C(2n, n) for fermions and
+C(3n - 1, n) for bosons, and its chunks go to the memo one slice per
+configuration: a 4-byte output number and a 16-byte amplitude per output.
+
+An ensemble's members run in groups under one budget of accumulator
+cells and terms (``_Plan``), so a call holds the expansion memo and one
+group's arrays, whatever the number of members.  Output numbers key the
+merge of a group's terms and the probability of each arm-count pattern
+across groups, with no sort.
 
 Two memos live on each ``MultiportUnitary``: one entry per statistics,
-the expansions of all 2**n configurations, and, within a fixed budget, the
-plan of each small ensemble met so far (how its outputs merge and in what
-order), so a repeated small call does only its arithmetic.
+the output numbering and the expansions of all 2**n configurations, and,
+within a fixed budget, the plan of each small ensemble met so far (how
+its outputs merge and in what order), so a repeated small call does only
+its arithmetic.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -202,17 +212,32 @@ class _Expansion(NamedTuple):
     """What the multiport does to one unit-amplitude input configuration
     of n particles, one per arm.
 
-    Output ``i`` is configuration ``codes[i]`` (coded as ``_place_values``
-    says) with amplitude ``amplitudes[i]``; ``patterns[i]`` codes its arm
-    counts as the digits, base n + 1, of a number whose lowest digit is
-    arm 0.  The arrays are read-only slices of the arrays of the
-    expansion step that made them, shared with the other configurations
-    of that step's chunk.
+    Output ``i`` is the configuration numbered ``index[i]`` (see
+    ``_Expansions``) with amplitude ``amplitudes[i]``.  The arrays are
+    read-only slices of the arrays of the expansion step that made them,
+    shared with the other configurations of that step's chunk.
+    """
+
+    index: np.ndarray
+    amplitudes: np.ndarray
+
+
+class _Expansions(NamedTuple):
+    """What the multiport does to each of the 2**n one-per-arm input
+    configurations, for one statistics.
+
+    The n-particle configurations of the 2n modes are numbered in
+    ascending code (see ``_place_values``): number j has code ``codes[j]``
+    and the arm-count pattern numbered ``patterns[j]``, whose arm counts
+    are ``labels[patterns[j]]``.  ``leaves[i]`` is the expansion of basis
+    index i (see the module docstring), with ``sizes[i]`` outputs.
     """
 
     codes: np.ndarray
-    amplitudes: np.ndarray
     patterns: np.ndarray
+    labels: list[Pattern]
+    leaves: list[_Expansion]
+    sizes: np.ndarray
 
 
 def _place_values(statistics: Statistics, n: int) -> tuple[int, np.ndarray]:
@@ -233,6 +258,32 @@ def _configurations(codes: np.ndarray, statistics: Statistics,
     """The occupation tuples that ``codes`` stand for."""
     base, place = _place_values(statistics, n)
     return list(map(tuple, (codes[:, None] // place % base).tolist()))
+
+
+def _outputs(statistics: Statistics,
+             n: int) -> tuple[np.ndarray, np.ndarray, list[Pattern]]:
+    """The codes, patterns and labels of ``_Expansions``: C(2n, n)
+    configurations for fermions, C(3n - 1, n) for bosons."""
+    base, place = _place_values(statistics, n)
+    cap = base - 1
+    # fill the modes from the highest down; each partial configuration is
+    # followed by its occupations of the next mode in ascending order, which
+    # keeps the codes ascending, and takes only those the modes below it
+    # can complete to n particles
+    codes = patterns = held = np.zeros(1, dtype=np.int64)
+    for m in range(2 * n - 1, -1, -1):
+        low = np.maximum(n - held - cap * m, 0)
+        choices = np.minimum(n - held, cap) - low + 1
+        parent = np.repeat(np.arange(codes.size), choices)
+        occupation = np.arange(parent.size) + np.repeat(
+            low - (np.cumsum(choices) - choices), choices)
+        codes = codes[parent] + occupation * place[m]
+        # arm counts coded as digits, base n + 1, lowest digit arm 0
+        patterns = patterns[parent] + occupation * (n + 1) ** (m // 2)
+        held = held[parent] + occupation
+    numbers, patterns = np.unique(patterns, return_inverse=True)
+    digits = numbers[:, None] // (n + 1) ** np.arange(n) % (n + 1)
+    return codes, patterns, list(map(tuple, digits.tolist()))
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,6 +310,19 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perm, np.cumsum(new) - 1, np.flatnonzero(new)
 
 
+def _packed(sizes: list[int], budget: int) -> list[int]:
+    """Bounds of consecutive runs of items whose sizes add up to at most
+    ``budget``; an item larger than that makes a run of its own."""
+    bounds, total = [0], 0
+    for i, size in enumerate(sizes):
+        if total and total + size > budget:
+            bounds.append(i)
+            total = 0
+        total += size
+    bounds.append(len(sizes))
+    return bounds
+
+
 # Creations per chunk of one expansion step, at most about this many: a
 # chunk holds whole nodes, so a node with more makes a chunk of its own.
 # On a 2-core Xeon, expanding the 2**n one-per-arm configurations of 7
@@ -270,10 +334,9 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _CHUNK_TERMS = 1 << 13
 
 
-def _expansions(statistics: Statistics,
-                u: MultiportUnitary) -> list[_Expansion]:
+def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     """What the multiport does to each of the 2**n one-per-arm input
-    configurations, listed by basis index (see the module docstring).
+    configurations (see ``_Expansions``).
 
     An expansion is independent of the rest of the superposition, so all
     2**n are expanded together, one creation step for all of them at a time
@@ -284,6 +347,7 @@ def _expansions(statistics: Statistics,
         return memo[statistics]
     n = u.n
     base, place = _place_values(statistics, n)
+    numbered, patterns, labels = _outputs(statistics, n)
     # by the mode m a creation substitutes and the arm it goes to, at
     # m * n + arm when flat: the place value of the mode created into, and
     # the unitary's entry
@@ -291,7 +355,6 @@ def _expansions(statistics: Statistics,
     dest = place.reshape(-1, 2).T[by_mode % 2]
     entry = u.matrix[by_mode // 2].ravel()
     entry_re, entry_im = entry.real.copy(), entry.imag.copy()
-    arm_digit = (n + 1) ** np.arange(n, dtype=np.int64)
     # node-major merge keys: a chunk holds at most _CHUNK_TERMS / n nodes
     # (or one), and codes stay below span <= 9**16 < 2**51, so the keys
     # stay inside int64
@@ -299,38 +362,30 @@ def _expansions(statistics: Statistics,
     # |config> = prod(creations, ascending) applied to the vacuum: step t
     # creates the particle of arm n - 1 - t, and node 2p + s of step t is
     # node p of step t - 1 with spin s; the root holds the vacuum
-    vacuum = np.zeros(1, dtype=np.int64)
-    # each chunk of a level: codes, amplitudes and arm patterns of its
-    # terms, node-major, and the number of terms of each of its nodes
-    level = [(vacuum, np.ones(1, dtype=complex), vacuum,
+    # each chunk of a level: codes and amplitudes of its terms, node-major,
+    # and the number of terms of each of its nodes
+    level = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
               np.ones(1, dtype=np.int64))]
     for step in range(n):
-        sizes = np.concatenate([c[3] for c in level])
+        sizes = np.concatenate([c[2] for c in level])
         # the chunk of each node, and the level's first term of each chunk
         in_chunk = np.repeat(np.arange(len(level)),
-                             [c[3].size for c in level])
+                             [c[2].size for c in level])
         chunk_from = np.cumsum([0] + [c[0].size for c in level])
         children = np.arange(2 ** (step + 1))
         parent = children >> 1
         mode = 2 * (n - 1 - step) + (children & 1)
         held_from = (np.cumsum(sizes) - sizes)[parent]
         held_sizes = sizes[parent]
-        bounds, total = [0], 0
-        for i, size in enumerate((held_sizes * n).tolist()):
-            if total and total + size > _CHUNK_TERMS:
-                bounds.append(i)
-                total = 0
-            total += size
-        bounds.append(children.size)
+        bounds = _packed((held_sizes * n).tolist(), _CHUNK_TERMS)
         previous, level = level, []
         for a, b in zip(bounds, bounds[1:]):
             # the chunks that hold these nodes' parents; no later chunk
             # reads the ones before them, so those are let go
             lo, hi = in_chunk[parent[a]], in_chunk[parent[b - 1]] + 1
             previous[:lo] = [None] * lo
-            codes, amplitudes, patterns = (
-                np.concatenate(f) for f in zip(*(c[:3] for c in
-                                                 previous[lo:hi])))
+            codes, amplitudes = (np.concatenate(f) for f in zip(
+                *(c[:2] for c in previous[lo:hi])))
             # each node's parent's terms, each created into mode
             # 2 * arm + spin for every arm, term-major, arm-minor, as
             # the node's own loop visits them
@@ -368,151 +423,176 @@ def _expansions(statistics: Statistics,
             amp = np.empty(first.size, dtype=complex)
             amp.real = np.bincount(group, term_re[perm])[order]
             amp.imag = np.bincount(group, term_im[perm])[order]
-            level.append((
-                created[first], amp,
-                patterns[held_at[first]] + arm_digit[arm[first]],
-                np.bincount(owner[first], minlength=b - a)))
-    # a creation never lands in an occupied fermion mode and a boson digit
-    # of base n + 1 cannot overflow, so every output holds n particles; each
-    # leaf is one configuration and takes its slice of the last level's chunk
+            if step < n - 1:
+                created = created[first]
+            else:
+                # a creation never lands in an occupied fermion mode and a
+                # boson digit of base n + 1 cannot overflow, so every
+                # output holds n particles: number it, looking up each
+                # node's outputs in ascending order, as they are sorted
+                created = np.searchsorted(
+                    numbered, created[perm[firsts]])[order].astype(np.int32)
+            level.append((created, amp,
+                          np.bincount(owner[first], minlength=b - a)))
+    # each leaf is one configuration and takes its slice of the last
+    # level's chunk
     leaves = []
-    for codes, amplitudes, patterns, sizes in level:
-        for array in (codes, amplitudes, patterns):
+    for index, amplitudes, sizes in level:
+        for array in (index, amplitudes):
             array.setflags(write=False)
         ends = np.cumsum(sizes).tolist()
-        leaves += [_Expansion(codes[begin:end], amplitudes[begin:end],
-                              patterns[begin:end])
+        leaves += [_Expansion(index[begin:end], amplitudes[begin:end])
                    for begin, end in zip([0] + ends[:-1], ends)]
     # a leaf's number holds the spin of arm i in bit i, a basis index in bit
     # n - 1 - i: the leaves come in bit-reversed basis-index order
-    memo[statistics] = [leaves[int(f"{i:0{n}b}"[::-1], 2)]
-                        for i in range(2 ** n)]
+    leaves = [leaves[int(f"{i:0{n}b}"[::-1], 2)] for i in range(2 ** n)]
+    memo[statistics] = _Expansions(
+        numbered, patterns, labels, leaves,
+        np.array([leaf.index.size for leaf in leaves]))
     return memo[statistics]
 
 
-class _Arms:
-    """How a list of output configurations falls into arm-count patterns.
+_NEVER = np.iinfo(np.intp).max
 
-    ``patterns`` codes each output's pattern as ``_Expansion`` does, in
-    digits of the given base, one more than the particle number.
+
+class _Tally:
+    """``probs[pattern] += p`` over a stream of outputs, in stream order.
+
+    Patterns are numbers below ``len(labels)``, and ``labels`` lists their
+    arm counts.  Dropped outputs carry probability 0.0, which leaves every
+    sum as it is; a pattern appears at its first kept output, or not at all.
     """
 
-    def __init__(self, patterns: np.ndarray, base: int, n_arms: int):
-        self.perm, self.group, self.starts = _groups(patterns)
-        digits = (patterns[self.perm[self.starts], None]
-                  // base ** np.arange(n_arms) % base)
-        self.labels = list(map(tuple, digits.tolist()))
+    def __init__(self, labels: list[Pattern]):
+        self.labels = labels
+        self.totals = np.zeros(len(labels))
+        # the stream position of each pattern's first kept output
+        self.first = np.full(len(labels), _NEVER)
+        self.seen = 0
 
-    def count(self, kept: np.ndarray,
-              probabilities: np.ndarray) -> OutcomeDistribution:
-        """``probs[pattern] += p`` over the kept outputs, in order.
+    def add(self, patterns: np.ndarray, kept: np.ndarray,
+            probabilities: np.ndarray) -> None:
+        # np.add.at adds repeated indices one after the other, in order
+        np.add.at(self.totals, patterns, probabilities)
+        kept = kept.nonzero()[0]
+        np.minimum.at(self.first, patterns[kept], kept + self.seen)
+        self.seen += patterns.size
 
-        Dropped outputs carry probability 0.0, which leaves every sum as
-        it is; a pattern appears at its first kept output, or not at all.
-        """
-        totals = np.bincount(self.group, probabilities[self.perm])
-        none = kept.size
-        first = np.minimum.reduceat(np.where(kept[self.perm], self.perm,
-                                             none), self.starts)
-        present = np.flatnonzero(first < none)
-        order = present[np.argsort(first[present])]
+    def distribution(self) -> OutcomeDistribution:
+        present = (self.first < _NEVER).nonzero()[0]
+        order = present[self.first[present].argsort()]
         return OutcomeDistribution(dict(zip(
-            [self.labels[i] for i in order.tolist()], totals[order])))
+            [self.labels[i] for i in order.tolist()], self.totals[order])))
 
 
 class _Plan:
-    """How an ensemble passes through the multiport.
+    """How a group of members passes through the multiport.
 
-    Input k, listed member by member as the dict loop visits them, is
-    basis index ``index[k]`` of member ``member[k]``.  A plan depends on
-    the inputs, not on their amplitudes: it lists every expansion output
-    in the loop's order, the merge of equal output configurations within a
-    member, and the merged outputs in the order the loop first meets them.
+    Input k of the group, listed member by member as the dict loop visits
+    them, is basis index ``index[k]`` of member ``member[k]``, counted from
+    0 in the group, and is input ``offset + k`` of the call.  A plan
+    depends on the inputs, not on their amplitudes.  It lists the terms,
+    every expansion output of every input, in the loop's order; keys a
+    term by its member and output number, distinct within the group; and
+    numbers the merged outputs, one per key, in the order the loop first
+    meets them.  It keeps each term's input and merged output, and each
+    merged output's member, output number and pattern.
     """
 
-    def __init__(self, member: np.ndarray, index: np.ndarray,
-                 statistics: Statistics, u: MultiportUnitary):
-        n = u.n
-        expansions = _expansions(statistics, u)
-        terms = [expansions[i] for i in index.tolist()]
-        lengths = [e.codes.size for e in terms]
-        self.size = sum(lengths)
-        self.term = np.repeat(np.arange(len(terms)), lengths)
-        out = np.concatenate([e.amplitudes for e in terms])
-        self.out_re = out.real.copy()
-        self.out_im = out.imag.copy()
-        owner = member[self.term]
-        codes = np.concatenate([e.codes for e in terms])
-        base, place = _place_values(statistics, n)
-        # member-major keys keep the members apart: at most 2**8 members
-        # of codes below 2**51 stay inside int64
-        self.perm, group, starts = _groups(owner * (base * place[-1]) + codes)
-        first = self.perm[starts]
-        order = np.argsort(first)
-        first = first[order]
-        # number the merged outputs in the loop's order
-        rank = np.empty(order.size, dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        self.group = rank[group]
-        self.owner = owner[first]
-        self.codes = codes[first]
-        self.patterns = np.concatenate([e.patterns for e in terms])[first]
-        self.n = n
+    def __init__(self, member: np.ndarray, index: np.ndarray, offset: int,
+                 expansions: _Expansions):
+        leaves = [expansions.leaves[i] for i in index.tolist()]
+        lengths = expansions.sizes[index]
+        self.size = int(lengths.sum())
+        self.term = np.repeat(np.arange(offset, offset + index.size), lengths)
+        self.out_re = np.concatenate([e.amplitudes.real for e in leaves])
+        self.out_im = np.concatenate([e.amplitudes.imag for e in leaves])
+        outputs = expansions.codes.size
+        key = np.repeat(member * outputs, lengths)
+        key += np.concatenate([e.index for e in leaves])
+        # each key's first term, with no sort: one accumulator cell per
+        # member and output
+        terms = np.arange(self.size)
+        cell = np.full((member[-1] + 1) * outputs, self.size)
+        np.minimum.at(cell, key, terms)
+        merged = key[cell[key] == terms]
+        cell[merged] = np.arange(merged.size)
+        self.group = cell[key]
+        self.owner, self.index = np.divmod(merged, outputs)
+        self.patterns = expansions.patterns[self.index]
 
-    @cached_property
-    def arms(self) -> _Arms:
-        """Built at the first count, after the first run: built with the
-        plan, its arrays would add to that run's peak memory."""
-        return _Arms(self.patterns, self.n + 1, self.n)
-
-    def run(self, amplitudes: np.ndarray, weights: np.ndarray):
-        """Merged output amplitudes (re, im) of the planned inputs with
-        these amplitudes, which of them stay above ``TOL``, and
-        weights[member] * abs(amp) ** 2 of each, 0.0 if dropped."""
+    def run(self, amplitudes: np.ndarray):
+        """Merged output amplitudes (re, im) of the planned inputs, given
+        the amplitudes of all inputs of the call, which of them stay above
+        ``TOL``, and abs(amp) ** 2 of each, 0.0 if dropped."""
         a = amplitudes[self.term]
-        # amp * a, rounded as numpy rounds a scalar complex product
-        term_re = a.real * self.out_re - a.imag * self.out_im
-        term_im = a.real * self.out_im + a.imag * self.out_re
-        re = np.bincount(self.group, term_re[self.perm])
-        im = np.bincount(self.group, term_im[self.perm])
+        # amp * a, rounded as numpy rounds a scalar complex product, and
+        # each merged output's terms added in the loop's order from 0.0
+        re = np.bincount(self.group,
+                         a.real * self.out_re - a.imag * self.out_im)
+        im = np.bincount(self.group,
+                         a.real * self.out_im + a.imag * self.out_re)
         # abs(amp) and its square, rounded as Python rounds them
         moduli = np.hypot(re, im)
         # amplitudes below TOL are interference zeros
         kept = moduli > TOL
         squares = np.where(kept, np.float_power(moduli, 2.0), 0.0)
-        norm_sq = np.bincount(self.owner, squares, weights.size)
+        norm_sq = np.bincount(self.owner, squares)
         if np.abs(norm_sq - 1.0).max() > SUM_TOL:
             raise ValueError("evolved states must be normalized, got "
                              f"|psi|^2 = {norm_sq.tolist()!r}")
-        return re, im, kept, weights[self.owner] * squares
+        return re, im, kept, squares
 
+
+# Accumulator cells of one group of members, at most, a term counting as
+# eight (see ``_plans``): a member with more makes a group of its own.
+# Every call of the benchmark's sweep is one group, so its plan can be
+# kept.  On a 2-core Xeon, aligned and mixed calls of 7 fermions or 6
+# bosons needed at most 4.4 MB beyond the memo by tracemalloc (2**19:
+# 8.0 MB), where one plan over all members had needed 10-22 MB.
+_GROUP_BUDGET = 1 << 18
 
 # Expansion outputs of the plans kept on one unitary, at most.  A plan's
-# arrays take 45-82 bytes per output by nbytes, so at most about 5 MB; the
-# plans of every call the benchmark's sweep makes (aligned vs mixed up to
-# five particles, both statistics) fit together, 2.3 MB in all, so none
+# arrays take 35-56 bytes per output by nbytes, so at most about 3.7 MB;
+# the plans of every call the benchmark's sweep makes (aligned vs mixed up
+# to five particles, both statistics) fit together, 1.6 MB in all, so none
 # evicts another.  A repeated small call reuses its plan; a large call is
 # dominated by its arithmetic and need not.
 _PLAN_BUDGET = 1 << 16
 
 
-def _plan(member: np.ndarray, index: np.ndarray, statistics: Statistics,
-          u: MultiportUnitary) -> _Plan:
-    """The plan of these inputs through ``u`` (see ``_Plan``), kept on
-    ``u`` for the next call with the same inputs, within ``_PLAN_BUDGET``.
+def _plans(member: np.ndarray, index: np.ndarray, statistics: Statistics,
+           u: MultiportUnitary):
+    """The plans of these inputs through ``u`` (see ``_Plan``), one group
+    of members after another, each with its first member.
+
+    Members go into groups in order, within ``_GROUP_BUDGET``.  The plan of
+    a call of one group is kept on ``u`` for the next call with the same
+    inputs, within ``_PLAN_BUDGET``; a call of more groups builds each
+    plan as it comes and lets it go.
     """
     key = (statistics, member.tobytes(), index.tobytes())
     plan = u._plans.get(key)
-    if plan is None:
-        plan = _Plan(member, index, statistics, u)
-        if plan.size <= _PLAN_BUDGET:
+    if plan is not None:
+        yield 0, plan
+        return
+    expansions = _expansions(statistics, u)
+    # each member's accumulator cells and terms; a term's arrays take
+    # about eight times a cell's eight bytes, so it counts as eight cells
+    cost = (8 * np.bincount(member, expansions.sizes[index])
+            + expansions.codes.size)
+    bounds = _packed(cost.astype(np.int64).tolist(), _GROUP_BUDGET)
+    starts = np.searchsorted(member, bounds).tolist()
+    for a, lo, hi in zip(bounds, starts, starts[1:]):
+        plan = _Plan(member[lo:hi] - a, index[lo:hi], lo, expansions)
+        if len(bounds) == 2 and plan.size <= _PLAN_BUDGET:
             plans = u._plans
             # the oldest plans give way first
             while plans and (sum(p.size for p in plans.values()) + plan.size
                              > _PLAN_BUDGET):
                 del plans[next(iter(plans))]
             plans[key] = plan
-    return plan
+        yield a, plan
 
 
 def _arms_error(u: MultiportUnitary) -> ValueError:
@@ -530,13 +610,14 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     # the spins, arm 0 first, are the bits of the basis index
     index = configs[:, 1::2] @ (1 << np.arange(u.n - 1, -1, -1))
     amplitudes = np.array(list(state.amplitudes.values()), dtype=complex)
-    plan = _plan(np.zeros_like(index), index, state.statistics, u)
-    re, im, kept, _ = plan.run(amplitudes, np.ones(1))
+    (_, plan), = _plans(np.zeros_like(index), index, state.statistics, u)
+    re, im, kept, _ = plan.run(amplitudes)
     kept = np.flatnonzero(kept)
     amplitudes = np.empty(kept.size, dtype=complex)
     amplitudes.real = re[kept]
     amplitudes.imag = im[kept]
-    configs = _configurations(plan.codes[kept], state.statistics, u.n)
+    codes = _expansions(state.statistics, u).codes[plan.index[kept]]
+    configs = _configurations(codes, state.statistics, u.n)
     return FockState(state.statistics, dict(zip(configs, amplitudes)))
 
 
@@ -582,12 +663,11 @@ def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
                         [len(state.amplitudes) for _, state in ensemble])
     # weight * abs(amp) ** 2, rounded as Python rounds it
     probabilities = weights * np.float_power(np.hypot(amp.real, amp.imag), 2.0)
-    # arm counts, coded as _Expansion codes them
-    counts = configs[:, 0::2] + configs[:, 1::2]
-    base = int(counts.sum(axis=1).max()) + 1
-    patterns = counts @ base ** np.arange(counts.shape[1], dtype=np.int64)
-    return _Arms(patterns, base, counts.shape[1]).count(
-        np.ones(amp.size, dtype=bool), probabilities)
+    labels, patterns = np.unique(configs[:, 0::2] + configs[:, 1::2],
+                                 axis=0, return_inverse=True)
+    tally = _Tally(list(map(tuple, labels.tolist())))
+    tally.add(patterns.ravel(), np.ones(amp.size, dtype=bool), probabilities)
+    return tally.distribution()
 
 
 def interfere(internal, statistics: Statistics | str,
@@ -613,6 +693,9 @@ def interfere(internal, statistics: Statistics | str,
     # the Fock states that the dict loop evolves
     member, index = np.nonzero(np.hypot(vectors.real, vectors.imag) > TOL)
     weights = np.array([weight for weight, _ in ensemble])
-    plan = _plan(member, index, statistics, u)
-    _, _, kept, probabilities = plan.run(vectors[member, index], weights)
-    return plan.arms.count(kept, probabilities)
+    amplitudes = vectors[member, index]
+    tally = _Tally(_expansions(statistics, u).labels)
+    for first, plan in _plans(member, index, statistics, u):
+        _, _, kept, squares = plan.run(amplitudes)
+        tally.add(plan.patterns, kept, weights[first:][plan.owner] * squares)
+    return tally.distribution()

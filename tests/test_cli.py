@@ -40,6 +40,19 @@ def test_reproduce_json_matches_the_benchmark_reference_bytes(capsys):
     assert out.encode("utf-8") == reference.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--n-max", "7", "--statistics", "fermion", "--format", "json"],
+    ["scan", "--n-max", "6", "--statistics", "boson", "--format", "json"]])
+def test_scan_rows_equal_the_benchmark_reference(argv, capsys):
+    reference = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference" / "reference.json")
+    expected = json.loads(reference.read_text())["cli"][" ".join(argv)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert {row["name"]: row["value"]
+            for row in json.loads(out)["results"]} == expected
+
+
 def test_reproduce_covers_every_headline_number(capsys):
     _, out, _ = run(["reproduce", "--format", "json"], capsys)
     rows = {r["name"]: r for r in json.loads(out)["results"]}

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import sys
 import tracemalloc
@@ -170,7 +171,7 @@ def test_the_expansion_memo_holds_one_entry_per_statistics():
             v = np.array([(mask >> i) & 1 for i in range(8)], dtype=float)
             interfere(v, stats, u)
     assert set(u._expansions) == {BOSON, FERMION}
-    assert all(len(e) == 2 ** 3 for e in u._expansions.values())
+    assert all(len(e.leaves) == 2 ** 3 for e in u._expansions.values())
 
 
 def test_the_plans_of_both_statistics_at_five_particles_stay_kept(monkeypatch):
@@ -660,14 +661,76 @@ def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
     configs = one_per_arm(n)
     expansions = multiport._expansions(stats, u)
     assert list(u._expansions) == [stats]
-    assert len(expansions) == len(configs)
-    for config, e in zip(configs, expansions):
-        kernel = list(zip(multiport._configurations(e.codes, stats, n),
-                          e.amplitudes))
+    assert len(expansions.leaves) == len(configs)
+    assert expansions.sizes.tolist() == [e.index.size
+                                         for e in expansions.leaves]
+    for config, e in zip(configs, expansions.leaves):
+        kernel = list(zip(multiport._configurations(
+            expansions.codes[e.index], stats, n), e.amplitudes))
         assert kernel == list(dict_expansion(config, stats, u).items())
-        assert e.patterns.tolist() == [
-            sum((c[2 * a] + c[2 * a + 1]) * (n + 1) ** a for a in range(n))
-            for c, _ in kernel]
+        assert [expansions.labels[p] for p in expansions.patterns[e.index]
+                ] == [tuple(c[2 * a] + c[2 * a + 1] for a in range(n))
+                      for c, _ in kernel]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_outputs_number_every_configuration_in_ascending_code(n):
+    for stats, cap in ((BOSON, n), (FERMION, 1)):
+        codes, patterns, labels = multiport._outputs(stats, n)
+        configs = sorted((c for c in itertools.product(range(cap + 1),
+                                                       repeat=2 * n)
+                          if sum(c) == n), key=lambda c: c[::-1])
+        assert len(configs) == (math.comb(3 * n - 1, n) if stats is BOSON
+                                else math.comb(2 * n, n))
+        assert multiport._configurations(codes, stats, n) == configs
+        assert len(set(labels)) == len(labels)
+        assert [labels[p] for p in patterns] == [
+            tuple(c[2 * a] + c[2 * a + 1] for a in range(n)) for c in configs]
+
+
+def test_streamed_plans_are_the_dict_loop_bit_for_bit(monkeypatch):
+    # a group budget of about three basis-state members: the mixed state
+    # runs in groups of several members, and each member of the random
+    # rank-3 state, larger than the budget, makes a group of its own
+    rng = np.random.default_rng(53)
+    groups = []
+
+    class Recorded(multiport._Plan):
+        def __init__(self, member, index, offset, expansions):
+            super().__init__(member, index, offset, expansions)
+            members = int(member[-1]) + 1
+            groups.append((members, 8 * self.size
+                           + members * expansions.codes.size))
+
+    monkeypatch.setattr(multiport, "_Plan", Recorded)
+    budget = multiport._GROUP_BUDGET
+    for stats in (BOSON, FERMION):
+        u = phased_dft(4, rng.uniform(0, 6, 4), rng.uniform(0, 6, 4))
+        expansions = multiport._expansions(stats, u)
+        small = 3 * (8 * int(expansions.sizes.max()) + expansions.codes.size)
+        for rho, alone in ((DensityMatrix(_random_state(4, 3, rng)), True),
+                           (maximally_mixed(4), False)):
+            oracle = list(dict_interfere(rho, stats, u).probabilities.items())
+            monkeypatch.setattr(multiport, "_GROUP_BUDGET", small)
+            groups.clear()
+            streamed = interfere(rho, stats, u)
+            assert len(groups) > 1
+            assert not u._plans
+            if alone:
+                assert all(m == 1 and cost > small for m, cost in groups)
+            else:
+                assert max(m for m, _ in groups) > 1
+            assert list(streamed.probabilities.items()) == oracle
+            # under the usual budget the call is one group and keeps its
+            # plan: the cold call and the warm one give the same bits
+            monkeypatch.setattr(multiport, "_GROUP_BUDGET", budget)
+            groups.clear()
+            cold = interfere(rho, stats, u)
+            warm = interfere(rho, stats, u)
+            assert len(groups) == 1 and len(u._plans) == 1
+            u._plans.clear()
+            assert list(cold.probabilities.items()) == oracle
+            assert list(warm.probabilities.items()) == oracle
 
 
 @st.composite
@@ -707,8 +770,27 @@ def test_expanding_every_configuration_stays_near_the_memo_in_memory(n, stats):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    memo = sum(a.nbytes for e in u._expansions[stats] for a in e)
+    expansions = u._expansions[stats]
+    memo = (expansions.codes.nbytes + expansions.patterns.nbytes
+            + sum(a.nbytes for e in expansions.leaves for a in e))
     assert peak - memo <= 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("n, stats", [(7, FERMION), (6, BOSON)])
+@pytest.mark.parametrize("state", [aligned_mixture, maximally_mixed])
+def test_interfere_stays_near_the_memo_in_memory(n, stats, state):
+    # the members run in groups of bounded size, one group after another:
+    # one plan over all members took 10-22 MB here
+    u = MultiportUnitary(dft_unitary(n).matrix)
+    multiport._expansions(stats, u)
+    rho = state(n)
+    tracemalloc.start()
+    try:
+        interfere(rho, stats, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2 ** 20
 
 
 # The pinched states have members confined to one excitation number, with
