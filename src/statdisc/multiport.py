@@ -14,18 +14,17 @@ unitary and multiplies the resulting operator polynomial out term by term.
 No permanent or determinant formulas anywhere.  The independent cross-check,
 explicit (anti)symmetrization of labeled particles, lives in the test suite.
 
-The kernel does this on numpy arrays of integer configuration codes, and
+The kernel does this on numpy arrays of numbered configurations, and
 performs the floating-point operations of the plain dict loop
 ``out[config] += term`` in that loop's order: the terms are listed as the
 loop visits them and ``np.bincount`` adds each configuration's terms one
-after the other from 0.0, in list order, or after a stable sort that
-groups equal keys.  Complex products are spelled out in real arithmetic,
-and moduli and squares are taken with ``np.hypot`` and ``np.float_power``,
-because numpy's vectorised complex product, ``abs`` and ``** 2`` round
-differently from the scalar operations the loop performed.  Every
-amplitude and probability, and the key order of every dict, is therefore
-the dict loop's bit for bit; that loop lives on in the test suite as an
-oracle.
+after the other from 0.0, in list order.  Complex products are spelled
+out in real arithmetic, and moduli and squares are taken with ``np.hypot``
+and ``np.float_power``, because numpy's vectorised complex product,
+``abs`` and ``** 2`` round differently from the scalar operations the
+loop performed.  Every amplitude and probability, and the key order of
+every dict, is therefore the dict loop's bit for bit; that loop lives on
+in the test suite as an oracle.
 
 The kernel takes the one input the package makes: n particles on the n
 arms, one per arm.  Bit i of a basis index of the n-qubit internal state,
@@ -42,12 +41,18 @@ share a node of a binary prefix tree: step t has 2**(t+1) nodes, node
 2p + s being node p of the step before with spin s, and each node's terms
 are computed once.  Each term carries its node, merge keys are node-major,
 and the terms of each node are listed, grouped and added as that
-configuration's own loop would, so the sharing changes no bit.  A step
-runs in chunks of whole nodes and about ``_CHUNK_TERMS`` creations, which
-bounds its transient memory.  The last step numbers its outputs among the
-n-particle configurations of the 2n modes, C(2n, n) for fermions and
-C(3n - 1, n) for bosons, and its chunks go to the memo one slice per
-configuration: a 4-byte output number and a 16-byte amplitude per output.
+configuration's own loop would, so the sharing changes no bit.  The
+k-particle configurations of the 2n modes are numbered in ascending code
+at each level k, and a term holds the number of its configuration; level
+n, C(2n, n) configurations for fermions and C(3n - 1, n) for bosons,
+numbers the outputs.  A step reads its creations from a table over
+(configuration number, spin), which lists arm by arm the number of the
+configuration made and the factor, and finds each key's first term on one
+accumulator cell per node and configuration, with no sort.  A step runs in
+chunks of whole nodes and about ``_CHUNK_TERMS`` creations, which bounds
+its transient memory, and the last step's chunks go to the memo one slice
+per configuration: a 4-byte output number and a 16-byte amplitude per
+output.
 
 An ensemble's members run in groups under one budget of accumulator
 cells and terms (``_Plan``), so a call holds the expansion memo and one
@@ -260,54 +265,68 @@ def _configurations(codes: np.ndarray, statistics: Statistics,
     return list(map(tuple, (codes[:, None] // place % base).tolist()))
 
 
-def _outputs(statistics: Statistics,
-             n: int) -> tuple[np.ndarray, np.ndarray, list[Pattern]]:
-    """The codes, patterns and labels of ``_Expansions``: C(2n, n)
+def _levels(statistics: Statistics,
+            n: int) -> tuple[list[np.ndarray], np.ndarray, list[Pattern]]:
+    """The codes of the k-particle configurations of the 2n modes for each
+    k from 0 to n, in ascending code, and the patterns and labels of
+    ``_Expansions``, whose codes are those of level n: C(2n, n)
     configurations for fermions, C(3n - 1, n) for bosons."""
     base, place = _place_values(statistics, n)
     cap = base - 1
     # fill the modes from the highest down; each partial configuration is
-    # followed by its occupations of the next mode in ascending order, which
-    # keeps the codes ascending, and takes only those the modes below it
-    # can complete to n particles
+    # followed by its occupations of the next mode in ascending order, up
+    # to n particles in all, which keeps the codes ascending
     codes = patterns = held = np.zeros(1, dtype=np.int64)
     for m in range(2 * n - 1, -1, -1):
-        low = np.maximum(n - held - cap * m, 0)
-        choices = np.minimum(n - held, cap) - low + 1
+        choices = np.minimum(n - held, cap) + 1
         parent = np.repeat(np.arange(codes.size), choices)
-        occupation = np.arange(parent.size) + np.repeat(
-            low - (np.cumsum(choices) - choices), choices)
+        occupation = np.arange(parent.size) - np.repeat(
+            np.cumsum(choices) - choices, choices)
         codes = codes[parent] + occupation * place[m]
         # arm counts coded as digits, base n + 1, lowest digit arm 0
         patterns = patterns[parent] + occupation * (n + 1) ** (m // 2)
         held = held[parent] + occupation
-    numbers, patterns = np.unique(patterns, return_inverse=True)
+    levels = [codes[held == k] for k in range(n + 1)]
+    numbers, patterns = np.unique(patterns[held == n], return_inverse=True)
     digits = numbers[:, None] // (n + 1) ** np.arange(n) % (n + 1)
-    return codes, patterns, list(map(tuple, digits.tolist()))
+    return levels, patterns, list(map(tuple, digits.tolist()))
 
 
-def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort equal keys together, each run of them in input order.
+def _creations(statistics: Statistics, n: int, codes: np.ndarray,
+               following: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The creation operators on the configurations of one level of
+    ``_levels``, whose codes are ``codes``, as a table with a row 2j + s
+    for configuration number j and spin s.
 
-    Returns the stable sorting permutation, the run of every sorted key
-    and the sorted position where each run starts.  ``np.bincount(group,
-    terms[perm])`` then adds each key's terms in input order, one after
-    the other from 0.0, as the dict loop ``out[key] += term`` does, and
-    ``argsort(perm[starts])`` lists the runs in that dict's key order.
+    Row 2j + s holds one entry for each arm, in ascending order, whose mode
+    2 * arm + s can take one more particle: the arm, the number of the
+    configuration the creation makes, which is its position in
+    ``following``, the codes of the next level, and the creation's factor.
+    Returns where each row starts, and where the last one ends, then the
+    arms (int8), numbers (int32) and factors of the entries.
     """
-    size = keys.size
-    # numpy's stable argsort is a merge sort and its plain sort is
-    # vectorised: where it fits int64, sort each key with its input
-    # position below it, which puts equal keys in input order
-    if size and keys.max() < (2 ** 63 - size) // size:
-        ordered, perm = np.divmod(np.sort(keys * size + np.arange(size)), size)
+    base, place = _place_values(statistics, n)
+    # dest[s, arm] is the place value of mode 2 * arm + s
+    dest = place.reshape(-1, 2).T
+    if statistics is Statistics.FERMION:
+        # only free modes are created into
+        row, arm = np.nonzero(((codes[:, None, None] & dest) == 0)
+                              .reshape(-1, n))
     else:
-        perm = np.argsort(keys, kind="stable")
-        ordered = keys[perm]
-    new = np.empty(size, dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    return perm, np.cumsum(new) - 1, np.flatnonzero(new)
+        row, arm = np.divmod(np.arange(codes.size * 2 * n), n)
+    held, d = codes[row >> 1], dest[row & 1, arm]
+    if statistics is Statistics.FERMION:
+        # the sign (-1) ** (number of occupied modes below)
+        factor = 1.0 - 2.0 * (np.bitwise_count(held & (d - 1)) & 1)
+    else:
+        factor = np.sqrt(held // d % base + 1.0)
+    # a creation never lands in an occupied fermion mode and a boson digit
+    # of base n + 1 cannot overflow below level n, so every configuration
+    # made is one of the next level
+    number = np.searchsorted(following, held + d).astype(np.int32)
+    first = np.zeros(2 * codes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=2 * codes.size), out=first[1:])
+    return first, arm.astype(np.int8), number, factor
 
 
 def _packed(sizes: list[int], budget: int) -> list[int]:
@@ -326,11 +345,9 @@ def _packed(sizes: list[int], budget: int) -> list[int]:
 # Creations per chunk of one expansion step, at most about this many: a
 # chunk holds whole nodes, so a node with more makes a chunk of its own.
 # On a 2-core Xeon, expanding the 2**n one-per-arm configurations of 7
-# fermions or 6 bosons took as long with 2**11 to 2**13 and needed 0.9 and
-# 1.5 MB beyond the memo at 2**13 (2**14: 10% faster, 1.7 and 2.9 MB).
-# One chunk per step took 25-55% longer and needed 64 and 58 MB, and it
-# raised the peak RSS of aligned and mixed calls up to those sizes from
-# 56 to 111 MB (fermions) and from 64 to 103 MB (bosons).
+# fermions or 6 bosons needed 1.0 and 2.0 MB beyond the memo at 2**13;
+# 2**14 took 5-10% less time and needed 1.6 and 2.9 MB, and 2**11 took up
+# to 20% more.  One chunk per step took 25-30% longer and needed 43 MB.
 _CHUNK_TERMS = 1 << 13
 
 
@@ -346,27 +363,20 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     if statistics in memo:
         return memo[statistics]
     n = u.n
-    base, place = _place_values(statistics, n)
-    numbered, patterns, labels = _outputs(statistics, n)
-    # by the mode m a creation substitutes and the arm it goes to, at
-    # m * n + arm when flat: the place value of the mode created into, and
-    # the unitary's entry
-    by_mode = np.arange(2 * n)
-    dest = place.reshape(-1, 2).T[by_mode % 2]
-    entry = u.matrix[by_mode // 2].ravel()
-    entry_re, entry_im = entry.real.copy(), entry.imag.copy()
-    # node-major merge keys: a chunk holds at most _CHUNK_TERMS / n nodes
-    # (or one), and codes stay below span <= 9**16 < 2**51, so the keys
-    # stay inside int64
-    span = base * int(place[-1])
+    levels, patterns, labels = _levels(statistics, n)
     # |config> = prod(creations, ascending) applied to the vacuum: step t
     # creates the particle of arm n - 1 - t, and node 2p + s of step t is
     # node p of step t - 1 with spin s; the root holds the vacuum
-    # each chunk of a level: codes and amplitudes of its terms, node-major,
-    # and the number of terms of each of its nodes
-    level = [(np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex),
+    # each chunk of a level: the configuration numbers and amplitudes of
+    # its terms, node-major, and the number of terms of each of its nodes
+    level = [(np.zeros(1, dtype=np.int32), np.ones(1, dtype=complex),
               np.ones(1, dtype=np.int64))]
     for step in range(n):
+        first, arms, numbers, factors = _creations(
+            statistics, n, levels[step], levels[step + 1])
+        width = levels[step + 1].size
+        entry = u.matrix[n - 1 - step]
+        entry_re, entry_im = entry.real.copy(), entry.imag.copy()
         sizes = np.concatenate([c[2] for c in level])
         # the chunk of each node, and the level's first term of each chunk
         in_chunk = np.repeat(np.arange(len(level)),
@@ -374,7 +384,6 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
         chunk_from = np.cumsum([0] + [c[0].size for c in level])
         children = np.arange(2 ** (step + 1))
         parent = children >> 1
-        mode = 2 * (n - 1 - step) + (children & 1)
         held_from = (np.cumsum(sizes) - sizes)[parent]
         held_sizes = sizes[parent]
         bounds = _packed((held_sizes * n).tolist(), _CHUNK_TERMS)
@@ -384,56 +393,47 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             # reads the ones before them, so those are let go
             lo, hi = in_chunk[parent[a]], in_chunk[parent[b - 1]] + 1
             previous[:lo] = [None] * lo
-            codes, amplitudes = (np.concatenate(f) for f in zip(
+            held, amplitudes = (np.concatenate(f) for f in zip(
                 *(c[:2] for c in previous[lo:hi])))
             # each node's parent's terms, each created into mode
-            # 2 * arm + spin for every arm, term-major, arm-minor, as
-            # the node's own loop visits them
+            # 2 * arm + spin for every arm the table allows, term-major,
+            # arm-minor, as the node's own loop visits them
             n_held = held_sizes[a:b]
             owner = np.repeat(np.arange(b - a), n_held)
             src = np.arange(owner.size) + np.repeat(
                 held_from[a:b] - chunk_from[lo]
                 - (np.cumsum(n_held) - n_held), n_held)
-            m = mode[a:b][owner]
-            if statistics is Statistics.FERMION:
-                # only free modes are created into
-                term, arm = np.nonzero((codes[src, None] & dest[m]) == 0)
-            else:
-                term, arm = np.divmod(np.arange(owner.size * n), n)
-            held_at = src[term]
-            k = m[term] * n + arm
-            held, d = codes[held_at], dest.ravel()[k]
-            amp, u_re, u_im = amplitudes[held_at], entry_re[k], entry_im[k]
+            row = 2 * held[src] + (children[a:b] & 1)[owner]
+            count = first[row + 1] - first[row]
+            at = np.arange(count.sum()) + np.repeat(
+                first[row] - (np.cumsum(count) - count), count)
+            amp = amplitudes[np.repeat(src, count)]
+            arm = arms[at]
+            u_re, u_im = entry_re[arm], entry_im[arm]
             # amp * entry, rounded as numpy rounds a scalar complex
             # product
             term_re = amp.real * u_re - amp.imag * u_im
             term_im = amp.real * u_im + amp.imag * u_re
-            if statistics is Statistics.FERMION:
-                # the sign (-1) ** (number of occupied modes below)
-                factor = 1.0 - 2.0 * (np.bitwise_count(held & (d - 1)) & 1)
-            else:
-                factor = np.sqrt(held // d % base + 1.0)
+            factor = factors[at]
             term_re *= factor
             term_im *= factor
-            created = held + d
-            owner = owner[term]
-            perm, group, firsts = _groups(owner * span + created)
-            order = np.argsort(perm[firsts])
-            first = perm[firsts[order]]
-            amp = np.empty(first.size, dtype=complex)
-            amp.real = np.bincount(group, term_re[perm])[order]
-            amp.imag = np.bincount(group, term_im[perm])[order]
-            if step < n - 1:
-                created = created[first]
-            else:
-                # a creation never lands in an occupied fermion mode and a
-                # boson digit of base n + 1 cannot overflow, so every
-                # output holds n particles: number it, looking up each
-                # node's outputs in ascending order, as they are sorted
-                created = np.searchsorted(
-                    numbered, created[perm[firsts]])[order].astype(np.int32)
-            level.append((created, amp,
-                          np.bincount(owner[first], minlength=b - a)))
+            # each key's first term, with no sort: one accumulator cell
+            # per node and configuration
+            key = np.repeat(owner * width, count) + numbers[at]
+            terms = np.arange(key.size)
+            cell = np.full((b - a) * width, key.size)
+            np.minimum.at(cell, key, terms)
+            merged = key[cell[key] == terms]
+            cell[merged] = np.arange(merged.size)
+            group = cell[key]
+            amp = np.empty(merged.size, dtype=complex)
+            amp.real = np.bincount(group, term_re)
+            amp.imag = np.bincount(group, term_im)
+            node, number = np.divmod(merged, width)
+            level.append((number.astype(np.int32), amp,
+                          np.bincount(node, minlength=b - a)))
+        # the table is let go before the next step builds its own
+        del first, arms, numbers, factors
     # each leaf is one configuration and takes its slice of the last
     # level's chunk
     leaves = []
@@ -447,7 +447,7 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     # n - 1 - i: the leaves come in bit-reversed basis-index order
     leaves = [leaves[int(f"{i:0{n}b}"[::-1], 2)] for i in range(2 ** n)]
     memo[statistics] = _Expansions(
-        numbered, patterns, labels, leaves,
+        levels[n], patterns, labels, leaves,
         np.array([leaf.index.size for leaf in leaves]))
     return memo[statistics]
 

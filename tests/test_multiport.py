@@ -635,57 +635,90 @@ def test_oracle_matches_fock_evolution_on_mixed_states():
 
 # --------------------------------------------------------- dict-loop oracle
 
-@pytest.mark.parametrize("high", [50, 2 ** 62])
-def test_groups_are_the_stable_sort(high):
-    # small keys take the tagged plain sort, keys near 2**63 the stable
-    # argsort; both must order equal keys by input position
-    rng = np.random.default_rng(high % 1000)
-    for size in (1, 2, 7, 1000):
-        keys = rng.choice(rng.integers(0, high, 20), size)
-        perm, group, starts = multiport._groups(keys)
-        assert perm.tolist() == np.argsort(keys, kind="stable").tolist()
-        ordered = keys[perm]
-        assert (np.diff(group) == (ordered[1:] != ordered[:-1])).all()
-        assert starts.tolist() == np.flatnonzero(
-            np.r_[True, ordered[1:] != ordered[:-1]]).tolist()
-
-
 @pytest.mark.parametrize("n, stats", [(n, stats) for n in range(1, 7)
                                       for stats in (BOSON, FERMION)]
                          + [(7, FERMION)])
 def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
     # same output configurations in the same order, same amplitudes by ==;
     # all 2**n configurations, expanded together on a fresh memo so that
-    # they share their creation prefixes, listed by basis index
-    u = MultiportUnitary(dft_unitary(n).matrix)
+    # they share their creation prefixes, listed by basis index.  The DFT
+    # is symmetric, u[a, b] == u[b, a], so up to six particles a phased DFT
+    # also runs, which tells the input arm from the output arm.
+    rng = np.random.default_rng(n)
+    unitaries = [MultiportUnitary(dft_unitary(n).matrix)]
+    if n <= 6:
+        unitaries.append(phased_dft(n, rng.uniform(0, 6, n),
+                                    rng.uniform(0, 6, n)))
     configs = one_per_arm(n)
-    expansions = multiport._expansions(stats, u)
-    assert list(u._expansions) == [stats]
-    assert len(expansions.leaves) == len(configs)
-    assert expansions.sizes.tolist() == [e.index.size
-                                         for e in expansions.leaves]
-    for config, e in zip(configs, expansions.leaves):
-        kernel = list(zip(multiport._configurations(
-            expansions.codes[e.index], stats, n), e.amplitudes))
-        assert kernel == list(dict_expansion(config, stats, u).items())
-        assert [expansions.labels[p] for p in expansions.patterns[e.index]
-                ] == [tuple(c[2 * a] + c[2 * a + 1] for a in range(n))
-                      for c, _ in kernel]
+    for u in unitaries:
+        expansions = multiport._expansions(stats, u)
+        assert list(u._expansions) == [stats]
+        assert len(expansions.leaves) == len(configs)
+        assert expansions.sizes.tolist() == [e.index.size
+                                             for e in expansions.leaves]
+        for config, e in zip(configs, expansions.leaves):
+            kernel = list(zip(multiport._configurations(
+                expansions.codes[e.index], stats, n), e.amplitudes))
+            assert kernel == list(dict_expansion(config, stats, u).items())
+            assert [expansions.labels[p]
+                    for p in expansions.patterns[e.index]] == [
+                tuple(c[2 * a] + c[2 * a + 1] for a in range(n))
+                for c, _ in kernel]
+
+
+def _level(stats, n, k):
+    """The k-particle configurations of the 2n modes in ascending code."""
+    cap = 1 if stats is FERMION else k
+    return sorted((c for c in itertools.product(range(cap + 1),
+                                                repeat=2 * n)
+                   if sum(c) == k), key=lambda c: c[::-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_outputs_number_every_configuration_in_ascending_code(n):
-    for stats, cap in ((BOSON, n), (FERMION, 1)):
-        codes, patterns, labels = multiport._outputs(stats, n)
-        configs = sorted((c for c in itertools.product(range(cap + 1),
-                                                       repeat=2 * n)
-                          if sum(c) == n), key=lambda c: c[::-1])
+    for stats in (BOSON, FERMION):
+        levels, patterns, labels = multiport._levels(stats, n)
+        assert len(levels) == n + 1
+        for k, codes in enumerate(levels):
+            assert (multiport._configurations(codes, stats, n)
+                    == _level(stats, n, k))
+        configs = _level(stats, n, n)
         assert len(configs) == (math.comb(3 * n - 1, n) if stats is BOSON
                                 else math.comb(2 * n, n))
-        assert multiport._configurations(codes, stats, n) == configs
         assert len(set(labels)) == len(labels)
         assert [labels[p] for p in patterns] == [
             tuple(c[2 * a] + c[2 * a + 1] for a in range(n)) for c in configs]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_transition_tables_are_the_creation_operators(n):
+    # row 2j + s of level k holds, arm by arm in ascending order, each
+    # creation into mode 2 * arm + s that the statistics allows (a fermion
+    # row omits exactly the occupied modes), the number at level k + 1 of
+    # the configuration made and the factor: (-1) ** (occupied modes
+    # below) for fermions, sqrt(occ + 1) for bosons
+    for stats in (BOSON, FERMION):
+        levels, _, _ = multiport._levels(stats, n)
+        for k in range(n):
+            configs, made = _level(stats, n, k), _level(stats, n, k + 1)
+            first, arms, numbers, factors = multiport._creations(
+                stats, n, levels[k], levels[k + 1])
+            assert first[-1] == arms.size == numbers.size == factors.size
+            assert numbers.dtype == np.int32
+            for j, c in enumerate(configs):
+                for spin in (0, 1):
+                    row = slice(first[2 * j + spin], first[2 * j + spin + 1])
+                    expected = []
+                    for arm in range(n):
+                        mode = 2 * arm + spin
+                        if stats is FERMION and c[mode]:
+                            continue
+                        factor = ((-1.0) ** sum(c[:mode]) if stats is FERMION
+                                  else math.sqrt(c[mode] + 1.0))
+                        created = c[:mode] + (c[mode] + 1,) + c[mode + 1:]
+                        expected.append((arm, made.index(created), factor))
+                    assert list(zip(arms[row].tolist(), numbers[row].tolist(),
+                                    factors[row].tolist())) == expected
 
 
 def test_streamed_plans_are_the_dict_loop_bit_for_bit(monkeypatch):
