@@ -38,21 +38,23 @@ step for all of them at a time.  A configuration's creations act on the
 vacuum in descending mode order, so step t creates the particle of arm
 n - 1 - t, and the configurations that agree on the spins created so far
 share a node of a binary prefix tree: step t has 2**(t+1) nodes, node
-2p + s being node p of the step before with spin s, and each node's terms
-are computed once.  Each term carries its node, merge keys are node-major,
-and the terms of each node are listed, grouped and added as that
-configuration's own loop would, so the sharing changes no bit.  The
-k-particle configurations of the 2n modes are numbered in ascending code
-at each level k, and a term holds the number of its configuration; level
-n, C(2n, n) configurations for fermions and C(3n - 1, n) for bosons,
-numbers the outputs.  A step reads its creations from a table over
-(configuration number, spin), which lists arm by arm the number of the
-configuration made and the factor, and finds each key's first term on one
-accumulator cell per node and configuration, with no sort.  A step runs in
-chunks of whole nodes and about ``_CHUNK_TERMS`` creations, which bounds
-its transient memory, and the last step's chunks go to the memo one slice
-per configuration: a 4-byte output number and a 16-byte amplitude per
-output.
+p + s * 2**t being node p of the step before with spin s, so the last
+step's nodes are the basis indices, in order.  Each node's terms are
+computed once, merge keys are node-major, and the terms of each node are
+listed, grouped and added as that configuration's own loop would, so the
+sharing changes no bit.  The k-particle configurations of the 2n modes
+are numbered in ascending code at each level k, and a term holds the
+number of its configuration; level n, C(2n, n) configurations for
+fermions and C(3n - 1, n) for bosons, numbers the outputs.  A step reads
+its creations from a table over (configuration number, spin), which lists
+arm by arm the number of the configuration made and the factor, and finds
+each key's first term on one accumulator cell per node and configuration,
+with no sort.  A node's outputs are the configurations of its particles
+with as many in spin 1 as it has set bits, a closed-form count, so each
+step's arrays are allocated whole and filled in chunks of whole nodes and
+about ``_CHUNK_TERMS`` creations, which bounds the transient memory.  The
+last step's arrays are the memo: a 4-byte output number and a 16-byte
+amplitude per output, one slice per basis index.
 
 An ensemble's members run in groups under one budget of accumulator
 cells and terms (``_Plan``), so a call holds the expansion memo and one
@@ -213,20 +215,6 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
     return ensemble
 
 
-class _Expansion(NamedTuple):
-    """What the multiport does to one unit-amplitude input configuration
-    of n particles, one per arm.
-
-    Output ``i`` is the configuration numbered ``index[i]`` (see
-    ``_Expansions``) with amplitude ``amplitudes[i]``.  The arrays are
-    read-only slices of the arrays of the expansion step that made them,
-    shared with the other configurations of that step's chunk.
-    """
-
-    index: np.ndarray
-    amplitudes: np.ndarray
-
-
 class _Expansions(NamedTuple):
     """What the multiport does to each of the 2**n one-per-arm input
     configurations, for one statistics.
@@ -234,14 +222,19 @@ class _Expansions(NamedTuple):
     The n-particle configurations of the 2n modes are numbered in
     ascending code (see ``_place_values``): number j has code ``codes[j]``
     and the arm-count pattern numbered ``patterns[j]``, whose arm counts
-    are ``labels[patterns[j]]``.  ``leaves[i]`` is the expansion of basis
-    index i (see the module docstring), with ``sizes[i]`` outputs.
+    are ``labels[patterns[j]]``.  The expansion of basis index i (see the
+    module docstring) is the slice ``offsets[i]:offsets[i + 1]``, of
+    ``sizes[i]`` outputs, of the read-only arrays ``index`` and
+    ``amplitudes``: output number ``index[o]`` with amplitude
+    ``amplitudes[o]``.  The slices tile both arrays in basis-index order.
     """
 
     codes: np.ndarray
     patterns: np.ndarray
     labels: list[Pattern]
-    leaves: list[_Expansion]
+    index: np.ndarray
+    amplitudes: np.ndarray
+    offsets: np.ndarray
     sizes: np.ndarray
 
 
@@ -265,6 +258,25 @@ def _configurations(codes: np.ndarray, statistics: Statistics,
     return list(map(tuple, (codes[:, None] // place % base).tolist()))
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``start, ..., start + length - 1`` of each start and
+    length, one after the other."""
+    return np.arange(lengths.sum()) + np.repeat(
+        starts - (np.cumsum(lengths) - lengths), lengths)
+
+
+def _first_seen(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``key``, each below ``cells``, in the order of
+    their first appearance, and the number of each key's value in that
+    order: one accumulator cell per value, with no sort."""
+    terms = np.arange(key.size)
+    cell = np.full(cells, key.size)
+    np.minimum.at(cell, key, terms)
+    merged = key[cell[key] == terms]
+    cell[merged] = np.arange(merged.size)
+    return merged, cell[key]
+
+
 def _levels(statistics: Statistics,
             n: int) -> tuple[list[np.ndarray], np.ndarray, list[Pattern]]:
     """The codes of the k-particle configurations of the 2n modes for each
@@ -280,8 +292,7 @@ def _levels(statistics: Statistics,
     for m in range(2 * n - 1, -1, -1):
         choices = np.minimum(n - held, cap) + 1
         parent = np.repeat(np.arange(codes.size), choices)
-        occupation = np.arange(parent.size) - np.repeat(
-            np.cumsum(choices) - choices, choices)
+        occupation = _ranges(np.zeros_like(choices), choices)
         codes = codes[parent] + occupation * place[m]
         # arm counts coded as digits, base n + 1, lowest digit arm 0
         patterns = patterns[parent] + occupation * (n + 1) ** (m // 2)
@@ -329,6 +340,17 @@ def _creations(statistics: Statistics, n: int, codes: np.ndarray,
     return first, arm.astype(np.int8), number, factor
 
 
+def _output_counts(statistics: Statistics, n: int, m: int) -> np.ndarray:
+    """How many configurations of m particles on the 2n modes hold k of them
+    in spin 1, for k = 0 to m: the ways to put k particles on the n spin-1
+    modes times the ways to put m - k on the n spin-0 modes, C(n, j) ways
+    for j fermions and C(n + j - 1, j) for j bosons."""
+    fermion = statistics is Statistics.FERMION
+    ways = [math.comb(n, j) if fermion else math.comb(n + j - 1, j)
+            for j in range(m + 1)]
+    return np.array([ways[k] * ways[m - k] for k in range(m + 1)])
+
+
 def _packed(sizes: list[int], budget: int) -> list[int]:
     """Bounds of consecutive runs of items whose sizes add up to at most
     ``budget``; an item larger than that makes a run of its own."""
@@ -345,9 +367,9 @@ def _packed(sizes: list[int], budget: int) -> list[int]:
 # Creations per chunk of one expansion step, at most about this many: a
 # chunk holds whole nodes, so a node with more makes a chunk of its own.
 # On a 2-core Xeon, expanding the 2**n one-per-arm configurations of 7
-# fermions or 6 bosons needed 1.0 and 2.0 MB beyond the memo at 2**13;
-# 2**14 took 5-10% less time and needed 1.6 and 2.9 MB, and 2**11 took up
-# to 20% more.  One chunk per step took 25-30% longer and needed 43 MB.
+# fermions or 6 bosons needed 2.0 and 2.5 MB beyond the memo at 2**13;
+# 2**14 took 5-10% less time and needed 2.8 and 3.3 MB, and 2**11-2**12
+# took 8-15% more.  One chunk per step took 45-50% longer and 43 MB.
 _CHUNK_TERMS = 1 << 13
 
 
@@ -365,49 +387,40 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     n = u.n
     levels, patterns, labels = _levels(statistics, n)
     # |config> = prod(creations, ascending) applied to the vacuum: step t
-    # creates the particle of arm n - 1 - t, and node 2p + s of step t is
-    # node p of step t - 1 with spin s; the root holds the vacuum
-    # each chunk of a level: the configuration numbers and amplitudes of
-    # its terms, node-major, and the number of terms of each of its nodes
-    level = [(np.zeros(1, dtype=np.int32), np.ones(1, dtype=complex),
-              np.ones(1, dtype=np.int64))]
+    # creates the particle of arm n - 1 - t, and node p + s * 2**t of step t
+    # is node p of step t - 1 with spin s; the root holds the vacuum.  A
+    # level holds the configuration numbers and amplitudes of its nodes'
+    # outputs, node by node, node i at offsets[i]:offsets[i + 1]
+    index, amplitudes = np.zeros(1, dtype=np.int32), np.ones(1, dtype=complex)
+    offsets, sizes = np.array([0, 1]), np.ones(1, dtype=np.int64)
     for step in range(n):
         first, arms, numbers, factors = _creations(
             statistics, n, levels[step], levels[step + 1])
         width = levels[step + 1].size
         entry = u.matrix[n - 1 - step]
         entry_re, entry_im = entry.real.copy(), entry.imag.copy()
-        sizes = np.concatenate([c[2] for c in level])
-        # the chunk of each node, and the level's first term of each chunk
-        in_chunk = np.repeat(np.arange(len(level)),
-                             [c[2].size for c in level])
-        chunk_from = np.cumsum([0] + [c[0].size for c in level])
         children = np.arange(2 ** (step + 1))
-        parent = children >> 1
-        held_from = (np.cumsum(sizes) - sizes)[parent]
-        held_sizes = sizes[parent]
+        parent, spin = children % 2 ** step, children >> step
+        held_from, held_sizes = offsets[parent], sizes[parent]
+        held, held_amplitudes = index, amplitudes
+        # a node holds step + 1 particles, as many in spin 1 as its bits
+        sizes = _output_counts(statistics, n, step + 1)[
+            np.bitwise_count(children)]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        index = np.empty(offsets[-1], dtype=np.int32)
+        amplitudes = np.empty(offsets[-1], dtype=complex)
         bounds = _packed((held_sizes * n).tolist(), _CHUNK_TERMS)
-        previous, level = level, []
         for a, b in zip(bounds, bounds[1:]):
-            # the chunks that hold these nodes' parents; no later chunk
-            # reads the ones before them, so those are let go
-            lo, hi = in_chunk[parent[a]], in_chunk[parent[b - 1]] + 1
-            previous[:lo] = [None] * lo
-            held, amplitudes = (np.concatenate(f) for f in zip(
-                *(c[:2] for c in previous[lo:hi])))
             # each node's parent's terms, each created into mode
             # 2 * arm + spin for every arm the table allows, term-major,
             # arm-minor, as the node's own loop visits them
             n_held = held_sizes[a:b]
             owner = np.repeat(np.arange(b - a), n_held)
-            src = np.arange(owner.size) + np.repeat(
-                held_from[a:b] - chunk_from[lo]
-                - (np.cumsum(n_held) - n_held), n_held)
-            row = 2 * held[src] + (children[a:b] & 1)[owner]
+            src = _ranges(held_from[a:b], n_held)
+            row = 2 * held[src] + spin[a:b][owner]
             count = first[row + 1] - first[row]
-            at = np.arange(count.sum()) + np.repeat(
-                first[row] - (np.cumsum(count) - count), count)
-            amp = amplitudes[np.repeat(src, count)]
+            at = _ranges(first[row], count)
+            amp = held_amplitudes[np.repeat(src, count)]
             arm = arms[at]
             u_re, u_im = entry_re[arm], entry_im[arm]
             # amp * entry, rounded as numpy rounds a scalar complex
@@ -417,38 +430,25 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             factor = factors[at]
             term_re *= factor
             term_im *= factor
-            # each key's first term, with no sort: one accumulator cell
-            # per node and configuration
-            key = np.repeat(owner * width, count) + numbers[at]
-            terms = np.arange(key.size)
-            cell = np.full((b - a) * width, key.size)
-            np.minimum.at(cell, key, terms)
-            merged = key[cell[key] == terms]
-            cell[merged] = np.arange(merged.size)
-            group = cell[key]
-            amp = np.empty(merged.size, dtype=complex)
-            amp.real = np.bincount(group, term_re)
-            amp.imag = np.bincount(group, term_im)
-            node, number = np.divmod(merged, width)
-            level.append((number.astype(np.int32), amp,
-                          np.bincount(node, minlength=b - a)))
-        # the table is let go before the next step builds its own
-        del first, arms, numbers, factors
-    # each leaf is one configuration and takes its slice of the last
-    # level's chunk
-    leaves = []
-    for index, amplitudes, sizes in level:
-        for array in (index, amplitudes):
-            array.setflags(write=False)
-        ends = np.cumsum(sizes).tolist()
-        leaves += [_Expansion(index[begin:end], amplitudes[begin:end])
-                   for begin, end in zip([0] + ends[:-1], ends)]
-    # a leaf's number holds the spin of arm i in bit i, a basis index in bit
-    # n - 1 - i: the leaves come in bit-reversed basis-index order
-    leaves = [leaves[int(f"{i:0{n}b}"[::-1], 2)] for i in range(2 ** n)]
-    memo[statistics] = _Expansions(
-        levels[n], patterns, labels, leaves,
-        np.array([leaf.index.size for leaf in leaves]))
+            # a key per node and configuration, each node's in the order
+            # its loop first meets them, so node by node
+            merged, group = _first_seen(
+                np.repeat(owner * width, count) + numbers[at], (b - a) * width)
+            lo, hi = offsets[a], offsets[b]
+            if merged.size != hi - lo:
+                raise RuntimeError(f"expansion step {step} made {merged.size} "
+                                   f"outputs, not the closed form's {hi - lo}")
+            index[lo:hi] = merged % width
+            amplitudes.real[lo:hi] = np.bincount(group, term_re)
+            amplitudes.imag[lo:hi] = np.bincount(group, term_im)
+        # the table and the parent level are let go before the next step
+        del first, arms, numbers, factors, held, held_amplitudes
+    # bit t of a last-step node is the spin of arm n - 1 - t, as it is of
+    # a basis index: the nodes come in basis-index order
+    for array in (index, amplitudes, offsets, sizes):
+        array.setflags(write=False)
+    memo[statistics] = _Expansions(levels[n], patterns, labels, index,
+                                   amplitudes, offsets, sizes)
     return memo[statistics]
 
 
@@ -501,30 +501,26 @@ class _Plan:
 
     def __init__(self, member: np.ndarray, index: np.ndarray, offset: int,
                  expansions: _Expansions):
-        leaves = [expansions.leaves[i] for i in index.tolist()]
         lengths = expansions.sizes[index]
-        self.size = int(lengths.sum())
+        at = _ranges(expansions.offsets[index], lengths)
+        self.size = at.size
         self.term = np.repeat(np.arange(offset, offset + index.size), lengths)
-        self.out_re = np.concatenate([e.amplitudes.real for e in leaves])
-        self.out_im = np.concatenate([e.amplitudes.imag for e in leaves])
+        self.out_re = expansions.amplitudes.real[at]
+        self.out_im = expansions.amplitudes.imag[at]
         outputs = expansions.codes.size
         key = np.repeat(member * outputs, lengths)
-        key += np.concatenate([e.index for e in leaves])
-        # each key's first term, with no sort: one accumulator cell per
-        # member and output
-        terms = np.arange(self.size)
-        cell = np.full((member[-1] + 1) * outputs, self.size)
-        np.minimum.at(cell, key, terms)
-        merged = key[cell[key] == terms]
-        cell[merged] = np.arange(merged.size)
-        self.group = cell[key]
+        key += expansions.index[at]
+        del at  # let go before the merge, the plan's peak
+        # one accumulator cell per member and output
+        merged, self.group = _first_seen(key, (member[-1] + 1) * outputs)
         self.owner, self.index = np.divmod(merged, outputs)
         self.patterns = expansions.patterns[self.index]
 
     def run(self, amplitudes: np.ndarray):
-        """Merged output amplitudes (re, im) of the planned inputs, given
-        the amplitudes of all inputs of the call, which of them stay above
-        ``TOL``, and abs(amp) ** 2 of each, 0.0 if dropped."""
+        """Run the plan on ``amplitudes``, the amplitudes of all inputs of
+        the call.  Returns (re, im, kept, squares) of the merged outputs:
+        each one's amplitude, whether it stays above ``TOL``, and its
+        abs(amp) ** 2, 0.0 if dropped."""
         a = amplitudes[self.term]
         # amp * a, rounded as numpy rounds a scalar complex product, and
         # each merged output's terms added in the loop's order from 0.0

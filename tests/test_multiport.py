@@ -163,15 +163,15 @@ def test_kept_plans_stay_within_their_budget(monkeypatch):
 
 def test_the_expansion_memo_holds_one_entry_per_statistics():
     # every subset of the eight basis states, for both statistics: the memo
-    # keeps one list of all 2**3 expansions per statistics, whatever the
-    # supports met
+    # keeps the expansions of all 2**3 basis indices per statistics,
+    # whatever the supports met
     u = phased_dft(3, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
     for stats in (BOSON, FERMION):
         for mask in range(1, 2 ** 8):
             v = np.array([(mask >> i) & 1 for i in range(8)], dtype=float)
             interfere(v, stats, u)
     assert set(u._expansions) == {BOSON, FERMION}
-    assert all(len(e.leaves) == 2 ** 3 for e in u._expansions.values())
+    assert all(e.sizes.size == 2 ** 3 for e in u._expansions.values())
 
 
 def test_the_plans_of_both_statistics_at_five_particles_stay_kept(monkeypatch):
@@ -653,15 +653,16 @@ def test_expansions_are_the_dict_loop_bit_for_bit(n, stats):
     for u in unitaries:
         expansions = multiport._expansions(stats, u)
         assert list(u._expansions) == [stats]
-        assert len(expansions.leaves) == len(configs)
-        assert expansions.sizes.tolist() == [e.index.size
-                                             for e in expansions.leaves]
-        for config, e in zip(configs, expansions.leaves):
+        assert expansions.sizes.size == len(configs)
+        offsets = expansions.offsets.tolist()
+        for config, lo, hi in zip(configs, offsets, offsets[1:]):
+            index = expansions.index[lo:hi]
             kernel = list(zip(multiport._configurations(
-                expansions.codes[e.index], stats, n), e.amplitudes))
+                expansions.codes[index], stats, n),
+                expansions.amplitudes[lo:hi]))
             assert kernel == list(dict_expansion(config, stats, u).items())
             assert [expansions.labels[p]
-                    for p in expansions.patterns[e.index]] == [
+                    for p in expansions.patterns[index]] == [
                 tuple(c[2 * a] + c[2 * a + 1] for a in range(n))
                 for c, _ in kernel]
 
@@ -719,6 +720,49 @@ def test_transition_tables_are_the_creation_operators(n):
                         expected.append((arm, made.index(created), factor))
                     assert list(zip(arms[row].tolist(), numbers[row].tolist(),
                                     factors[row].tolist())) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_output_counts_are_the_configurations_by_spin(n):
+    # the closed form against every occupation tuple of m particles on the
+    # 2n modes, counted by the particles in spin-1 (odd) modes
+    for stats in (BOSON, FERMION):
+        for m in range(1, n + 1):
+            brute = [0] * (m + 1)
+            for c in _level(stats, n, m):
+                brute[sum(c[1::2])] += 1
+            assert multiport._output_counts(stats, n, m).tolist() == brute
+
+
+def test_a_wrong_output_count_is_refused(monkeypatch):
+    # one output too many per node: the step refuses its chunk's outputs
+    # before writing them, and nothing is memoized
+    counts = multiport._output_counts
+    monkeypatch.setattr(multiport, "_output_counts",
+                        lambda stats, n, m: counts(stats, n, m) + 1)
+    for stats in (BOSON, FERMION):
+        u = MultiportUnitary(dft_unitary(3).matrix)
+        with pytest.raises(RuntimeError, match="closed form"):
+            multiport._expansions(stats, u)
+        assert not u._expansions
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_the_expansion_memo_is_one_read_only_run_in_basis_index_order(n):
+    for stats in (BOSON, FERMION):
+        e = multiport._expansions(stats, MultiportUnitary(
+            dft_unitary(n).matrix))
+        assert e.index.dtype == np.int32
+        for array in (e.index, e.amplitudes):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        # the slices of the 2**n basis indices tile the arrays, in order
+        assert e.offsets.size == 2 ** n + 1
+        assert e.offsets[0] == 0
+        assert e.offsets[-1] == e.index.size == e.amplitudes.size
+        assert np.diff(e.offsets).tolist() == e.sizes.tolist()
+        assert (e.sizes > 0).all()
 
 
 def test_streamed_plans_are_the_dict_loop_bit_for_bit(monkeypatch):
@@ -805,7 +849,7 @@ def test_expanding_every_configuration_stays_near_the_memo_in_memory(n, stats):
         tracemalloc.stop()
     expansions = u._expansions[stats]
     memo = (expansions.codes.nbytes + expansions.patterns.nbytes
-            + sum(a.nbytes for e in expansions.leaves for a in e))
+            + expansions.index.nbytes + expansions.amplitudes.nbytes)
     assert peak - memo <= 8 * 2 ** 20
 
 
