@@ -34,11 +34,11 @@ SUM_TOL = 1e-10
 # Largest register evaluated exactly.  Every published number lies within
 # it and dense 2**n matrices stay small (256 x 256).  The Fock evolution
 # grows much faster than that: at n = 8 the expansions of one fermion task
-# hold 0.74 million outputs (about 0.7 s on a 2-core Xeon), and those of a
-# boson task 22 million, at 20 bytes each in the memo.  On that machine
-# `discriminate --n 8` peaks at about 80 MB RSS for fermions and 1.1 GB
-# for bosons (in about 11 s).  Raise this only when the benchmark shows a
-# scan at the new size fits its time and memory.
+# hold 0.74 million outputs (about 0.15 s on a 2-core Xeon), and those of a
+# boson task 22 million (about 3.3 s), at 20 bytes each in the memo.  On
+# that machine `discriminate --n 8` peaks at about 80 MB RSS for fermions
+# (in about 0.6 s) and 1.0 GB for bosons (in about 8 s).  Raise this only
+# when the benchmark shows a scan at the new size fits its time and memory.
 MAX_QUBITS = 8
 
 

@@ -36,25 +36,31 @@ indices and amplitudes, building no ``FockState``.  The 2**n
 configurations, one per spin string, are expanded together, one creation
 step for all of them at a time.  A configuration's creations act on the
 vacuum in descending mode order, so step t creates the particle of arm
-n - 1 - t, and the configurations that agree on the spins created so far
-share a node of a binary prefix tree: step t has 2**(t+1) nodes, node
-p + s * 2**t being node p of the step before with spin s, so the last
-step's nodes are the basis indices, in order.  Each node's terms are
-computed once, merge keys are node-major, and the terms of each node are
-listed, grouped and added as that configuration's own loop would, so the
-sharing changes no bit.  The k-particle configurations of the 2n modes
-are numbered in ascending code at each level k, and a term holds the
+n - 1 - t, and step t has 2**(t+1) nodes, one per string of the spins
+created so far: node p + s * 2**t is node p of the step before with spin
+s, so the last step's nodes are the basis indices, in order.  The
+multiport acts on the arms alone, so swapping every particle's spin
+commutes with it: node 2**(t+1) - 1 - p, the complement string, is node p
+with the spins of every output swapped, times a fermion sign (see
+``_mirror``).  A step therefore computes its spin-0 nodes, one per node of
+the step before, and mirrors them into its spin-1 half.  A computed
+node's terms are listed, grouped and added as that configuration's own
+loop would, and a mirrored node's loop would meet the swapped keys in the
+same order and add the same terms times the sign, so neither the sharing
+nor the mirror changes a bit.  The k-particle configurations of the 2n
+modes are numbered in ascending code at each level k, and a term holds the
 number of its configuration; level n, C(2n, n) configurations for
 fermions and C(3n - 1, n) for bosons, numbers the outputs.  A step reads
-its creations from a table over (configuration number, spin), which lists
-arm by arm the number of the configuration made and the factor, and finds
-each key's first term on one accumulator cell per node and configuration,
-with no sort.  A node's outputs are the configurations of its particles
-with as many in spin 1 as it has set bits, a closed-form count, so each
-step's arrays are allocated whole and filled in chunks of whole nodes and
-about ``_CHUNK_TERMS`` creations, which bounds the transient memory.  The
-last step's arrays are the memo: a 4-byte output number and a 16-byte
-amplitude per output, one slice per basis index.
+its creations from a table with one row per configuration number, which
+lists arm by arm the number of the configuration a spin-0 creation makes
+and its factor, and finds each key's first term on one accumulator cell
+per node and configuration, with no sort.  A node's outputs are the
+configurations of its particles with as many in spin 1 as it has set
+bits, a closed-form count, so each step's arrays are allocated whole and
+filled in chunks of whole nodes and about ``_CHUNK_TERMS`` creations or
+mirrored outputs, which bounds the transient memory.  The last step's
+arrays are the memo: a 4-byte output number and a 16-byte amplitude per
+output, one slice per basis index.
 
 An ensemble's members run in groups under one budget of accumulator
 cells and terms (``_Plan``), so a call holds the expansion memo and one
@@ -305,27 +311,26 @@ def _levels(statistics: Statistics,
 
 def _creations(statistics: Statistics, n: int, codes: np.ndarray,
                following: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The creation operators on the configurations of one level of
-    ``_levels``, whose codes are ``codes``, as a table with a row 2j + s
-    for configuration number j and spin s.
+    """The creations into spin 0 on the configurations of one level of
+    ``_levels``, whose codes are ``codes``, as a table with a row j for
+    configuration number j.
 
-    Row 2j + s holds one entry for each arm, in ascending order, whose mode
-    2 * arm + s can take one more particle: the arm, the number of the
+    Row j holds one entry for each arm, in ascending order, whose spin-0
+    mode 2 * arm can take one more particle: the arm, the number of the
     configuration the creation makes, which is its position in
     ``following``, the codes of the next level, and the creation's factor.
     Returns where each row starts, and where the last one ends, then the
     arms (int8), numbers (int32) and factors of the entries.
     """
     base, place = _place_values(statistics, n)
-    # dest[s, arm] is the place value of mode 2 * arm + s
-    dest = place.reshape(-1, 2).T
+    # the place value of each arm's spin-0 mode
+    dest = place[0::2]
     if statistics is Statistics.FERMION:
         # only free modes are created into
-        row, arm = np.nonzero(((codes[:, None, None] & dest) == 0)
-                              .reshape(-1, n))
+        row, arm = np.nonzero((codes[:, None] & dest) == 0)
     else:
-        row, arm = np.divmod(np.arange(codes.size * 2 * n), n)
-    held, d = codes[row >> 1], dest[row & 1, arm]
+        row, arm = np.divmod(np.arange(codes.size * n), n)
+    held, d = codes[row], dest[arm]
     if statistics is Statistics.FERMION:
         # the sign (-1) ** (number of occupied modes below)
         factor = 1.0 - 2.0 * (np.bitwise_count(held & (d - 1)) & 1)
@@ -335,9 +340,35 @@ def _creations(statistics: Statistics, n: int, codes: np.ndarray,
     # of base n + 1 cannot overflow below level n, so every configuration
     # made is one of the next level
     number = np.searchsorted(following, held + d).astype(np.int32)
-    first = np.zeros(2 * codes.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=2 * codes.size), out=first[1:])
+    first = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=codes.size), out=first[1:])
     return first, arm.astype(np.int8), number, factor
+
+
+def _mirror(statistics: Statistics, n: int,
+            codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The spin swap on the configurations of one level of ``_levels``,
+    whose codes are ``codes``: the number (int32) of each configuration
+    with the occupations of modes 2 * arm and 2 * arm + 1 exchanged on
+    every arm, and the sign the swap puts on its amplitude, None for
+    bosons.
+
+    The swap acts on the creation operators, so it reverses the two
+    creations of an arm that holds both of its modes: a fermion
+    configuration maps to (-1) ** (number of such arms) times its swapped
+    configuration, and a boson one to its swapped configuration.
+    """
+    base, place = _place_values(statistics, n)
+    swapped = np.zeros_like(codes)
+    for arm in range(n):
+        down, up = place[2 * arm], place[2 * arm + 1]
+        swapped += codes // down % base * up + codes // up % base * down
+    sign = None
+    if statistics is Statistics.FERMION:
+        # bit 2 * arm of both is set where the arm holds both modes
+        both = codes & (codes >> 1) & place[0::2].sum()
+        sign = 1.0 - 2.0 * (np.bitwise_count(both) & 1)
+    return np.searchsorted(codes, swapped).astype(np.int32), sign
 
 
 def _output_counts(statistics: Statistics, n: int, m: int) -> np.ndarray:
@@ -364,12 +395,13 @@ def _packed(sizes: list[int], budget: int) -> list[int]:
     return bounds
 
 
-# Creations per chunk of one expansion step, at most about this many: a
-# chunk holds whole nodes, so a node with more makes a chunk of its own.
-# On a 2-core Xeon, expanding the 2**n one-per-arm configurations of 7
-# fermions or 6 bosons needed 2.0 and 2.5 MB beyond the memo at 2**13;
-# 2**14 took 5-10% less time and needed 2.8 and 3.3 MB, and 2**11-2**12
-# took 8-15% more.  One chunk per step took 45-50% longer and 43 MB.
+# Creations, or mirrored outputs, per chunk of one expansion step, at most
+# about this many: a chunk holds whole nodes, so a node with more makes a
+# chunk of its own.  On a 2-core Xeon, expanding the 2**n one-per-arm
+# configurations of 7 fermions or 6 bosons took 20.5 and 16.8 ms and
+# needed 1.9 and 2.1 MB beyond the memo at 2**13; 2**12 took 6-14% more
+# time, and 2**14 took 6% less for fermions and 10% more for bosons and
+# needed 2.3 and 3.3 MB.  One chunk per step took 45-50% longer and 43 MB.
 _CHUNK_TERMS = 1 << 13
 
 
@@ -378,8 +410,9 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     configurations (see ``_Expansions``).
 
     An expansion is independent of the rest of the superposition, so all
-    2**n are expanded together, one creation step for all of them at a time
-    (see the module docstring), and memoized on ``u`` once per statistics.
+    2**n are expanded together, one creation step for all of them at a time,
+    the spin-1 half of each step mirrored from its spin-0 half (see the
+    module docstring), and memoized on ``u`` once per statistics.
     """
     memo = u._expansions
     if statistics in memo:
@@ -390,34 +423,35 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     # creates the particle of arm n - 1 - t, and node p + s * 2**t of step t
     # is node p of step t - 1 with spin s; the root holds the vacuum.  A
     # level holds the configuration numbers and amplitudes of its nodes'
-    # outputs, node by node, node i at offsets[i]:offsets[i + 1]
+    # outputs, node by node, node i at offsets[i]:offsets[i + 1].  Node p
+    # of step t is its parent's spin-0 child, for p below half = 2**t
     index, amplitudes = np.zeros(1, dtype=np.int32), np.ones(1, dtype=complex)
     offsets, sizes = np.array([0, 1]), np.ones(1, dtype=np.int64)
     for step in range(n):
         first, arms, numbers, factors = _creations(
             statistics, n, levels[step], levels[step + 1])
+        swap, sign = _mirror(statistics, n, levels[step + 1])
         width = levels[step + 1].size
         entry = u.matrix[n - 1 - step]
         entry_re, entry_im = entry.real.copy(), entry.imag.copy()
-        children = np.arange(2 ** (step + 1))
-        parent, spin = children % 2 ** step, children >> step
-        held_from, held_sizes = offsets[parent], sizes[parent]
+        half = sizes.size
+        held_from, held_sizes = offsets[:-1], sizes
         held, held_amplitudes = index, amplitudes
         # a node holds step + 1 particles, as many in spin 1 as its bits
         sizes = _output_counts(statistics, n, step + 1)[
-            np.bitwise_count(children)]
+            np.bitwise_count(np.arange(2 * half))]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
         index = np.empty(offsets[-1], dtype=np.int32)
         amplitudes = np.empty(offsets[-1], dtype=complex)
         bounds = _packed((held_sizes * n).tolist(), _CHUNK_TERMS)
         for a, b in zip(bounds, bounds[1:]):
-            # each node's parent's terms, each created into mode
-            # 2 * arm + spin for every arm the table allows, term-major,
+            # nodes a to b - 1: each parent's terms, each created into
+            # mode 2 * arm for every arm the table allows, term-major,
             # arm-minor, as the node's own loop visits them
             n_held = held_sizes[a:b]
             owner = np.repeat(np.arange(b - a), n_held)
             src = _ranges(held_from[a:b], n_held)
-            row = 2 * held[src] + spin[a:b][owner]
+            row = held[src]
             count = first[row + 1] - first[row]
             at = _ranges(first[row], count)
             amp = held_amplitudes[np.repeat(src, count)]
@@ -441,8 +475,26 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             index[lo:hi] = merged % width
             amplitudes.real[lo:hi] = np.bincount(group, term_re)
             amplitudes.imag[lo:hi] = np.bincount(group, term_im)
-        # the table and the parent level are let go before the next step
+        # the table and the parent level are let go before the mirror
+        # writes the spin-1 half, whose pages are untouched until then
         del first, arms, numbers, factors, held, held_amplitudes
+        # node half + p is node half - 1 - p with every spin swapped: its
+        # loop meets the swapped keys in the same order and adds the same
+        # terms times the swap's sign, exactly; + 0.0 turns the -0.0 of a
+        # negated zero into the +0.0 that np.bincount leaves
+        bounds = _packed(sizes[half:].tolist(), _CHUNK_TERMS)
+        for a, b in zip(bounds, bounds[1:]):
+            mirrored = half - 1 - np.arange(a, b)
+            src = _ranges(offsets[mirrored], sizes[mirrored])
+            number = index[src]
+            lo, hi = offsets[half + a], offsets[half + b]
+            index[lo:hi] = swap[number]
+            if sign is None:
+                amplitudes[lo:hi] = amplitudes[src]
+            else:
+                signs = sign[number]
+                amplitudes.real[lo:hi] = amplitudes.real[src] * signs + 0.0
+                amplitudes.imag[lo:hi] = amplitudes.imag[src] * signs + 0.0
     # bit t of a last-step node is the spin of arm n - 1 - t, as it is of
     # a basis index: the nodes come in basis-index order
     for array in (index, amplitudes, offsets, sizes):
