@@ -25,7 +25,7 @@ from statdisc import (BlochDirection, Statistics, bloch_state, interfere,
 
 def show(label, distribution):
     parts = ", ".join(f"P{pattern} = {p:.4f}"
-                      for pattern, p in sorted(distribution.probabilities.items()))
+                      for pattern, p in distribution.probabilities.items())
     anti = distribution.antibunch_probability()
     print(f"  {label:<34} {parts}   antibunch {anti:.4f}")
 

@@ -34,7 +34,8 @@ class TwoQubitPureState:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.size != 4:
             raise ValueError("expected four amplitudes")
-        if abs(np.linalg.norm(v) - 1.0) > TOL:
+        # written so that a NaN fails it
+        if not abs(np.linalg.norm(v) - 1.0) <= TOL:
             raise ValueError("amplitudes must be normalized")
         v.setflags(write=False)
         object.__setattr__(self, "amplitudes", v)

@@ -111,12 +111,13 @@ class DiscriminationReport:
         return self.p_helstrom - self.p_bs
 
     def __post_init__(self) -> None:
-        if self.p_bs < 0.5 - SUM_TOL:
+        # each check is written so that a NaN fails it
+        if not self.p_bs >= 0.5 - SUM_TOL:
             raise ValueError(f"strategy success {self.p_bs} below 1/2")
-        if self.p_bs > self.p_helstrom + SUM_TOL:
+        if not self.p_bs <= self.p_helstrom + SUM_TOL:
             raise ValueError(f"strategy success {self.p_bs} exceeds the "
                              f"Helstrom bound {self.p_helstrom}")
-        if self.p_helstrom > 1.0 + SUM_TOL:
+        if not self.p_helstrom <= 1.0 + SUM_TOL:
             raise ValueError(f"bound {self.p_helstrom} exceeds one")
 
 

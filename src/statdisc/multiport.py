@@ -22,9 +22,11 @@ after the other from 0.0, in list order.  Complex products are spelled
 out in real arithmetic, and moduli and squares are taken with ``np.hypot``
 and ``np.float_power``, because numpy's vectorised complex product,
 ``abs`` and ``** 2`` round differently from the scalar operations the
-loop performed.  Every amplitude and probability, and the key order of
-every dict, is therefore the dict loop's bit for bit; that loop lives on
-in the test suite as an oracle.
+loop performed.  Every amplitude and probability is therefore the dict
+loop's bit for bit, and so is the order of an evolved ``FockState``'s
+configurations; that loop lives on in the test suite as an oracle.  An
+arm-count distribution lists its patterns in ascending order, the order
+in which every reader of it walks them.
 
 The kernel takes the one input the package makes: n particles on the n
 arms, one per arm.  Bit i of a basis index of the n-qubit internal state,
@@ -65,8 +67,8 @@ output, one slice per basis index.
 An ensemble's members run in groups under one budget of accumulator
 cells and terms (``_Plan``), so a call holds the expansion memo and one
 group's arrays, whatever the number of members.  Output numbers key the
-merge of a group's terms and the probability of each arm-count pattern
-across groups, with no sort.
+merge of a group's terms, with no sort, and pattern numbers the total of
+each arm-count pattern across groups, in one array.
 
 Two memos live on each ``MultiportUnitary``: one entry per statistics,
 the output numbering and the expansions of all 2**n configurations, and,
@@ -173,7 +175,8 @@ class FockState:
                     and max(config, default=0) > 1):
                 raise ValueError("fermionic occupation numbers cannot exceed 1")
             norm_sq += abs(amp) ** 2
-        if abs(norm_sq - 1.0) > SUM_TOL:
+        # written so that a NaN fails it
+        if not abs(norm_sq - 1.0) <= SUM_TOL:
             raise ValueError(f"state must be normalized, got |psi|^2 = {norm_sq!r}")
 
 
@@ -228,11 +231,12 @@ class _Expansions(NamedTuple):
     The n-particle configurations of the 2n modes are numbered in
     ascending code (see ``_place_values``): number j has code ``codes[j]``
     and the arm-count pattern numbered ``patterns[j]``, whose arm counts
-    are ``labels[patterns[j]]``.  The expansion of basis index i (see the
-    module docstring) is the slice ``offsets[i]:offsets[i + 1]``, of
-    ``sizes[i]`` outputs, of the read-only arrays ``index`` and
-    ``amplitudes``: output number ``index[o]`` with amplitude
-    ``amplitudes[o]``.  The slices tile both arrays in basis-index order.
+    are ``labels[patterns[j]]``; the labels ascend.  The expansion of
+    basis index i (see the module docstring) is the slice
+    ``offsets[i]:offsets[i + 1]``, of ``sizes[i]`` outputs, of the
+    read-only arrays ``index`` and ``amplitudes``: output number
+    ``index[o]`` with amplitude ``amplitudes[o]``.  The slices tile both
+    arrays in basis-index order.
     """
 
     codes: np.ndarray
@@ -291,6 +295,9 @@ def _levels(statistics: Statistics,
     configurations for fermions, C(3n - 1, n) for bosons."""
     base, place = _place_values(statistics, n)
     cap = base - 1
+    # arm counts coded as digits, base n + 1, arm 0 the most significant,
+    # so the numbers ascend with the label tuples
+    arm_place = (n + 1) ** np.arange(n - 1, -1, -1)
     # fill the modes from the highest down; each partial configuration is
     # followed by its occupations of the next mode in ascending order, up
     # to n particles in all, which keeps the codes ascending
@@ -300,12 +307,11 @@ def _levels(statistics: Statistics,
         parent = np.repeat(np.arange(codes.size), choices)
         occupation = _ranges(np.zeros_like(choices), choices)
         codes = codes[parent] + occupation * place[m]
-        # arm counts coded as digits, base n + 1, lowest digit arm 0
-        patterns = patterns[parent] + occupation * (n + 1) ** (m // 2)
+        patterns = patterns[parent] + occupation * arm_place[m // 2]
         held = held[parent] + occupation
     levels = [codes[held == k] for k in range(n + 1)]
     numbers, patterns = np.unique(patterns[held == n], return_inverse=True)
-    digits = numbers[:, None] // (n + 1) ** np.arange(n) % (n + 1)
+    digits = numbers[:, None] // arm_place % (n + 1)
     return levels, patterns, list(map(tuple, digits.tolist()))
 
 
@@ -504,39 +510,6 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     return memo[statistics]
 
 
-_NEVER = np.iinfo(np.intp).max
-
-
-class _Tally:
-    """``probs[pattern] += p`` over a stream of outputs, in stream order.
-
-    Patterns are numbers below ``len(labels)``, and ``labels`` lists their
-    arm counts.  Dropped outputs carry probability 0.0, which leaves every
-    sum as it is; a pattern appears at its first kept output, or not at all.
-    """
-
-    def __init__(self, labels: list[Pattern]):
-        self.labels = labels
-        self.totals = np.zeros(len(labels))
-        # the stream position of each pattern's first kept output
-        self.first = np.full(len(labels), _NEVER)
-        self.seen = 0
-
-    def add(self, patterns: np.ndarray, kept: np.ndarray,
-            probabilities: np.ndarray) -> None:
-        # np.add.at adds repeated indices one after the other, in order
-        np.add.at(self.totals, patterns, probabilities)
-        kept = kept.nonzero()[0]
-        np.minimum.at(self.first, patterns[kept], kept + self.seen)
-        self.seen += patterns.size
-
-    def distribution(self) -> OutcomeDistribution:
-        present = (self.first < _NEVER).nonzero()[0]
-        order = present[self.first[present].argsort()]
-        return OutcomeDistribution(dict(zip(
-            [self.labels[i] for i in order.tolist()], self.totals[order])))
-
-
 class _Plan:
     """How a group of members passes through the multiport.
 
@@ -570,9 +543,10 @@ class _Plan:
 
     def run(self, amplitudes: np.ndarray):
         """Run the plan on ``amplitudes``, the amplitudes of all inputs of
-        the call.  Returns (re, im, kept, squares) of the merged outputs:
-        each one's amplitude, whether it stays above ``TOL``, and its
-        abs(amp) ** 2, 0.0 if dropped."""
+        the call.  Returns (re, im, squares) of the merged outputs: each
+        one's amplitude and its abs(amp) ** 2, 0.0 where the modulus is at
+        most ``TOL``, so that the output is dropped.  A kept output's
+        modulus exceeds ``TOL``, so its square exceeds TOL ** 2 > 0."""
         a = amplitudes[self.term]
         # amp * a, rounded as numpy rounds a scalar complex product, and
         # each merged output's terms added in the loop's order from 0.0
@@ -583,13 +557,12 @@ class _Plan:
         # abs(amp) and its square, rounded as Python rounds them
         moduli = np.hypot(re, im)
         # amplitudes below TOL are interference zeros
-        kept = moduli > TOL
-        squares = np.where(kept, np.float_power(moduli, 2.0), 0.0)
+        squares = np.where(moduli > TOL, np.float_power(moduli, 2.0), 0.0)
         norm_sq = np.bincount(self.owner, squares)
         if np.abs(norm_sq - 1.0).max() > SUM_TOL:
             raise ValueError("evolved states must be normalized, got "
                              f"|psi|^2 = {norm_sq.tolist()!r}")
-        return re, im, kept, squares
+        return re, im, squares
 
 
 # Accumulator cells of one group of members, at most, a term counting as
@@ -659,8 +632,8 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     index = configs[:, 1::2] @ (1 << np.arange(u.n - 1, -1, -1))
     amplitudes = np.array(list(state.amplitudes.values()), dtype=complex)
     (_, plan), = _plans(np.zeros_like(index), index, state.statistics, u)
-    re, im, kept, _ = plan.run(amplitudes)
-    kept = np.flatnonzero(kept)
+    re, im, squares = plan.run(amplitudes)
+    kept = np.flatnonzero(squares > 0)
     amplitudes = np.empty(kept.size, dtype=complex)
     amplitudes.real = re[kept]
     amplitudes.imag = im[kept]
@@ -671,7 +644,9 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities of per-arm particle counts, internal states traced out."""
+    """Probabilities of per-arm particle counts, internal states traced out;
+    ``interfere`` and ``spatial_distribution`` list the patterns in
+    ascending order."""
 
     probabilities: dict[Pattern, float]
     n_arms: int = field(init=False)  # the first pattern's length, 0 if none
@@ -687,7 +662,8 @@ class OutcomeDistribution:
             if p < -TOL:
                 raise ValueError(f"negative probability {p} for {pattern}")
             total += p
-        if abs(total - 1.0) > SUM_TOL:
+        # written so that a NaN fails it
+        if not abs(total - 1.0) <= SUM_TOL:
             raise ValueError(f"probabilities must sum to one, got {total!r}")
 
     def probability(self, pattern: Pattern) -> float:
@@ -699,7 +675,9 @@ class OutcomeDistribution:
 
 
 def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
-    """Arm-count distribution of a weighted ensemble of Fock states."""
+    """Arm-count distribution of a weighted ensemble of Fock states, in
+    ascending pattern order, with the pattern of every configuration listed,
+    even one of amplitude zero."""
     if not ensemble:
         raise ValueError("ensemble must not be empty")
     # members of different arm counts make ragged rows, which numpy refuses
@@ -713,9 +691,10 @@ def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
     probabilities = weights * np.float_power(np.hypot(amp.real, amp.imag), 2.0)
     labels, patterns = np.unique(configs[:, 0::2] + configs[:, 1::2],
                                  axis=0, return_inverse=True)
-    tally = _Tally(list(map(tuple, labels.tolist())))
-    tally.add(patterns.ravel(), np.ones(amp.size, dtype=bool), probabilities)
-    return tally.distribution()
+    totals = np.zeros(len(labels))
+    # np.add.at adds repeated indices one after the other, in order
+    np.add.at(totals, patterns.ravel(), probabilities)
+    return OutcomeDistribution(dict(zip(map(tuple, labels.tolist()), totals)))
 
 
 def interfere(internal, statistics: Statistics | str,
@@ -727,7 +706,9 @@ def interfere(internal, statistics: Statistics | str,
     ``Statistics`` member or its value.  The default unitary is the n-arm
     discrete-Fourier multiport.  The result is ``spatial_distribution`` of
     every member ``evolve``d, computed from the members' vectors without
-    building a ``FockState``.
+    building a ``FockState``: the patterns of the kept outputs, in
+    ascending order, a pattern whose outputs are all interference zeros
+    left out.
     """
     ensemble = prepare_input(internal)
     statistics = Statistics(statistics)
@@ -742,8 +723,14 @@ def interfere(internal, statistics: Statistics | str,
     member, index = np.nonzero(np.hypot(vectors.real, vectors.imag) > TOL)
     weights = np.array([weight for weight, _ in ensemble])
     amplitudes = vectors[member, index]
-    tally = _Tally(_expansions(statistics, u).labels)
+    labels = _expansions(statistics, u).labels
+    totals = np.zeros(len(labels))
     for first, plan in _plans(member, index, statistics, u):
-        _, _, kept, squares = plan.run(amplitudes)
-        tally.add(plan.patterns, kept, weights[first:][plan.owner] * squares)
-    return tally.distribution()
+        _, _, squares = plan.run(amplitudes)
+        # the members' outputs in the loop's order, the dropped ones adding
+        # 0.0, which leaves every sum as it is
+        np.add.at(totals, plan.patterns, weights[first:][plan.owner] * squares)
+    # a kept output adds a weight above TOL times a square above TOL ** 2,
+    # so a pattern is present exactly where its total is positive
+    present = np.flatnonzero(totals > 0).tolist()
+    return OutcomeDistribution({labels[i]: totals[i] for i in present})

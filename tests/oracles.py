@@ -10,7 +10,10 @@ model.  They are slow on purpose and are never imported by ``src/``.
 
 One oracle is not independent but literal: the Fock pipeline as the plain
 dict loop it replaced, on the ``FockState`` members that ``fock_ensemble``
-loads, which the numpy kernel must match bit for bit, key order included.
+loads, which the numpy kernel must match bit for bit: every amplitude and
+probability, and the configuration order of an evolved state.  The loop
+lists arm-count patterns as it first meets them and the kernel in
+ascending order, so the tests sort the loop's patterns before comparing.
 """
 
 from __future__ import annotations

@@ -58,6 +58,13 @@ def test_two_qubit_state_rejects_bad_input():
         TwoQubitPureState.from_schmidt(0.7)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_two_qubit_state_rejects_a_non_finite_amplitude(bad):
+    # a NaN norm compares false with everything, so it must fail the check
+    with pytest.raises(ValueError, match="normalized"):
+        TwoQubitPureState(np.array([bad, 0.0, 0.0, 0.0]))
+
+
 # ----------------------------------------------------- entanglement detection
 
 def test_detection_of_maximally_entangled_marginals():

@@ -166,6 +166,15 @@ def test_report_rejects_strategy_beating_the_bound():
                              p_bs=0.7, strategy={})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_report_rejects_non_finite_probabilities(bad):
+    for p_helstrom, p_bs in ((bad, bad), (bad, 0.7), (0.8, bad)):
+        with pytest.raises(ValueError):
+            DiscriminationReport(n=2, statistics=FERMION,
+                                 p_helstrom=p_helstrom, p_bs=p_bs,
+                                 strategy={})
+
+
 def test_report_gap_is_derived_from_the_two_probabilities():
     report = DiscriminationReport(n=2, statistics=FERMION, p_helstrom=0.75,
                                   p_bs=0.625, strategy={})

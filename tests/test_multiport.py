@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statdisc import multiport
-from statdisc.core import CapacityError, DensityMatrix
+from statdisc.core import TOL, CapacityError, DensityMatrix
 from statdisc.multiport import (FockState, MultiportUnitary,
                                 OutcomeDistribution, Statistics, dft_unitary,
                                 evolve, interfere, prepare_input,
@@ -217,6 +217,12 @@ def test_fock_state_rejects_fermion_double_occupancy():
 def test_fock_state_rejects_unnormalized_amplitudes():
     with pytest.raises(ValueError, match="normalized"):
         FockState(BOSON, {(1, 0, 1, 0): 0.5})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fock_state_rejects_a_non_finite_amplitude(bad):
+    with pytest.raises(ValueError, match="normalized"):
+        FockState(BOSON, {(1, 0, 1, 0): bad})
 
 
 def test_fock_state_rejects_negative_occupation():
@@ -515,6 +521,12 @@ def test_outcome_distribution_rejects_patterns_of_different_lengths():
     # no pattern at all has no arm count and no probability to sum
     with pytest.raises(ValueError, match="sum to one"):
         OutcomeDistribution({})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_outcome_distribution_rejects_a_non_finite_probability(bad):
+    with pytest.raises(ValueError, match="sum to one"):
+        OutcomeDistribution({(1,): bad})
 
 
 # ------------------------------------------------ excitation-block lemmas
@@ -870,7 +882,10 @@ def test_streamed_plans_are_the_dict_loop_bit_for_bit(monkeypatch):
         small = 3 * (8 * int(expansions.sizes.max()) + expansions.codes.size)
         for rho, alone in ((DensityMatrix(_random_state(4, 3, rng)), True),
                            (maximally_mixed(4), False)):
-            oracle = list(dict_interfere(rho, stats, u).probabilities.items())
+            # the kernel lists the patterns in ascending order, the loop as
+            # it first meets them
+            oracle = sorted(
+                dict_interfere(rho, stats, u).probabilities.items())
             monkeypatch.setattr(multiport, "_GROUP_BUDGET", small)
             groups.clear()
             streamed = interfere(rho, stats, u)
@@ -963,7 +978,7 @@ def test_interfere_is_the_dict_loop_bit_for_bit(n, stats, rank, pinch, seed):
     rho = _random_state(n, rank, np.random.default_rng(seed))
     rho = DensityMatrix(_pinched(rho) if pinch else rho)
     assert (list(interfere(rho, stats).probabilities.items())
-            == list(dict_interfere(rho, stats).probabilities.items()))
+            == sorted(dict_interfere(rho, stats).probabilities.items()))
 
 
 def test_evolve_and_spatial_distribution_are_the_dict_loop_bit_for_bit():
@@ -978,5 +993,81 @@ def test_evolve_and_spatial_distribution_are_the_dict_loop_bit_for_bit():
             for (_, a), (_, b) in zip(kernel, oracle):
                 assert list(a.amplitudes.items()) == list(b.amplitudes.items())
             assert (list(spatial_distribution(kernel).probabilities.items())
-                    == list(dict_spatial_distribution(oracle)
-                            .probabilities.items()))
+                    == sorted(dict_spatial_distribution(oracle)
+                              .probabilities.items()))
+
+
+# ----------------------------------------------- pattern order and presence
+
+def _pattern(config):
+    """The arm counts of a configuration."""
+    return tuple(map(sum, zip(config[0::2], config[1::2])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([BOSON, FERMION]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_distributions_list_their_patterns_in_ascending_order(
+        n, stats, rank, pinch, seed):
+    # interfere keeps the pattern of each output that outlives the TOL
+    # cut, and spatial_distribution the pattern of each configuration it
+    # is given, amplitude zero or not; both list them in ascending order
+    rng = np.random.default_rng(seed)
+    _, _, labels = multiport._levels(stats, n)
+    assert labels == sorted(labels)
+    rho = _random_state(n, rank, rng)
+    rho = DensityMatrix(_pinched(rho) if pinch else rho)
+    d = interfere(rho, stats)
+    u = dft_unitary(n)
+    evolved = [(w, evolve(s, u)) for w, s in fock_ensemble(rho, stats)]
+    assert list(d.probabilities) == sorted(
+        {_pattern(c) for _, s in evolved for c in s.amplitudes})
+    assert (list(spatial_distribution(evolved).probabilities.items())
+            == list(d.probabilities.items()))
+    # a random state over n-particle configurations, every other
+    # amplitude zero
+    level = _level(stats, n, n)
+    configs = [level[j] for j in rng.permutation(len(level))[:6]]
+    amplitudes = rng.normal(size=len(configs)) + 1j * rng.normal(
+        size=len(configs))
+    amplitudes[1::2] = 0.0
+    amplitudes /= np.linalg.norm(amplitudes)
+    ensemble = [(1.0, FockState(stats, dict(zip(configs,
+                                                amplitudes.tolist()))))]
+    d = spatial_distribution(ensemble)
+    assert list(d.probabilities) == sorted({_pattern(c) for c in configs})
+    assert list(d.probabilities.items()) == sorted(
+        dict_spatial_distribution(ensemble).probabilities.items())
+    zero_only = ({_pattern(c) for c in configs[1::2]}
+                 - {_pattern(c) for c in configs[0::2]})
+    assert all(d.probabilities[p] == 0.0 for p in zero_only)
+
+
+@pytest.mark.parametrize("n, stats", [(7, FERMION), (6, BOSON)])
+@pytest.mark.parametrize("state", [aligned_mixture, maximally_mixed])
+def test_frontier_distributions_list_their_patterns_in_ascending_order(
+        n, stats, state):
+    _, _, labels = multiport._levels(stats, n)
+    assert labels == sorted(labels)
+    d = interfere(state(n), stats)
+    # aligned fermions leave one per arm: one pattern, trivially in order
+    aligned_fermions = state is aligned_mixture and stats is FERMION
+    assert (len(d.probabilities) == 1) == aligned_fermions
+    assert list(d.probabilities) == sorted(d.probabilities)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_interfere_leaves_out_the_patterns_of_interference_zeros(n):
+    # aligned spins are symmetric, so fermions leave one per arm: every
+    # bunched output that the inputs' expansions reach cancels, and its
+    # pattern is left out, as the dict loop leaves it out
+    rho = aligned_mixture(n)
+    e = multiport._expansions(FERMION, dft_unitary(n))
+    inputs = {i for _, vec in prepare_input(rho)
+              for i in np.flatnonzero(np.abs(vec) > TOL).tolist()}
+    reached = {e.labels[p] for i in inputs
+               for p in e.patterns[e.index[e.offsets[i]:e.offsets[i + 1]]]}
+    assert reached > {(1,) * n}
+    assert list(interfere(rho, FERMION).probabilities) == [(1,) * n]
+    if n <= 4:
+        assert list(dict_interfere(rho, FERMION).probabilities) == [(1,) * n]
