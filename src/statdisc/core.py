@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +82,10 @@ class DensityMatrix:
     n is read off the dimension 2**n.  Qubit 0 is the leftmost ket, i.e. the
     most significant bit of the row/column index.  A 1 x 1 matrix is the
     zero-qubit register that tracing out every qubit leaves.
+
+    The matrix is read-only, so one instance can be shared.  Construction
+    validates it with the eigenvalues alone; the eigenvectors are computed
+    when ``eigenstates`` is first read, and kept.
     """
 
     matrix: np.ndarray
@@ -104,6 +108,24 @@ class DensityMatrix:
         if lowest < -SUM_TOL:
             raise ValueError("density matrix must be positive semi-definite "
                              f"(lowest eigenvalue {lowest:.3e})")
+
+    @cached_property
+    def eigenstates(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """The weighted unit eigenvectors: each eigenvalue above ``TOL``, in
+        ascending order, with its eigenvector divided by its norm, read-only.
+
+        Any orthonormal eigenbasis of a degenerate eigenvalue would do; this
+        is the one ``np.linalg.eigh`` returns, computed once per instance.
+        """
+        vals, vecs = np.linalg.eigh(self.matrix)
+        states = []
+        # unit trace over at most 2**8 eigenvalues leaves one above TOL
+        for weight, vec in zip(vals, vecs.T):
+            if weight > TOL:
+                unit = vec / np.linalg.norm(vec)
+                unit.setflags(write=False)
+                states.append((float(weight), unit))
+        return tuple(states)
 
     @property
     def dim(self) -> int:

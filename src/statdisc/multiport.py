@@ -44,8 +44,8 @@ s, so the last step's nodes are the basis indices, in order.  The
 multiport acts on the arms alone, so swapping every particle's spin
 commutes with it: node 2**(t+1) - 1 - p, the complement string, is node p
 with the spins of every output swapped, times a fermion sign (see
-``_mirror``).  A step therefore computes its spin-0 nodes, one per node of
-the step before, and mirrors them into its spin-1 half.  A computed
+``_mirror_sign``).  A step therefore computes its spin-0 nodes, one per
+node of the step before, and mirrors them into its spin-1 half.  A computed
 node's terms are listed, grouped and added as that configuration's own
 loop would, and a mirrored node's loop would meet the swapped keys in the
 same order and add the same terms times the sign, so neither the sharing
@@ -187,41 +187,32 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
     """Load an internal state, one particle per arm: weighted unit vectors.
 
     ``internal`` is a one-dimensional state vector over n qubits or a
-    ``DensityMatrix``.  A state vector gives a single member of weight one.
-    A density matrix is eigendecomposed and each eigenvector above the
-    weight cutoff becomes a member; any orthonormal eigenbasis of a
-    degenerate spectrum yields the same downstream statistics.  Each
-    member's vector, divided by its norm, lists the amplitudes of the 2**n
-    configurations by basis index (see the module docstring).
+    ``DensityMatrix``.  A state vector gives a single member of weight one,
+    its vector divided by its norm.  A density matrix gives its
+    ``eigenstates``, each eigenvector above the weight cutoff a member,
+    read-only and eigendecomposed once per instance, however often it is
+    loaded; any orthonormal eigenbasis of a degenerate spectrum yields the
+    same downstream statistics.  Each member's vector lists the amplitudes
+    of the 2**n configurations by basis index (see the module docstring).
     """
-    mixed = isinstance(internal, DensityMatrix)
-    if mixed:
-        n = internal.n_qubits
-    else:
-        v = np.asarray(internal, dtype=complex)
-        if v.ndim != 1:
-            raise ValueError(f"a state vector is one-dimensional, not of "
-                             f"shape {v.shape}; pass a DensityMatrix instead")
-        n = v.size.bit_length() - 1
-        if 2 ** n != v.size:
-            raise ValueError(f"internal register dimension {v.size} is not a "
-                             "power of two")
+    if isinstance(internal, DensityMatrix):
+        check_register(internal.n_qubits)
+        return list(internal.eigenstates)
+    v = np.asarray(internal, dtype=complex)
+    if v.ndim != 1:
+        raise ValueError(f"a state vector is one-dimensional, not of "
+                         f"shape {v.shape}; pass a DensityMatrix instead")
+    n = v.size.bit_length() - 1
+    if 2 ** n != v.size:
+        raise ValueError(f"internal register dimension {v.size} is not a "
+                         "power of two")
     check_register(n)
-    if mixed:
-        vals, vecs = np.linalg.eigh(internal.matrix)
-        # unit trace over at most 2**8 eigenvalues leaves one above TOL
-        members = [(float(w), vec) for w, vec in zip(vals, vecs.T) if w > TOL]
-    elif not np.isfinite(v).all():
+    if not np.isfinite(v).all():
         raise ValueError("state vector entries must be finite")
-    else:
-        members = [(1.0, v)]
-    ensemble = []
-    for weight, vec in members:
-        norm = np.linalg.norm(vec)
-        if norm < TOL:
-            raise ValueError("internal state vector must be nonzero")
-        ensemble.append((weight, vec / norm))
-    return ensemble
+    norm = np.linalg.norm(v)
+    if norm < TOL:
+        raise ValueError("internal state vector must be nonzero")
+    return [(1.0, v / norm)]
 
 
 class _Expansions(NamedTuple):
@@ -287,11 +278,14 @@ def _first_seen(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
     return merged, cell[key]
 
 
-def _levels(statistics: Statistics,
-            n: int) -> tuple[list[np.ndarray], np.ndarray, list[Pattern]]:
+def _levels(statistics: Statistics, n: int
+            ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray,
+                       list[Pattern]]:
     """The codes of the k-particle configurations of the 2n modes for each
-    k from 0 to n, in ascending code, and the patterns and labels of
-    ``_Expansions``, whose codes are those of level n: C(2n, n)
+    k from 0 to n, in ascending code; the spin swap on each level, the
+    number (int32) of each configuration with the occupations of modes
+    2 * arm and 2 * arm + 1 exchanged on every arm; and the patterns and
+    labels of ``_Expansions``, whose codes are those of level n: C(2n, n)
     configurations for fermions, C(3n - 1, n) for bosons."""
     base, place = _place_values(statistics, n)
     cap = base - 1
@@ -301,18 +295,23 @@ def _levels(statistics: Statistics,
     # fill the modes from the highest down; each partial configuration is
     # followed by its occupations of the next mode in ascending order, up
     # to n particles in all, which keeps the codes ascending
-    codes = patterns = held = np.zeros(1, dtype=np.int64)
+    codes = swapped = patterns = held = np.zeros(1, dtype=np.int64)
     for m in range(2 * n - 1, -1, -1):
         choices = np.minimum(n - held, cap) + 1
         parent = np.repeat(np.arange(codes.size), choices)
         occupation = _ranges(np.zeros_like(choices), choices)
         codes = codes[parent] + occupation * place[m]
+        # the same occupation in the other mode of the arm
+        swapped = swapped[parent] + occupation * place[m ^ 1]
         patterns = patterns[parent] + occupation * arm_place[m // 2]
         held = held[parent] + occupation
-    levels = [codes[held == k] for k in range(n + 1)]
-    numbers, patterns = np.unique(patterns[held == n], return_inverse=True)
+    at_level = [held == k for k in range(n + 1)]
+    levels = [codes[mask] for mask in at_level]
+    swaps = [np.searchsorted(level, swapped[mask]).astype(np.int32)
+             for level, mask in zip(levels, at_level)]
+    numbers, patterns = np.unique(patterns[at_level[n]], return_inverse=True)
     digits = numbers[:, None] // arm_place % (n + 1)
-    return levels, patterns, list(map(tuple, digits.tolist()))
+    return levels, swaps, patterns, list(map(tuple, digits.tolist()))
 
 
 def _creations(statistics: Statistics, n: int, codes: np.ndarray,
@@ -351,30 +350,19 @@ def _creations(statistics: Statistics, n: int, codes: np.ndarray,
     return first, arm.astype(np.int8), number, factor
 
 
-def _mirror(statistics: Statistics, n: int,
-            codes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The spin swap on the configurations of one level of ``_levels``,
-    whose codes are ``codes``: the number (int32) of each configuration
-    with the occupations of modes 2 * arm and 2 * arm + 1 exchanged on
-    every arm, and the sign the swap puts on its amplitude, None for
-    bosons.
+def _mirror_sign(codes: np.ndarray) -> np.ndarray:
+    """The sign the spin swap of ``_levels`` puts on the amplitude of each
+    fermion configuration of one level, whose codes are ``codes``.
 
     The swap acts on the creation operators, so it reverses the two
     creations of an arm that holds both of its modes: a fermion
     configuration maps to (-1) ** (number of such arms) times its swapped
-    configuration, and a boson one to its swapped configuration.
+    configuration.  A boson one maps to its swapped configuration alone.
     """
-    base, place = _place_values(statistics, n)
-    swapped = np.zeros_like(codes)
-    for arm in range(n):
-        down, up = place[2 * arm], place[2 * arm + 1]
-        swapped += codes // down % base * up + codes // up % base * down
-    sign = None
-    if statistics is Statistics.FERMION:
-        # bit 2 * arm of both is set where the arm holds both modes
-        both = codes & (codes >> 1) & place[0::2].sum()
-        sign = 1.0 - 2.0 * (np.bitwise_count(both) & 1)
-    return np.searchsorted(codes, swapped).astype(np.int32), sign
+    # bit 2 * arm of both is set where the arm holds both modes; the mask
+    # keeps the even bits, those of the spin-0 modes
+    both = codes & (codes >> 1) & 0x5555_5555_5555_5555
+    return 1.0 - 2.0 * (np.bitwise_count(both) & 1)
 
 
 def _output_counts(statistics: Statistics, n: int, m: int) -> np.ndarray:
@@ -424,7 +412,8 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     if statistics in memo:
         return memo[statistics]
     n = u.n
-    levels, patterns, labels = _levels(statistics, n)
+    levels, swaps, patterns, labels = _levels(statistics, n)
+    fermion = statistics is Statistics.FERMION
     # |config> = prod(creations, ascending) applied to the vacuum: step t
     # creates the particle of arm n - 1 - t, and node p + s * 2**t of step t
     # is node p of step t - 1 with spin s; the root holds the vacuum.  A
@@ -436,7 +425,8 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     for step in range(n):
         first, arms, numbers, factors = _creations(
             statistics, n, levels[step], levels[step + 1])
-        swap, sign = _mirror(statistics, n, levels[step + 1])
+        swap = swaps[step + 1]
+        sign = _mirror_sign(levels[step + 1]) if fermion else None
         width = levels[step + 1].size
         entry = u.matrix[n - 1 - step]
         entry_re, entry_im = entry.real.copy(), entry.imag.copy()
@@ -702,9 +692,10 @@ def interfere(internal, statistics: Statistics | str,
     """Full pipeline: load, evolve through the multiport, count arms.
 
     ``internal`` is as ``prepare_input`` takes it, a one-dimensional state
-    vector or a ``DensityMatrix`` over n qubits, and ``statistics`` is a
-    ``Statistics`` member or its value.  The default unitary is the n-arm
-    discrete-Fourier multiport.  The result is ``spatial_distribution`` of
+    vector or a ``DensityMatrix`` over n qubits, whose eigenstates are
+    computed on its first call and reused by every later one, and
+    ``statistics`` is a ``Statistics`` member or its value.  The default
+    unitary is the n-arm discrete-Fourier multiport.  The result is ``spatial_distribution`` of
     every member ``evolve``d, computed from the members' vectors without
     building a ``FockState``: the patterns of the kept outputs, in
     ascending order, a pattern whose outputs are all interference zeros

@@ -3,12 +3,18 @@
 The direction-averaged mixtures are closed forms (exact rational
 matrices).  Their defining averages over the sphere are rebuilt by
 quadrature in the test suite, as an independent oracle.
+
+The fixed hypothesis states, ``aligned_mixture(n)``, ``maximally_mixed(n)``
+and ``antialigned_mixture()``, depend on n alone, so each is built and
+validated once per process and the same read-only ``DensityMatrix`` is
+returned to every caller, its eigenstates computed at most once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +77,8 @@ def antialigned_direction_state(omega: BlochDirection) -> DensityMatrix:
     return DensityMatrix(m)
 
 
+# check_register bounds this cache to MAX_QUBITS entries
+@lru_cache(maxsize=None)
 def aligned_mixture(n: int) -> DensityMatrix:
     """n qubits aligned along one uniformly random, unknown direction.
 
@@ -81,6 +89,8 @@ def aligned_mixture(n: int) -> DensityMatrix:
     return DensityMatrix(symmetric_projector(n) / (n + 1))
 
 
+# one entry: the state takes no argument
+@lru_cache(maxsize=None)
 def antialigned_mixture() -> DensityMatrix:
     """Qubit pair pointing in opposite directions along a random axis.
 
@@ -91,6 +101,8 @@ def antialigned_mixture() -> DensityMatrix:
     return DensityMatrix(m)
 
 
+# check_register bounds this cache to MAX_QUBITS entries
+@lru_cache(maxsize=None)
 def maximally_mixed(n: int) -> DensityMatrix:
     """Every qubit independently maximally mixed: I / 2**n."""
     check_register(n)

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -237,3 +240,167 @@ def test_module_entry_point_runs():
         env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert result.stdout.startswith("name,")
+
+
+# ------------------------------------------------------------ byte contract
+
+def contract_digest(argv) -> str:
+    """SHA-256 of the exit code, stdout and stderr of ``main(argv)``, run in
+    this process as ``python -m statdisc`` would run it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses usage by exiting
+            code = exc.code
+    outcome = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(outcome.encode()).hexdigest()
+
+
+# The command lines whose output is pinned byte for byte, each with the
+# contract_digest it had at 80 columns: every published number, the scans
+# and discrimination tasks the Fock kernel computes, the other experiments,
+# and the usage (exit 64) and capacity (exit 65) refusals.
+CONTRACT_DIGESTS = {
+    'reproduce':
+        '558f90635d266c93c53c62d5ad91ea0a5bbf23a58b2c41163db7b44440fa83d0',
+    'reproduce --format json':
+        'be2c16498ea599201f60d5f77c79d8cc0d575fad2cf10705d3d8a8cbe3dbca68',
+    'scan --n-max 1 --statistics fermion --format json':
+        'c1142db1eab7d7cf9180721dd880840fa49a0acc0846baf171147099ab366cfd',
+    'scan --n-max 2 --statistics fermion --format json':
+        '24410f38ac458210144430d19ce1b67a8b1e0326ed33e2ae8e57111d1d055a16',
+    'scan --n-max 3 --statistics fermion --format json':
+        'b6cd3ed0efea2ec8891be6ec77c5367f8c58fe8951126e163da103ae9d88f892',
+    'scan --n-max 4 --statistics fermion --format json':
+        '2175f6e862f5dc8a677bbcf42f9055e36b0c28bf53a5c76b77bcf03edd77c193',
+    'scan --n-max 5 --statistics fermion --format json':
+        '0b3b3ddce11fb3c994c9b26f25465c3cab3879c68a8e04a91b32a4a1cf479c23',
+    'scan --n-max 6 --statistics fermion --format json':
+        'ea25815532b96644ee0dcf2053ced29d5fb13900ad1b53fb3a5dca3272c3e7df',
+    'scan --n-max 7 --statistics fermion --format json':
+        'dc90fd1d685a1605582e5ee15fb5434ee675a3b85b79005e5533c43f9af1ee08',
+    'scan --n-max 1 --statistics boson --format json':
+        '16d861509a7b495b876547561abc31767425d851bff2650d98da19142b441f09',
+    'scan --n-max 2 --statistics boson --format json':
+        '1f15a4bf7d589bf74a1d9233368af0126bee114f9bcb2219ea658543d19511af',
+    'scan --n-max 3 --statistics boson --format json':
+        'a53e8e54884181e8026641f5e6b1b60e3eb8058c01684edbd348bbfba9fd4e75',
+    'scan --n-max 4 --statistics boson --format json':
+        'b73a90a7a76ae597ddb45475973bebdb7d10de545b7fc75e8fe51a29a8222fcc',
+    'scan --n-max 5 --statistics boson --format json':
+        '83c4ca640f0bb690d3de5c3600bcf92a4d3b6db5a8fc5e0da6b059aed3a7719b',
+    'scan --n-max 6 --statistics boson --format json':
+        '98ab1ee6054e87944d50dccf5fa4a2cbc7b0cb0a6b12a253dd11a08159654fb9',
+    'discriminate --n 2 --statistics boson --format json':
+        '8f4155ff6adf4784b3c4b3e107999fcb0ac15ccb14b1050bd12f0e1038fc5f44',
+    'discriminate --n 3 --statistics boson --format json':
+        'db1aa1e334e847736d00cf10e0b22c5bd5a265b44055fc69ec6b3bcd47c58046',
+    'discriminate --n 4 --statistics boson --format json':
+        'c299439a494de742c4e1c374e0f35e1beac79409a166fcdfe069220d94d7c2ee',
+    'discriminate --n 5 --statistics boson --format json':
+        '35feaff6e39f9e92a9062cd57cd277ab2a6e58488058688131c68935ba524983',
+    'discriminate --n 6 --statistics boson --format json':
+        '9dd1c5998d8d0995bd04c4eefcf8ad5e12fd820b04a051aab7b23289e1a25eef',
+    'discriminate --n 2 --statistics fermion --format json':
+        'c53640e4cbe2b927bb58cf494e049a16cb47a64d78fa3b5b6f504c0ec0e1f08c',
+    'discriminate --n 3 --statistics fermion --format json':
+        'bc10bf8995aa73901a27859334535cc78da89c4bd2c1087b77b0a4c09a9e8d55',
+    'discriminate --n 4 --statistics fermion --format json':
+        '9b1495c37f05a12459ab692cb46f65a0b594bf72c6313c48ce8188ca12d462c5',
+    'discriminate --n 5 --statistics fermion --format json':
+        'c3c8c829b7d87d1ba5fa28bbf9cb1c6caff51a88ab5595b07e8934459a487ef2',
+    'discriminate --n 6 --statistics fermion --format json':
+        'db4dcafad2eaae841372db041f01a59712e8a5f7a2840b95e911204cdc04aed3',
+    ('discriminate --pair aligned-antialigned --statistics boson'
+     ' --prior0 0.3 --format json'):
+        '5a45f37bfbc0df7d329bb7df022cf1a61fa31a0c6fab68553fc1df9d4df1fab6',
+    ('discriminate --pair aligned-antialigned --statistics fermion'
+     ' --prior0 0.3 --format json'):
+        'bfde2e18b33422b5c0479a19a4303f1b93fe543b034a435375be8ab4a348d119',
+    'detect --schmidt 0 --statistics boson --format json':
+        '8f55c47d1d1703246afc4919b4ee11d225b0416270ef65d6680e5401b967f539',
+    'detect --schmidt 0.3 --statistics boson --format json':
+        '85152ddf06cc0df91312795518fd9e0f41ff9cb63e4ed0bdcb7c17d3dd24a1de',
+    'detect --schmidt 0.5 --statistics boson --format json':
+        '729d24c25073df754cb50598ecfb1f35a7039b97210c6574650c26534ac9d6a8',
+    'detect --schmidt 0 --statistics fermion --format json':
+        'e8c74045889164affc5942dbd75b6c0ba2051e5e44bb31e6e39a5b778a35502e',
+    'detect --schmidt 0.3 --statistics fermion --format json':
+        '7631d7767e2ad996b86ad5f8ac4cb5cb0fa6ffaea0ff00882a41ee4fefbb866e',
+    'detect --schmidt 0.5 --statistics fermion --format json':
+        '6eabc6f49a04142fd7fec315bbb7a083788745c2b5df0b6daabdf6596e9cc986',
+    'purify --r 0.5 --format json':
+        '9419b8c8b11be8cd2089d4649d54bda2dac37abc117f19950cb5c38b1f5eb137',
+    'purify --r 0.3 --theta 1.1 --phi 2.2 --format json':
+        '97a0841c2491c1cb77ef0c7a31e0d1632e4a99f4a79b3a0bd954a1f2e1a821bb',
+    'classical --n 1 --format json':
+        '098e247134b17e4006770c684f20b7110b7cbb112edbdbc7b1a557c5416a2ae7',
+    'classical --n 2 --format json':
+        '676e6eccf7af433677274c8aec2cf6f704ff278e1066a83c259f880b5aa7fa79',
+    'classical --n 3 --format json':
+        '4e0c434971410c2e7dc11392683bfef0a6ae53d3928fc5a4e1027ddd11ed3fc2',
+    'classical --n 4 --format json':
+        'e4af9a5265aad1f2b549d6483410368f4e9e0a4044867afb2c605eee35ed1293',
+    'classical --n 5 --format json':
+        'ae8894db3f8080ef85a9db66cbd86709f08a6f3587f817e6dff005692250ff2b',
+    'classical --n 6 --format json':
+        '583ff69e848f9cf9e4987bf7a9703ee6c7d227e6829d76d8e646c1633a02b103',
+    'classical --n 7 --format json':
+        '937d3c45f75b3cd1a6928b4b8170b21d6ece04c2ce88cb071d1b8571df9b095f',
+    'classical --n 8 --format json':
+        '6f4f7a08bb8fd3d2b09677010362b37da1ad2a4d761934bf99d79296fec253e7',
+    'classical --n 1 --classical-interpretation literal --format json':
+        'ccf6a5dfa94b54dafab0b5ce583f85d8c6e107adfa18e4f4fe19f0461cf63ed4',
+    'classical --n 2 --classical-interpretation literal --format json':
+        '0bb364934a71c315fb02a918181d76ea9cc2df5796e2a6fab30190cb2b8567c9',
+    'classical --n 3 --classical-interpretation literal --format json':
+        '2b359759a1691acdb2d0cb5dad77d81c82713bc9885cafaba4768ec5063a5523',
+    'classical --n 4 --classical-interpretation literal --format json':
+        '689f003ac1360a3d07236974775055c6c341a5b93c67f7bc88e74319247408ee',
+    'classical --n 5 --classical-interpretation literal --format json':
+        'cd0ba73284323686dbf5d50f5305f05d5c52dea7bd5a46aad65584a4ae44b6c2',
+    'classical --n 6 --classical-interpretation literal --format json':
+        '2cbdde34044d87ad91f0729e8f3e1fbe5687b68aac0ad22efe9a0d9837dda6b2',
+    'classical --n 7 --classical-interpretation literal --format json':
+        '9bdefd4ce7c0000d089e7d30066f612af8c006c01943f7fb7ee077e9249b5414',
+    'classical --n 8 --classical-interpretation literal --format json':
+        'b285cb140761718200d357a9659741015f2b3f88eb541b69f55f47eab96e3991',
+    'frobnicate':
+        'ea00c51d1517df2d3d78a88330aefbfe5ed640c1ff8c07aaf52cf6a3731587af',
+    'detect':
+        '12f9b058e0238315099745d46db13f5d2797d4dd5e63c9639a522f9ba06d4f71',
+    'reproduce --format yaml':
+        '888376b05af8a206831252c885997442aabb91b5f99e821769e4b7b195dabda8',
+    'detect --schmidt 0.7':
+        'c8ee5e9738a56a04ba552d858babee715101d35a0ea63f7e11c292f16da1e163',
+    'purify --r 1.5':
+        '3c684b47e2782da0fa1ee02cbc042a574353f45f35a558c5c660355a7bd02e4f',
+    'discriminate --pair aligned-antialigned --n 3':
+        'ea8ee72af5cf9924fe8f840da581a0993cba52b7396c6ad9f45f9426beac302c',
+    'discriminate --n 0':
+        'cc98d359beecf40df271eb0e950e1c398e1115a3ae31b16bc306183308c76d05',
+    'scan --n-max 0':
+        'cc98d359beecf40df271eb0e950e1c398e1115a3ae31b16bc306183308c76d05',
+    'discriminate --n 9':
+        '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
+    'discriminate --n 9 --pair aligned-antialigned':
+        '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
+    'scan --n-max 9':
+        '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
+    'scan --n-max 9 --statistics boson':
+        '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
+    'classical --n 9':
+        '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
+}
+
+
+def test_the_cli_output_is_byte_identical_to_its_pinned_digests(monkeypatch):
+    # argparse wraps its usage line to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    # twice in one process: the second pass reads every cache the first
+    # filled, and must not change a byte either
+    for _ in range(2):
+        changed = [line for line, digest in CONTRACT_DIGESTS.items()
+                   if contract_digest(line.split()) != digest]
+        assert changed == []

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statdisc import multiport
-from statdisc.core import TOL, CapacityError, DensityMatrix
+from statdisc.core import MAX_QUBITS, TOL, CapacityError, DensityMatrix
 from statdisc.multiport import (FockState, MultiportUnitary,
                                 OutcomeDistribution, Statistics, dft_unitary,
                                 evolve, interfere, prepare_input,
@@ -116,6 +116,8 @@ def _module_state():
 def test_fresh_unitaries_leave_no_module_state_behind():
     rng = np.random.default_rng(31)
     rho = maximally_mixed(3)
+    # phased_dft builds on the cached dft_unitary(3), one bounded entry
+    dft_unitary(3)
     before = _module_state()
     freed = []
     for _ in range(10):
@@ -129,6 +131,21 @@ def test_fresh_unitaries_leave_no_module_state_behind():
     assert _module_state() == before
     # the expansion memo goes with its unitary
     assert all(ref() is None for ref in freed)
+
+
+def test_the_fixed_states_keep_module_state_within_the_capacity():
+    # one state per n up to the cap: each cache grows by at most
+    # MAX_QUBITS entries, and asking again adds nothing
+    before = _module_state()
+    for _ in range(2):
+        for n in range(1, MAX_QUBITS + 1):
+            aligned_mixture(n)
+            maximally_mixed(n)
+        antialigned_mixture()
+        after = _module_state()
+        assert all(size - before.get(key, 0) <= MAX_QUBITS
+                   for key, size in after.items())
+    assert _module_state() == after
 
 
 def test_a_repeated_call_adds_nothing_to_the_memo():
@@ -338,6 +355,60 @@ def test_interfere_loads_through_the_module_prepare_input_once(monkeypatch):
             calls.clear()
             interfere(internal, stats)
             assert len(calls) == 1 and calls[0] is internal
+
+
+def test_a_density_matrix_is_eigendecomposed_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: calls.append(m.shape) or eigh(m))
+    rho = DensityMatrix(_random_state(3, 2, np.random.default_rng(5)))
+    assert calls == []
+    first = prepare_input(rho)
+    assert len(calls) == 1
+    second = prepare_input(rho)
+    for stats in (BOSON, FERMION):
+        interfere(rho, stats)
+    assert len(calls) == 1
+    assert [(w, v.tobytes()) for w, v in second] == [
+        (w, v.tobytes()) for w, v in first]
+
+
+def test_the_kept_eigenstates_are_read_only():
+    for rho in (aligned_mixture(3), DensityMatrix(np.eye(4) / 4)):
+        ensemble = prepare_input(rho)
+        for _, vec in ensemble:
+            with pytest.raises(ValueError):
+                vec[0] = 1.0
+        # the list is the caller's own
+        ensemble.clear()
+        assert len(prepare_input(rho)) == len(rho.eigenstates)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_kept_eigenstates_are_those_of_a_fresh_state_byte_for_byte(n):
+    states = [aligned_mixture(n), maximally_mixed(n)]
+    if n == 2:
+        states.append(antialigned_mixture())
+    for rho in states:
+        prepare_input(rho)
+        kept = prepare_input(rho)
+        fresh = prepare_input(DensityMatrix(rho.matrix))
+        assert [(w, v.tobytes()) for w, v in kept] == [
+            (w, v.tobytes()) for w, v in fresh]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([BOSON, FERMION]),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_interfere_on_kept_eigenstates_equals_a_fresh_state(n, stats, rank,
+                                                            seed):
+    rho = DensityMatrix(_random_state(n, rank, np.random.default_rng(seed)))
+    interfere(rho, stats)
+    kept = interfere(rho, stats)
+    fresh = interfere(DensityMatrix(rho.matrix), stats)
+    assert list(kept.probabilities.items()) == list(
+        fresh.probabilities.items())
 
 
 # ------------------------------------------------- two-particle interference
@@ -709,7 +780,7 @@ def _swap_sign(stats, c):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_outputs_number_every_configuration_in_ascending_code(n):
     for stats in (BOSON, FERMION):
-        levels, patterns, labels = multiport._levels(stats, n)
+        levels, _, patterns, labels = multiport._levels(stats, n)
         assert len(levels) == n + 1
         for k, codes in enumerate(levels):
             assert (multiport._configurations(codes, stats, n)
@@ -730,7 +801,7 @@ def test_transition_tables_are_the_creation_operators(n):
     # configuration made and the factor: (-1) ** (occupied modes below)
     # for fermions, sqrt(occ + 1) for bosons
     for stats in (BOSON, FERMION):
-        levels, _, _ = multiport._levels(stats, n)
+        levels, _, _, _ = multiport._levels(stats, n)
         for k in range(n):
             configs, made = _level(stats, n, k), _level(stats, n, k + 1)
             first, arms, numbers, factors = multiport._creations(
@@ -759,17 +830,16 @@ def test_the_mirror_is_the_spin_swap_and_its_sign(n):
     # one and is its own inverse; the sign counts the arms holding both
     # modes, and bosons have none
     for stats in (BOSON, FERMION):
-        levels, _, _ = multiport._levels(stats, n)
-        for k in range(n + 1):
+        levels, swaps, _, _ = multiport._levels(stats, n)
+        assert len(swaps) == n + 1
+        for k, swap in enumerate(swaps):
             configs = _level(stats, n, k)
-            swap, sign = multiport._mirror(stats, n, levels[k])
             assert swap.dtype == np.int32
             assert swap[swap].tolist() == list(range(len(configs)))
             assert [configs[j] for j in swap.tolist()] == [
                 _swapped(c) for c in configs]
-            if stats is BOSON:
-                assert sign is None
-            else:
+            if stats is FERMION:
+                sign = multiport._mirror_sign(levels[k])
                 assert sign.tolist() == [_swap_sign(stats, c)
                                          for c in configs]
 
@@ -1013,7 +1083,7 @@ def test_distributions_list_their_patterns_in_ascending_order(
     # cut, and spatial_distribution the pattern of each configuration it
     # is given, amplitude zero or not; both list them in ascending order
     rng = np.random.default_rng(seed)
-    _, _, labels = multiport._levels(stats, n)
+    _, _, _, labels = multiport._levels(stats, n)
     assert labels == sorted(labels)
     rho = _random_state(n, rank, rng)
     rho = DensityMatrix(_pinched(rho) if pinch else rho)
@@ -1047,7 +1117,7 @@ def test_distributions_list_their_patterns_in_ascending_order(
 @pytest.mark.parametrize("state", [aligned_mixture, maximally_mixed])
 def test_frontier_distributions_list_their_patterns_in_ascending_order(
         n, stats, state):
-    _, _, labels = multiport._levels(stats, n)
+    _, _, _, labels = multiport._levels(stats, n)
     assert labels == sorted(labels)
     d = interfere(state(n), stats)
     # aligned fermions leave one per arm: one pattern, trivially in order

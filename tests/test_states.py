@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from statdisc.core import (CapacityError, partial_trace, symmetric_projector,
-                           tensor)
+from statdisc.core import (MAX_QUBITS, CapacityError, partial_trace,
+                           symmetric_projector, tensor)
 from statdisc.states import (BlochDirection, aligned_direction_state,
                              aligned_mixture, antialigned_direction_state,
                              antialigned_mixture, bloch_state, bloch_vector,
@@ -126,6 +126,32 @@ def test_constructors_stop_at_the_capacity(build):
     assert build(8).n_qubits == 8
     with pytest.raises(CapacityError):
         build(9)
+
+
+# ---------------------------------------------------------- built once per n
+
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
+def test_the_hypothesis_states_are_one_read_only_object_per_n(n):
+    for build in (aligned_mixture, maximally_mixed):
+        rho = build(n)
+        assert build(n) is rho
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+    assert antialigned_mixture() is antialigned_mixture()
+    with pytest.raises(ValueError):
+        antialigned_mixture().matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("build", [aligned_mixture, maximally_mixed])
+def test_a_refused_register_adds_no_cache_entry(build):
+    for n in range(1, MAX_QUBITS + 1):
+        build(n)
+    assert build.cache_info().currsize == MAX_QUBITS
+    with pytest.raises(ValueError):
+        build(0)
+    with pytest.raises(CapacityError):
+        build(MAX_QUBITS + 1)
+    assert build.cache_info().currsize == MAX_QUBITS
 
 
 # ------------------------------------------------------------- dicke basis
