@@ -9,10 +9,9 @@ ceiling.
 
 from .core import (CapacityError, DensityMatrix, partial_trace,
                    swap_operator, symmetric_projector, tensor, trace_norm)
-from .states import (BlochDirection, aligned_direction_state,
-                     aligned_mixture, antialigned_direction_state,
-                     antialigned_mixture, bloch_state, bloch_vector,
-                     maximally_mixed, orthogonal_state, qubit_density)
+from .states import (BlochDirection, aligned_mixture, antialigned_mixture,
+                     bloch_state, bloch_vector, maximally_mixed,
+                     orthogonal_state, qubit_density)
 from .multiport import (MultiportUnitary, OutcomeDistribution, Statistics,
                         dft_unitary, interfere)
 from .discrimination import (DiscriminationReport, Hypothesis,
@@ -29,8 +28,7 @@ __all__ = [
     "BlochDirection", "CapacityError", "DensityMatrix",
     "DiscriminationReport", "Hypothesis", "MultiportUnitary",
     "OutcomeDistribution", "Statistics", "TwoQubitPureState",
-    "aligned_direction_state", "aligned_mixture", "aligned_vs_mixed_bound",
-    "antialigned_direction_state", "antialigned_mixture",
+    "aligned_mixture", "aligned_vs_mixed_bound", "antialigned_mixture",
     "beam_splitter_discrimination", "bloch_state", "bloch_vector",
     "classical_comparison", "classical_pauli_success", "detect_entanglement",
     "dft_unitary", "helstrom_bound", "interfere", "map_strategy",

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (TOL, DensityMatrix, check_capacity, check_register,
-                   partial_trace, symmetric_projector, tensor)
+from .core import (TOL, DensityMatrix, check_register, partial_trace,
+                   symmetric_projector, tensor)
 from .discrimination import (DiscriminationReport, Hypothesis,
                              aligned_vs_mixed_bound,
                              beam_splitter_discrimination)
@@ -142,7 +142,7 @@ def classical_comparison(n_max: int = 6) -> list[dict]:
     """Side-by-side table of both exclusion readings against the exact bound."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    check_capacity(n_max)
+    check_register(n_max)
     rows = []
     for n in range(2, n_max + 1):
         standard = classical_pauli_success(n, "standard")

@@ -2,12 +2,13 @@
 
 Every register is n qubits, the internal states of n two-level particles,
 so a ``DensityMatrix`` is a 2**n x 2**n matrix and reads n from its
-dimension.  Everything here is plain numpy complex128.  Registers never
-exceed ``MAX_QUBITS`` (eight) qubits, a limit that ``check_capacity``
-enforces at every entry point of the package (``check_register`` where the
-entry point is given a size n, refusing n < 1 as well), so every operation
-is an exact eigendecomposition or an index manipulation; nothing is
-sampled and nothing is sparse.
+dimension.  Everything here is plain numpy complex128.  A register holds
+1 to ``MAX_QUBITS`` (eight) qubits, a rule that one function,
+``check_register``, enforces wherever a size enters the package, before
+any work of that size: on n where it is given, on a ``DensityMatrix``'s
+dimension, and, in ``MultiportUnitary``, on the multiport's own arms.
+So every operation is an exact eigendecomposition or an index
+manipulation; nothing is sampled and nothing is sparse.
 
 This module also holds the package's two tolerances, ``TOL`` and
 ``SUM_TOL``; no other module defines its own.
@@ -31,9 +32,10 @@ TOL = 1e-12
 # from exact states carry it at this scale.
 SUM_TOL = 1e-10
 
-# Largest register evaluated exactly.  Every published number lies within
-# it and dense 2**n matrices stay small (256 x 256).  The Fock evolution
-# grows much faster than that: at n = 8 the expansions of one fermion task
+# Largest register evaluated exactly: a register is 1 to 8 qubits, and a
+# multiport 1 to 8 arms, one particle each.  Every published number lies
+# within it and dense 2**n matrices stay small (256 x 256).  The Fock
+# evolution grows much faster: at n = 8 the expansions of one fermion task
 # hold 0.74 million outputs (about 0.15 s on a 2-core Xeon), and those of a
 # boson task 22 million (about 3.3 s), at 20 bytes each in the memo.  On
 # that machine `discriminate --n 8` peaks at about 80 MB RSS for fermions
@@ -46,18 +48,13 @@ class CapacityError(Exception):
     """Raised when a request needs a register beyond ``MAX_QUBITS``."""
 
 
-def check_capacity(n: int) -> None:
-    """Refuse registers of more than ``MAX_QUBITS`` qubits, before any work."""
-    if n > MAX_QUBITS:
-        raise CapacityError(f"n = {n} is above the {MAX_QUBITS}-qubit limit "
-                            "of exact evaluation")
-
-
 def check_register(n: int) -> None:
     """Refuse a register size n below one or above ``MAX_QUBITS``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    check_capacity(n)
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n = {n} is above the {MAX_QUBITS}-qubit limit "
+                            "of exact evaluation")
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -80,8 +77,7 @@ class DensityMatrix:
     """Hermitian, positive semi-definite, unit-trace matrix over n qubits.
 
     n is read off the dimension 2**n.  Qubit 0 is the leftmost ket, i.e. the
-    most significant bit of the row/column index.  A 1 x 1 matrix is the
-    zero-qubit register that tracing out every qubit leaves.
+    most significant bit of the row/column index.
 
     The matrix is read-only, so one instance can be shared.  Construction
     validates it with the eigenvalues alone; the eigenvectors are computed
@@ -91,14 +87,16 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix).copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        m = as_complex_matrix(self.matrix)
         dim = m.shape[0]
         if m.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
             raise ValueError(f"matrix shape {m.shape} is not that of a "
                              "register of qubits")
-        check_capacity(self.n_qubits)
+        # before the copy and the eigensolve
+        check_register(dim.bit_length() - 1)
+        m = m.copy()
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
         if hermiticity_defect(m) > TOL:
             raise ValueError("density matrix must be Hermitian")
         if abs(complex(np.trace(m)) - 1.0) > TOL:
@@ -136,15 +134,13 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
-def tensor(a, b):
-    """Kronecker product; two density matrices or two plain matrices."""
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        # before the product: two 8-qubit factors would allocate 69 GB
-        check_capacity(a.n_qubits + b.n_qubits)
-        return DensityMatrix(np.kron(a.matrix, b.matrix))
-    if isinstance(a, DensityMatrix) or isinstance(b, DensityMatrix):
-        raise TypeError("tensor expects operands of the same kind")
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
+def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
+    """Kronecker product of two density matrices."""
+    if not (isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix)):
+        raise TypeError("tensor expects two density matrices")
+    # before the product: two 8-qubit factors would allocate 69 GB
+    check_register(a.n_qubits + b.n_qubits)
+    return DensityMatrix(np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

@@ -125,12 +125,11 @@ def beam_splitter_discrimination(h0: Hypothesis, h1: Hypothesis,
                                  statistics: Statistics | str
                                  ) -> DiscriminationReport:
     """Run both hypotheses through the multiport and decide from arm counts."""
-    _check_pair(h0, h1)
     statistics = Statistics(statistics)
-    n = h0.state.n_qubits
+    # checks the pair before either hypothesis meets the multiport
+    p_h = helstrom_bound(h0, h1)
     dist0 = interfere(h0.state, statistics)
     dist1 = interfere(h1.state, statistics)
     strategy, p_bs = map_strategy(dist0, dist1, (h0.prior, h1.prior))
-    p_h = helstrom_bound(h0, h1)
-    return DiscriminationReport(n=n, statistics=statistics, p_helstrom=p_h,
-                                p_bs=p_bs, strategy=strategy)
+    return DiscriminationReport(n=h0.state.n_qubits, statistics=statistics,
+                                p_helstrom=p_h, p_bs=p_bs, strategy=strategy)

@@ -88,7 +88,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (SUM_TOL, TOL, DensityMatrix, as_complex_matrix,
-                   check_capacity, check_register)
+                   check_register)
 
 Occupation = tuple[int, ...]
 Pattern = tuple[int, ...]
@@ -103,21 +103,22 @@ class Statistics(Enum):
 class MultiportUnitary:
     """Balanced n-arm unitary: every entry has modulus 1/sqrt(n).
 
-    It also carries the memos of what it does, for each statistics, to the
-    2**n configurations of one particle per arm, and to each small ensemble
-    (see ``_expansions`` and ``_Plan``).
+    Its n arms take n particles, so n meets the register rule, checked
+    before any product.  It also carries the memos of what it does, for
+    each statistics, to the 2**n configurations of one particle per arm,
+    and to each small ensemble (see ``_expansions`` and ``_Plan``).
     """
 
     matrix: np.ndarray
     n: int = field(init=False)  # the side of the square matrix
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix).copy()
+        m = as_complex_matrix(self.matrix)
         object.__setattr__(self, "n", m.shape[0])
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not self.n:
-            raise ValueError("a multiport needs at least one arm")
+        check_register(self.n)
+        m = m.copy()
         if np.max(np.abs(m.conj().T @ m - np.eye(self.n))) > TOL:
             raise ValueError("matrix must be unitary")
         if np.max(np.abs(np.abs(m) - 1.0 / math.sqrt(self.n))) > TOL:
@@ -159,8 +160,6 @@ class FockState:
         first = next(iter(self.amplitudes))
         object.__setattr__(self, "n_arms", len(first) // 2)
         n_particles = sum(first)
-        check_capacity(self.n_arms)
-        check_capacity(n_particles)
         norm_sq = 0.0
         for config, amp in self.amplitudes.items():
             if len(config) != 2 * self.n_arms:
@@ -196,7 +195,6 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
     of the 2**n configurations by basis index (see the module docstring).
     """
     if isinstance(internal, DensityMatrix):
-        check_register(internal.n_qubits)
         return list(internal.eigenstates)
     v = np.asarray(internal, dtype=complex)
     if v.ndim != 1:
@@ -245,8 +243,8 @@ def _place_values(statistics: Statistics, n: int) -> tuple[int, np.ndarray]:
 
     A configuration is coded as sum_m n_m * base**m over its 2n modes, with
     base 2 for fermions and n + 1 for bosons, so no occupation of a valid
-    configuration overflows its digit.  The capacity rule caps n at eight,
-    so codes stay below 9**16 < 2**51.
+    configuration overflows its digit.  ``MultiportUnitary`` caps its arms,
+    and so n, at eight, so codes stay below 9**16 < 2**51.
     """
     base = 2 if statistics is Statistics.FERMION else n + 1
     return base, base ** np.arange(2 * n, dtype=np.int64)
@@ -695,11 +693,11 @@ def interfere(internal, statistics: Statistics | str,
     vector or a ``DensityMatrix`` over n qubits, whose eigenstates are
     computed on its first call and reused by every later one, and
     ``statistics`` is a ``Statistics`` member or its value.  The default
-    unitary is the n-arm discrete-Fourier multiport.  The result is ``spatial_distribution`` of
-    every member ``evolve``d, computed from the members' vectors without
-    building a ``FockState``: the patterns of the kept outputs, in
-    ascending order, a pattern whose outputs are all interference zeros
-    left out.
+    unitary is the n-arm discrete-Fourier multiport.  The result is
+    ``spatial_distribution`` of every member ``evolve``d, computed from the
+    members' vectors without building a ``FockState``: the patterns of the
+    kept outputs, in ascending order, a pattern whose outputs are all
+    interference zeros left out.
     """
     ensemble = prepare_input(internal)
     statistics = Statistics(statistics)

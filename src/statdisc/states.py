@@ -2,7 +2,8 @@
 
 The direction-averaged mixtures are closed forms (exact rational
 matrices).  Their defining averages over the sphere are rebuilt by
-quadrature in the test suite, as an independent oracle.
+quadrature in the test suite, as an independent oracle, from the
+fixed-direction states that live there with it.
 
 The fixed hypothesis states, ``aligned_mixture(n)``, ``maximally_mixed(n)``
 and ``antialigned_mixture()``, depend on n alone, so each is built and
@@ -56,25 +57,6 @@ def orthogonal_state(omega: BlochDirection) -> np.ndarray:
     """Qubit ket pointing along the antipode of ``omega``."""
     return np.array([math.sin(omega.theta / 2.0),
                      -np.exp(1j * omega.phi) * math.cos(omega.theta / 2.0)])
-
-
-def aligned_direction_state(omega: BlochDirection, n: int) -> DensityMatrix:
-    """n qubits all pointing along the same known direction."""
-    check_register(n)
-    ket = bloch_state(omega)
-    single = np.outer(ket, ket.conj())
-    m = single
-    for _ in range(n - 1):
-        m = np.kron(m, single)
-    return DensityMatrix(m)
-
-
-def antialigned_direction_state(omega: BlochDirection) -> DensityMatrix:
-    """Qubit pair pointing in opposite directions along a known axis."""
-    up = bloch_state(omega)
-    down = orthogonal_state(omega)
-    m = np.kron(np.outer(up, up.conj()), np.outer(down, down.conj()))
-    return DensityMatrix(m)
 
 
 # check_register bounds this cache to MAX_QUBITS entries

@@ -1,12 +1,14 @@
 """Independent second routes to the package's quantities, for tests only.
 
 Each oracle computes something the package also computes, by a route that
-shares no code with the production path: sphere quadrature for the
-direction-averaged mixtures, a Dicke basis and explicit qubit-permutation
-operators for the symmetric projector, explicit (anti)symmetrization of
-labeled particles for the Fock pipeline, a second balanced two-port
-convention, and full enumeration of routings for the classical exclusion
-model.  They are slow on purpose and are never imported by ``src/``.
+shares no code with the production path: sphere quadrature over the
+fixed-direction states for the direction-averaged mixtures, a Dicke basis
+and explicit qubit-permutation operators for the symmetric projector,
+explicit (anti)symmetrization of labeled particles and, up to the capacity,
+determinants and permanents of the arm unitary for the Fock pipeline, a
+second balanced two-port convention, and full enumeration of routings for
+the classical exclusion model.  They are slow on purpose and are never
+imported by ``src/``.
 
 One oracle is not independent but literal: the Fock pipeline as the plain
 dict loop it replaced, on the ``FockState`` members that ``fock_ensemble``
@@ -22,16 +24,17 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 from typing import Callable, Sequence
 
 import numpy as np
 
-from statdisc.core import TOL, DensityMatrix
+from statdisc.core import TOL, DensityMatrix, check_register
 from statdisc.multiport import (Ensemble, FockState, MultiportUnitary,
                                 Occupation, OutcomeDistribution, Pattern,
                                 Statistics, dft_unitary, prepare_input)
-from statdisc.states import BlochDirection
+from statdisc.states import BlochDirection, bloch_state, orthogonal_state
 
 
 # ------------------------------------------------------------ quadrature
@@ -84,6 +87,25 @@ class SphereQuadrature:
                 dirs.append(BlochDirection(theta, 2.0 * math.pi * j / n_azimuthal))
                 weights.append(wc / (2.0 * n_azimuthal))
         return cls(tuple(dirs), np.array(weights))
+
+
+def aligned_direction_state(omega: BlochDirection, n: int) -> DensityMatrix:
+    """n qubits all pointing along the same known direction."""
+    check_register(n)
+    ket = bloch_state(omega)
+    single = np.outer(ket, ket.conj())
+    m = single
+    for _ in range(n - 1):
+        m = np.kron(m, single)
+    return DensityMatrix(m)
+
+
+def antialigned_direction_state(omega: BlochDirection) -> DensityMatrix:
+    """Qubit pair pointing in opposite directions along a known axis."""
+    up = bloch_state(omega)
+    down = orthogonal_state(omega)
+    m = np.kron(np.outer(up, up.conj()), np.outer(down, down.conj()))
+    return DensityMatrix(m)
 
 
 def quadrature_average(builder: Callable[[BlochDirection], DensityMatrix],
@@ -244,6 +266,115 @@ def first_quantized_distribution(internal, statistics: Statistics,
             counts[mode // 2] += 1
         probs[tuple(counts)] += p
     return OutcomeDistribution(dict(probs))
+
+
+# -------------------------------------- determinants and permanents of u
+
+def _permanents(a: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of j x j matrices, by Ryser's formula:
+    perm A = sum over column subsets S of (-1)**(j - |S|) times the
+    product over rows r of sum_{c in S} A[r, c]."""
+    j = a.shape[-1]
+    subsets = (np.arange(1 << j)[:, None] >> np.arange(j)) & 1
+    signs = (-1.0) ** (j - subsets.sum(axis=1))
+    return np.prod(a @ subsets.T, axis=-2) @ signs
+
+
+def _minors(u: np.ndarray, j: int, statistics: Statistics):
+    """det u[G, B] for fermions, perm u[G, B] for bosons, for every j-subset
+    G of rows and every j-subset (fermions) or j-multiset (bosons) B of
+    columns, both listed in ascending order: a (rows, columns) table, the
+    row subsets' positions by subset, and each column choice's arm counts."""
+    n = len(u)
+    rows = list(combinations(range(n), j))
+    cols = list((combinations if statistics is Statistics.FERMION
+                 else combinations_with_replacement)(range(n), j))
+    counts = np.zeros((len(cols), n), dtype=np.int64)
+    for i, col in enumerate(cols):
+        for arm in col:
+            counts[i, arm] += 1
+    # j = 0 leaves one empty row and column choice, whose 0 x 0 minor is 1
+    r = np.array(rows, dtype=np.intp).reshape(len(rows), 1, j, 1)
+    c = np.array(cols, dtype=np.intp).reshape(1, len(cols), 1, j)
+    values = (np.linalg.det(u[r, c]) if statistics is Statistics.FERMION
+              else _permanents(u[r, c]))
+    return values, {row: i for i, row in enumerate(rows)}, counts
+
+
+def _inversions(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The pairs of arms a < b with ``first[..., a]`` and ``second[..., b]``
+    set, the leading axes broadcast."""
+    later = np.cumsum(second[..., ::-1], axis=-1)[..., ::-1] - second
+    return (first * later).sum(axis=-1)
+
+
+def factorised_block(statistics: Statistics, u: MultiportUnitary, k: int):
+    """The amplitudes of every spin string with k particles in spin 1, one
+    per arm, into every output, from a factorisation of each amplitude.
+
+    A string with its spin-0 particles in arms G0 and its spin-1 particles
+    in arms G1 goes into the output with spin-0 particles in arms B0 and
+    spin-1 particles in arms B1, m0 and m1 of them per arm, with amplitude
+
+    * fermions: sgn * det u[G0, B0] * det u[G1, B1];
+    * bosons: perm u[G0, B0] * perm u[G1, B1] / sqrt(prod m0! prod m1!)
+
+    (Shchesnovich, PRA 91, 013844 (2015); Tichy, PRA 91, 022316 (2015)).
+    sgn is (-1) to the power of the inversions that reorder the arm-major
+    creations into a spin-0 block followed by a spin-1 block, counted on
+    both sides: the input arms a < b with spin 1 in a and spin 0 in b, and
+    the pairs of a spin-1 output arm a and a spin-0 output arm b > a.
+
+    Returns the strings' basis indices, ascending, and an array t of shape
+    (B0 choices, B1 choices, strings) of the amplitudes, with the arm
+    counts of each B0 and each B1 choice.
+    """
+    n = u.n
+    spins = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    block = np.flatnonzero(spins.sum(axis=1) == k)
+    spins = spins[block]
+    values0, rows0, counts0 = _minors(u.matrix, n - k, statistics)
+    values1, rows1, counts1 = _minors(u.matrix, k, statistics)
+    g0 = [rows0[tuple(np.flatnonzero(s == 0).tolist())] for s in spins]
+    g1 = [rows1[tuple(np.flatnonzero(s == 1).tolist())] for s in spins]
+    t = values0[g0].T[:, None, :] * values1[g1].T[None, :, :]
+    if statistics is Statistics.FERMION:
+        sign_in = (-1.0) ** _inversions(spins, 1 - spins)
+        sign_out = (-1.0) ** _inversions(counts1[None, :, :],
+                                         counts0[:, None, :])
+        t *= sign_in * sign_out[:, :, None]
+    else:
+        norm0 = np.sqrt([math.prod(map(math.factorial, c)) for c in counts0])
+        norm1 = np.sqrt([math.prod(map(math.factorial, c)) for c in counts1])
+        t /= (norm0[:, None] * norm1[None, :])[:, :, None]
+    return block, t, counts0, counts1
+
+
+def factorised_distribution(internal: DensityMatrix, statistics: Statistics,
+                            unitary: MultiportUnitary | None = None
+                            ) -> OutcomeDistribution:
+    """Arm counts of one particle per arm, from ``factorised_block``.
+
+    A string's outputs hold as many spin-1 particles as it does, so each
+    block of k spin-1 particles passes alone, and its outputs'
+    probabilities are the diagonal of t rho_k t^dagger: linear in rho, with
+    no eigendecomposition.  Every pattern of the outputs is listed, in
+    ascending order, even one of probability zero.
+    """
+    rho = internal.matrix
+    n = internal.n_qubits
+    u = dft_unitary(n) if unitary is None else unitary
+    if u.n != n:
+        raise ValueError(f"unitary has {u.n} arms, state has {n}")
+    totals: dict[Pattern, float] = defaultdict(float)
+    for k in range(n + 1):
+        block, t, counts0, counts1 = factorised_block(statistics, u, k)
+        probs = (t @ rho[np.ix_(block, block)] * t.conj()).sum(axis=2).real
+        patterns = counts0[:, None, :] + counts1[None, :, :]
+        for pattern, p in zip(map(tuple, patterns.reshape(-1, n).tolist()),
+                              probs.ravel().tolist()):
+            totals[pattern] += p
+    return OutcomeDistribution(dict(sorted(totals.items())))
 
 
 # ---------------------------------------------- Fock pipeline as a dict loop

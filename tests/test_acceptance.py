@@ -22,13 +22,13 @@ from statdisc.discrimination import (Hypothesis, aligned_vs_mixed_bound,
                                      beam_splitter_discrimination,
                                      helstrom_bound)
 from statdisc.multiport import Statistics, interfere
-from statdisc.states import (BlochDirection, aligned_direction_state,
-                             aligned_mixture, antialigned_direction_state,
+from statdisc.states import (BlochDirection, aligned_mixture,
                              antialigned_mixture, bloch_state, bloch_vector,
                              maximally_mixed, qubit_density)
 
-from oracles import (SphereQuadrature, first_quantized_distribution,
-                     quadrature_average)
+from oracles import (SphereQuadrature, aligned_direction_state,
+                     antialigned_direction_state,
+                     first_quantized_distribution, quadrature_average)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION

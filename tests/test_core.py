@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,11 @@ from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
                            swap_operator, symmetric_projector, tensor,
                            trace_norm)
 from statdisc.discrimination import aligned_vs_mixed_bound
-from statdisc.multiport import Statistics, dft_unitary, prepare_input
-from statdisc.states import (BlochDirection, aligned_direction_state,
-                             maximally_mixed)
+from statdisc.multiport import (MultiportUnitary, Statistics, dft_unitary,
+                                prepare_input)
+from statdisc.states import BlochDirection, maximally_mixed
 
-from oracles import permutation_operator
+from oracles import aligned_direction_state, permutation_operator
 
 
 def random_density(rng, n_qubits):
@@ -80,6 +81,16 @@ def test_density_matrix_stops_at_the_capacity(monkeypatch):
     with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
         DensityMatrix(np.eye(2 ** 9) / 2 ** 9)
     assert calls == []
+    # and before its own copy of the matrix, 4 MB at 512 x 512
+    big = np.eye(2 ** 9, dtype=complex) / 2 ** 9
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            DensityMatrix(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_density_matrix_refuses_non_qubit_dimensions_before_any_work(
@@ -95,16 +106,21 @@ def test_density_matrix_refuses_non_qubit_dimensions_before_any_work(
     assert calls == []
 
 
-def test_density_matrix_of_dimension_one_is_the_zero_qubit_register():
-    rho = DensityMatrix([[1.0]])
-    assert rho.dim == 1
-    assert rho.n_qubits == 0
+def test_density_matrix_of_dimension_one_is_refused(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(m.shape) or eigvalsh(m))
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        DensityMatrix([[1.0]])
+    assert calls == []
 
 
 # ------------------------------------------------------------------ tensor
 
 def test_tensor_of_identities():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
+    joint = tensor(maximally_mixed(1), maximally_mixed(2))
+    assert np.allclose(joint.matrix, np.eye(8) / 8)
 
 
 def test_tensor_concatenates_factor_shapes():
@@ -118,7 +134,7 @@ def test_tensor_concatenates_factor_shapes():
 
 def test_tensor_stops_at_the_capacity(monkeypatch):
     big = DensityMatrix(np.eye(2 ** 8) / 2 ** 8)
-    assert tensor(big, DensityMatrix([[1.0]])).n_qubits == 8
+    assert tensor(maximally_mixed(7), maximally_mixed(1)).n_qubits == 8
     calls = []
     kron = np.kron
     monkeypatch.setattr(np, "kron",
@@ -129,16 +145,12 @@ def test_tensor_stops_at_the_capacity(monkeypatch):
 
 
 def test_tensor_rejects_mixed_kinds():
+    # a plain operand is refused, whichever side it stands on
     rho = DensityMatrix(np.eye(2) / 2)
-    with pytest.raises(TypeError):
-        tensor(rho, np.eye(2))
-
-
-def test_tensor_trace_is_multiplicative():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.isclose(np.trace(tensor(a, b)), np.trace(a) * np.trace(b))
+    for a, b in ((rho, np.eye(2) / 2), (np.eye(2) / 2, rho),
+                 (np.eye(2) / 2, np.eye(2) / 2)):
+        with pytest.raises(TypeError, match="two density matrices"):
+            tensor(a, b)
 
 
 # ------------------------------------------------------------ partial_trace
@@ -167,15 +179,19 @@ def test_partial_trace_of_product_recovers_factors():
     assert np.allclose(partial_trace(joint, (1,)).matrix, b.matrix, atol=1e-14)
 
 
-def test_partial_trace_composes_to_scalar_one():
+def test_partial_trace_composes_down_to_one_qubit():
     rng = np.random.default_rng(7)
     rho = random_density(rng, 3)
-    # peel one factor at a time, then drop the last one as well
+    # peel one factor at a time, down to the last qubit
     step = partial_trace(rho, (0, 1))
-    step = partial_trace(step, (0,))
-    final = partial_trace(step, ())
-    assert final.matrix.shape == (1, 1)
-    assert np.isclose(final.matrix[0, 0], 1.0)
+    final = partial_trace(step, (0,))
+    assert final.n_qubits == 1
+    assert np.isclose(np.trace(final.matrix), 1.0)
+    assert np.allclose(final.matrix, partial_trace(rho, (0,)).matrix,
+                       atol=1e-14)
+    # tracing out the last one as well leaves no register
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        partial_trace(final, ())
 
 
 def test_partial_trace_rejects_unsorted_keep():
@@ -300,10 +316,6 @@ def _is_tolerance_table(stmt):
     return isinstance(stmt, ast.Assign) and targets in (["TOL"], ["SUM_TOL"])
 
 
-def _is_capacity_rule(stmt):
-    return isinstance(stmt, ast.FunctionDef) and stmt.name == "check_capacity"
-
-
 def _is_register_rule(stmt):
     return isinstance(stmt, ast.FunctionDef) and stmt.name == "check_register"
 
@@ -321,10 +333,10 @@ def test_tolerances_are_defined_only_in_the_core_table():
     assert stray == []
 
 
-def test_capacity_errors_are_raised_only_by_check_capacity():
+def test_capacity_errors_are_raised_only_by_check_register():
     stray = []
     for name, tree in _package_sources():
-        rule = (_core_nodes(tree, _is_capacity_rule)
+        rule = (_core_nodes(tree, _is_register_rule)
                 if name == "core.py" else set())
         for node in ast.walk(tree):
             if not isinstance(node, ast.Raise) or id(node) in rule:
@@ -348,10 +360,18 @@ def test_empty_registers_are_refused_only_by_check_register():
     assert stray == []
 
 
+# tensor and partial_trace meet the rule through the joint or kept size:
+# see test_tensor_stops_at_the_capacity and
+# test_partial_trace_composes_down_to_one_qubit
 @pytest.mark.parametrize("entry", [
     pytest.param(symmetric_projector, id="symmetric_projector"),
     pytest.param(aligned_vs_mixed_bound, id="aligned_vs_mixed_bound"),
     pytest.param(dft_unitary, id="dft_unitary"),
+    # not unitary: a size refused first is refused before the product
+    pytest.param(lambda n: MultiportUnitary(np.zeros((n, n))),
+                 id="MultiportUnitary"),
+    pytest.param(lambda n: DensityMatrix(np.eye(2 ** n) / 2 ** n),
+                 id="DensityMatrix"),
     pytest.param(lambda n: aligned_direction_state(BlochDirection(0.3, 1.2),
                                                    n),
                  id="aligned_direction_state"),

@@ -18,13 +18,14 @@ from statdisc.multiport import (FockState, MultiportUnitary,
                                 OutcomeDistribution, Statistics, dft_unitary,
                                 evolve, interfere, prepare_input,
                                 spatial_distribution)
-from statdisc.states import (BlochDirection, aligned_direction_state,
-                             aligned_mixture, antialigned_mixture,
-                             maximally_mixed)
+from statdisc.states import (BlochDirection, aligned_mixture,
+                             antialigned_mixture, maximally_mixed)
 
-from oracles import (dict_evolve, dict_expansion, dict_interfere,
-                     dict_spatial_distribution, first_quantized_distribution,
-                     fock_ensemble, one_per_arm, symmetric_two_port)
+from oracles import (aligned_direction_state, dict_evolve, dict_expansion,
+                     dict_interfere, dict_spatial_distribution,
+                     factorised_block, factorised_distribution,
+                     first_quantized_distribution, fock_ensemble,
+                     one_per_arm, symmetric_two_port)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -73,8 +74,8 @@ def test_multiport_rejects_non_square_matrix():
     # a single row would broadcast against the identity in the unitarity check
     with pytest.raises(ValueError, match="square"):
         MultiportUnitary(np.ones((1, 2)) / math.sqrt(2))
-    # no arms: square, but nothing to check unitarity or balance on
-    with pytest.raises(ValueError, match="at least one arm"):
+    # no arms: square, but below the one register rule
+    with pytest.raises(ValueError, match="n must be at least 1"):
         MultiportUnitary(np.zeros((0, 0)))
 
 
@@ -247,11 +248,20 @@ def test_fock_state_rejects_negative_occupation():
         FockState(BOSON, {(3, -1, 0, 0): 1.0})
 
 
-def test_fock_state_stops_at_the_capacity():
-    with pytest.raises(CapacityError):
-        FockState(BOSON, {(9, 0, 0, 0): 1.0})
-    with pytest.raises(CapacityError):
-        FockState(BOSON, {(1,) + (0,) * 17: 1.0})
+def test_evolve_refuses_nine_arms_before_any_expansion(monkeypatch):
+    # no 9-arm multiport exists, so a 9-arm state meets the arm check
+    calls = []
+    expansions = multiport._expansions
+    monkeypatch.setattr(multiport, "_expansions", lambda statistics, u:
+                        calls.append(u.n) or expansions(statistics, u))
+    nine = FockState(FERMION, {(1, 0) * 9: 1.0})
+    assert nine.n_arms == 9
+    for u in (dft_unitary(MAX_QUBITS), dft_unitary(2)):
+        with pytest.raises(ValueError, match=f"each of its {u.n} arms"):
+            evolve(nine, u)
+    with pytest.raises(ValueError, match="each of its 2 arms"):
+        evolve(FockState(BOSON, {(9, 0, 0, 0): 1.0}), dft_unitary(2))
+    assert calls == []
 
 
 # ------------------------------------------------------------ prepare_input
@@ -715,6 +725,57 @@ def test_oracle_matches_fock_evolution_on_mixed_states():
                 oracle[p] = oracle.get(p, 0.0) + 0.25 * val
         for p in set(d_fock.probabilities) | set(oracle):
             assert abs(d_fock.probability(p) - oracle.get(p, 0.0)) < 1e-12
+
+
+# ------------------------------------------------------- factorised oracle
+
+def _random_phased_dft(n, rng):
+    """A phased DFT with its input arms shuffled: not symmetric, so a
+    transposed u changes its arm counts, where input phases alone only
+    put a global phase on one particle per arm."""
+    u = phased_dft(n, rng.uniform(0, 6, n), rng.uniform(0, 6, n))
+    return MultiportUnitary(u.matrix[rng.permutation(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def test_factorised_amplitudes_are_those_of_evolve(n, stats):
+    # amplitude by amplitude, signs included, on a multiport that is not
+    # symmetric, so a transposed u shows; interference zeros are absent
+    # from evolve's output and near zero in the factorised one
+    u = _random_phased_dft(n, np.random.default_rng(60 + n))
+    configs = one_per_arm(n)
+    for k in range(n + 1):
+        block, t, counts0, counts1 = factorised_block(stats, u, k)
+        for g, index in enumerate(block.tolist()):
+            out = evolve(FockState(stats, {configs[index]: 1.0}), u)
+            for b0, c0 in enumerate(counts0.tolist()):
+                for b1, c1 in enumerate(counts1.tolist()):
+                    config = tuple(x for pair in zip(c0, c1) for x in pair)
+                    assert abs(out.amplitudes.get(config, 0.0)
+                               - t[b0, b1, g]) <= TOL
+
+
+@pytest.mark.parametrize("n, stats", [(n, FERMION) for n in range(1, 8)]
+                         + [(n, BOSON) for n in range(1, 7)])
+def test_factorised_oracle_matches_interfere_on_the_hypotheses(n, stats):
+    # up to the dict loop's reach: fermion 7, boson 6
+    for state in (aligned_mixture(n), maximally_mixed(n)):
+        assert max_pattern_deviation(interfere(state, stats),
+                                     factorised_distribution(state, stats)
+                                     ) <= TOL
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def test_factorised_oracle_matches_interfere_on_random_states(n, stats):
+    rng = np.random.default_rng(70 + n)
+    for rank in (1, 2, 3):
+        u = _random_phased_dft(n, rng)
+        rho = DensityMatrix(_random_state(n, rank, rng))
+        assert max_pattern_deviation(interfere(rho, stats, u),
+                                     factorised_distribution(rho, stats, u)
+                                     ) <= TOL
 
 
 # --------------------------------------------------------- dict-loop oracle

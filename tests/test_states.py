@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from statdisc.core import (MAX_QUBITS, CapacityError, partial_trace,
                            symmetric_projector, tensor)
-from statdisc.states import (BlochDirection, aligned_direction_state,
-                             aligned_mixture, antialigned_direction_state,
+from statdisc.states import (BlochDirection, aligned_mixture,
                              antialigned_mixture, bloch_state, bloch_vector,
                              maximally_mixed, orthogonal_state, qubit_density)
 
-from oracles import (SphereQuadrature, dicke_basis, permutation_operator,
-                     quadrature_average)
+from oracles import (SphereQuadrature, aligned_direction_state,
+                     antialigned_direction_state, dicke_basis,
+                     permutation_operator, quadrature_average)
 
 thetas = st.floats(0.0, math.pi, allow_nan=False)
 phis = st.floats(0.0, 2.0 * math.pi, allow_nan=False, exclude_max=True)
