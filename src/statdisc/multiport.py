@@ -65,25 +65,29 @@ arrays are the memo: a 4-byte output number and a 16-byte amplitude per
 output, one slice per basis index.
 
 An ensemble's members run in groups under one budget of accumulator
-cells and terms (``_Plan``), so a call holds the expansion memo and one
+cells and terms (``_merge``), so a call holds the expansion memo and one
 group's arrays, whatever the number of members.  Output numbers key the
 merge of a group's terms, with no sort, and pattern numbers the total of
 each arm-count pattern across groups, in one array.
 
-Two memos live on each ``MultiportUnitary``: one entry per statistics,
-the output numbering and the expansions of all 2**n configurations, and,
-within a fixed budget, the plan of each small ensemble met so far (how
-its outputs merge and in what order), so a repeated small call does only
-its arithmetic.
+Two memos keep what the package asks again and again.  Each
+``MultiportUnitary`` keeps, per statistics, the output numbering and the
+expansions of all 2**n configurations.  ``interfere`` keeps its answer,
+per statistics, on each ``DensityMatrix`` it sends through the default
+multiport, for as long as that state lives, so asking the shared
+hypothesis states again costs a lookup.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -104,9 +108,9 @@ class MultiportUnitary:
     """Balanced n-arm unitary: every entry has modulus 1/sqrt(n).
 
     Its n arms take n particles, so n meets the register rule, checked
-    before any product.  It also carries the memos of what it does, for
-    each statistics, to the 2**n configurations of one particle per arm,
-    and to each small ensemble (see ``_expansions`` and ``_Plan``).
+    before any product.  It also carries the memo of what it does, for
+    each statistics, to the 2**n configurations of one particle per arm
+    (see ``_expansions``).
     """
 
     matrix: np.ndarray
@@ -125,9 +129,8 @@ class MultiportUnitary:
             raise ValueError("matrix must be balanced: all entry moduli 1/sqrt(n)")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        # the memos live exactly as long as the unitary they describe
+        # the memo lives exactly as long as the unitary it describes
         object.__setattr__(self, "_expansions", {})
-        object.__setattr__(self, "_plans", {})
 
 
 # check_register bounds this cache to MAX_QUBITS entries
@@ -193,6 +196,8 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
     loaded; any orthonormal eigenbasis of a degenerate spectrum yields the
     same downstream statistics.  Each member's vector lists the amplitudes
     of the 2**n configurations by basis index (see the module docstring).
+    ``interfere`` loads a density matrix through the default multiport
+    once per statistics, and after that answers from its memo.
     """
     if isinstance(internal, DensityMatrix):
         return list(internal.eigenstates)
@@ -498,110 +503,56 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     return memo[statistics]
 
 
-class _Plan:
-    """How a group of members passes through the multiport.
+# Accumulator cells of one group of members, at most, a term counting as
+# eight (see ``interfere``): a member with more makes a group of its own.
+# Every call of the benchmark's sweep is one group.  On a 2-core Xeon,
+# aligned and mixed calls of 7 fermions or 6 bosons needed at most 4.4 MB
+# beyond the memo by tracemalloc (2**19: 8.0 MB), where one group of all
+# members had needed 10-22 MB.
+_GROUP_BUDGET = 1 << 18
+
+
+def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
+           expansions: _Expansions) -> tuple[np.ndarray, ...]:
+    """Send a group of members through the multiport and merge their terms.
 
     Input k of the group, listed member by member as the dict loop visits
     them, is basis index ``index[k]`` of member ``member[k]``, counted from
-    0 in the group, and is input ``offset + k`` of the call.  A plan
-    depends on the inputs, not on their amplitudes.  It lists the terms,
-    every expansion output of every input, in the loop's order; keys a
-    term by its member and output number, distinct within the group; and
-    numbers the merged outputs, one per key, in the order the loop first
-    meets them.  It keeps each term's input and merged output, and each
-    merged output's member, output number and pattern.
+    0 in the group, with amplitude ``amplitudes[k]``.  The terms, every
+    expansion output of every input, are listed in the loop's order and
+    keyed by their member and output number; the merged outputs, one per
+    key, come in the order the loop first meets them.  Returns each merged
+    output's member, output number, amplitude as (re, im), and
+    abs(amp) ** 2, 0.0 where the modulus is at most ``TOL``, so that the
+    output is dropped.  A kept output's modulus exceeds ``TOL``, so its
+    square exceeds TOL ** 2 > 0.
     """
-
-    def __init__(self, member: np.ndarray, index: np.ndarray, offset: int,
-                 expansions: _Expansions):
-        lengths = expansions.sizes[index]
-        at = _ranges(expansions.offsets[index], lengths)
-        self.size = at.size
-        self.term = np.repeat(np.arange(offset, offset + index.size), lengths)
-        self.out_re = expansions.amplitudes.real[at]
-        self.out_im = expansions.amplitudes.imag[at]
-        outputs = expansions.codes.size
-        key = np.repeat(member * outputs, lengths)
-        key += expansions.index[at]
-        del at  # let go before the merge, the plan's peak
-        # one accumulator cell per member and output
-        merged, self.group = _first_seen(key, (member[-1] + 1) * outputs)
-        self.owner, self.index = np.divmod(merged, outputs)
-        self.patterns = expansions.patterns[self.index]
-
-    def run(self, amplitudes: np.ndarray):
-        """Run the plan on ``amplitudes``, the amplitudes of all inputs of
-        the call.  Returns (re, im, squares) of the merged outputs: each
-        one's amplitude and its abs(amp) ** 2, 0.0 where the modulus is at
-        most ``TOL``, so that the output is dropped.  A kept output's
-        modulus exceeds ``TOL``, so its square exceeds TOL ** 2 > 0."""
-        a = amplitudes[self.term]
-        # amp * a, rounded as numpy rounds a scalar complex product, and
-        # each merged output's terms added in the loop's order from 0.0
-        re = np.bincount(self.group,
-                         a.real * self.out_re - a.imag * self.out_im)
-        im = np.bincount(self.group,
-                         a.real * self.out_im + a.imag * self.out_re)
-        # abs(amp) and its square, rounded as Python rounds them
-        moduli = np.hypot(re, im)
-        # amplitudes below TOL are interference zeros
-        squares = np.where(moduli > TOL, np.float_power(moduli, 2.0), 0.0)
-        norm_sq = np.bincount(self.owner, squares)
-        if np.abs(norm_sq - 1.0).max() > SUM_TOL:
-            raise ValueError("evolved states must be normalized, got "
-                             f"|psi|^2 = {norm_sq.tolist()!r}")
-        return re, im, squares
-
-
-# Accumulator cells of one group of members, at most, a term counting as
-# eight (see ``_plans``): a member with more makes a group of its own.
-# Every call of the benchmark's sweep is one group, so its plan can be
-# kept.  On a 2-core Xeon, aligned and mixed calls of 7 fermions or 6
-# bosons needed at most 4.4 MB beyond the memo by tracemalloc (2**19:
-# 8.0 MB), where one plan over all members had needed 10-22 MB.
-_GROUP_BUDGET = 1 << 18
-
-# Expansion outputs of the plans kept on one unitary, at most.  A plan's
-# arrays take 35-56 bytes per output by nbytes, so at most about 3.7 MB;
-# the plans of every call the benchmark's sweep makes (aligned vs mixed up
-# to five particles, both statistics) fit together, 1.6 MB in all, so none
-# evicts another.  A repeated small call reuses its plan; a large call is
-# dominated by its arithmetic and need not.
-_PLAN_BUDGET = 1 << 16
-
-
-def _plans(member: np.ndarray, index: np.ndarray, statistics: Statistics,
-           u: MultiportUnitary):
-    """The plans of these inputs through ``u`` (see ``_Plan``), one group
-    of members after another, each with its first member.
-
-    Members go into groups in order, within ``_GROUP_BUDGET``.  The plan of
-    a call of one group is kept on ``u`` for the next call with the same
-    inputs, within ``_PLAN_BUDGET``; a call of more groups builds each
-    plan as it comes and lets it go.
-    """
-    key = (statistics, member.tobytes(), index.tobytes())
-    plan = u._plans.get(key)
-    if plan is not None:
-        yield 0, plan
-        return
-    expansions = _expansions(statistics, u)
-    # each member's accumulator cells and terms; a term's arrays take
-    # about eight times a cell's eight bytes, so it counts as eight cells
-    cost = (8 * np.bincount(member, expansions.sizes[index])
-            + expansions.codes.size)
-    bounds = _packed(cost.astype(np.int64).tolist(), _GROUP_BUDGET)
-    starts = np.searchsorted(member, bounds).tolist()
-    for a, lo, hi in zip(bounds, starts, starts[1:]):
-        plan = _Plan(member[lo:hi] - a, index[lo:hi], lo, expansions)
-        if len(bounds) == 2 and plan.size <= _PLAN_BUDGET:
-            plans = u._plans
-            # the oldest plans give way first
-            while plans and (sum(p.size for p in plans.values()) + plan.size
-                             > _PLAN_BUDGET):
-                del plans[next(iter(plans))]
-            plans[key] = plan
-        yield a, plan
+    lengths = expansions.sizes[index]
+    at = _ranges(expansions.offsets[index], lengths)
+    out_re = expansions.amplitudes.real[at]
+    out_im = expansions.amplitudes.imag[at]
+    outputs = expansions.codes.size
+    key = np.repeat(member * outputs, lengths)
+    key += expansions.index[at]
+    del at  # let go before the merge, the peak
+    # one accumulator cell per member and output
+    merged, group = _first_seen(key, (member[-1] + 1) * outputs)
+    del key
+    owner, number = np.divmod(merged, outputs)
+    a = np.repeat(amplitudes, lengths)
+    # amp * a, rounded as numpy rounds a scalar complex product, and each
+    # merged output's terms added in the loop's order from 0.0
+    re = np.bincount(group, a.real * out_re - a.imag * out_im)
+    im = np.bincount(group, a.real * out_im + a.imag * out_re)
+    # abs(amp) and its square, rounded as Python rounds them
+    moduli = np.hypot(re, im)
+    # amplitudes below TOL are interference zeros
+    squares = np.where(moduli > TOL, np.float_power(moduli, 2.0), 0.0)
+    norm_sq = np.bincount(owner, squares)
+    if np.abs(norm_sq - 1.0).max() > SUM_TOL:
+        raise ValueError("evolved states must be normalized, got "
+                         f"|psi|^2 = {norm_sq.tolist()!r}")
+    return owner, number, re, im, squares
 
 
 def _arms_error(u: MultiportUnitary) -> ValueError:
@@ -619,13 +570,14 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     # the spins, arm 0 first, are the bits of the basis index
     index = configs[:, 1::2] @ (1 << np.arange(u.n - 1, -1, -1))
     amplitudes = np.array(list(state.amplitudes.values()), dtype=complex)
-    (_, plan), = _plans(np.zeros_like(index), index, state.statistics, u)
-    re, im, squares = plan.run(amplitudes)
+    expansions = _expansions(state.statistics, u)
+    _, number, re, im, squares = _merge(np.zeros_like(index), index,
+                                        amplitudes, expansions)
     kept = np.flatnonzero(squares > 0)
     amplitudes = np.empty(kept.size, dtype=complex)
     amplitudes.real = re[kept]
     amplitudes.imag = im[kept]
-    codes = _expansions(state.statistics, u).codes[plan.index[kept]]
+    codes = expansions.codes[number[kept]]
     configs = _configurations(codes, state.statistics, u.n)
     return FockState(state.statistics, dict(zip(configs, amplitudes)))
 
@@ -636,10 +588,13 @@ class OutcomeDistribution:
     ``interfere`` and ``spatial_distribution`` list the patterns in
     ascending order."""
 
-    probabilities: dict[Pattern, float]
+    probabilities: Mapping[Pattern, float]
     n_arms: int = field(init=False)  # the first pattern's length, 0 if none
 
     def __post_init__(self) -> None:
+        # a read-only copy, so that a distribution can be shared
+        object.__setattr__(self, "probabilities",
+                           MappingProxyType(dict(self.probabilities)))
         object.__setattr__(self, "n_arms",
                            len(next(iter(self.probabilities), ())))
         total = 0.0
@@ -685,6 +640,11 @@ def spatial_distribution(ensemble: Ensemble) -> OutcomeDistribution:
     return OutcomeDistribution(dict(zip(map(tuple, labels.tolist()), totals)))
 
 
+# What ``interfere`` answered, per statistics, on each ``DensityMatrix``
+# sent through the default multiport: an entry lives as long as its state.
+_answers: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def interfere(internal, statistics: Statistics | str,
               unitary: MultiportUnitary | None = None) -> OutcomeDistribution:
     """Full pipeline: load, evolve through the multiport, count arms.
@@ -697,10 +657,21 @@ def interfere(internal, statistics: Statistics | str,
     ``spatial_distribution`` of every member ``evolve``d, computed from the
     members' vectors without building a ``FockState``: the patterns of the
     kept outputs, in ascending order, a pattern whose outputs are all
-    interference zeros left out.
+    interference zeros left out.  The members run in groups under
+    ``_GROUP_BUDGET``, one ``_merge`` each.
+
+    A ``DensityMatrix`` through the default multiport keeps its answer for
+    each statistics, so asking again returns the same read-only
+    distribution without loading the state; a call with ``unitary``, or on
+    a state vector, is computed afresh and kept nowhere.
     """
-    ensemble = prepare_input(internal)
     statistics = Statistics(statistics)
+    kept = None
+    if unitary is None and isinstance(internal, DensityMatrix):
+        kept = _answers.setdefault(internal, {})
+        if statistics in kept:
+            return kept[statistics]
+    ensemble = prepare_input(internal)
     vectors = np.array([vec for _, vec in ensemble])
     n = vectors.shape[1].bit_length() - 1
     u = dft_unitary(n) if unitary is None else unitary
@@ -712,14 +683,26 @@ def interfere(internal, statistics: Statistics | str,
     member, index = np.nonzero(np.hypot(vectors.real, vectors.imag) > TOL)
     weights = np.array([weight for weight, _ in ensemble])
     amplitudes = vectors[member, index]
-    labels = _expansions(statistics, u).labels
+    expansions = _expansions(statistics, u)
+    # each member's accumulator cells and terms; a term's arrays take
+    # about eight times a cell's eight bytes, so it counts as eight cells
+    cost = (8 * np.bincount(member, expansions.sizes[index])
+            + expansions.codes.size)
+    bounds = _packed(cost.astype(np.int64).tolist(), _GROUP_BUDGET)
+    starts = np.searchsorted(member, bounds).tolist()
+    labels = expansions.labels
     totals = np.zeros(len(labels))
-    for first, plan in _plans(member, index, statistics, u):
-        _, _, squares = plan.run(amplitudes)
+    for first, lo, hi in zip(bounds, starts, starts[1:]):
+        owner, number, _, _, squares = _merge(
+            member[lo:hi] - first, index[lo:hi], amplitudes[lo:hi], expansions)
         # the members' outputs in the loop's order, the dropped ones adding
         # 0.0, which leaves every sum as it is
-        np.add.at(totals, plan.patterns, weights[first:][plan.owner] * squares)
+        np.add.at(totals, expansions.patterns[number],
+                  weights[first + owner] * squares)
     # a kept output adds a weight above TOL times a square above TOL ** 2,
     # so a pattern is present exactly where its total is positive
     present = np.flatnonzero(totals > 0).tolist()
-    return OutcomeDistribution({labels[i]: totals[i] for i in present})
+    answer = OutcomeDistribution({labels[i]: totals[i] for i in present})
+    if kept is not None:
+        kept[statistics] = answer
+    return answer

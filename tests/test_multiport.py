@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from collections.abc import MutableMapping, MutableSet
 
 import numpy as np
 import pytest
@@ -99,7 +100,8 @@ def test_dft_unitary_is_one_object_per_n_up_to_the_capacity():
 
 
 def _module_state():
-    """Size of every container and lru_cache held by a statdisc module."""
+    """Size of every mutable container and lru_cache held by a statdisc
+    module."""
     sizes = {}
     for name, module in list(sys.modules.items()):
         if name.partition(".")[0] != "statdisc":
@@ -107,7 +109,7 @@ def _module_state():
         for attr, value in vars(module).items():
             if attr.startswith("__"):
                 continue
-            if isinstance(value, (dict, list, set)):
+            if isinstance(value, (MutableMapping, MutableSet, list)):
                 sizes[name, attr] = len(value)
             elif hasattr(value, "cache_info"):
                 sizes[name, attr] = value.cache_info().currsize
@@ -134,6 +136,35 @@ def test_fresh_unitaries_leave_no_module_state_behind():
     assert all(ref() is None for ref in freed)
 
 
+def test_fresh_states_leave_no_module_state_behind():
+    rng = np.random.default_rng(37)
+    dft_unitary(3)
+    before = _module_state()
+    freed = []
+    for _ in range(10):
+        rho = DensityMatrix(_random_state(3, 2, rng))
+        for stats in (BOSON, FERMION):
+            interfere(rho, stats)
+        assert set(multiport._answers[rho]) == {BOSON, FERMION}
+        freed.append(weakref.ref(rho))
+        del rho
+    gc.collect()
+    # the kept answers go with their states
+    assert all(ref() is None for ref in freed)
+    assert _module_state() == before
+    # the fixed states, asked again and again, keep one answer per
+    # statistics each
+    fixed = (aligned_mixture(3), maximally_mixed(3), antialigned_mixture())
+    for _ in range(2):
+        for rho in fixed:
+            for stats in (BOSON, FERMION, "boson", "fermion"):
+                interfere(rho, stats)
+    key = ("statdisc.multiport", "_answers")
+    assert _module_state()[key] - before[key] <= len(fixed)
+    assert all(set(multiport._answers[rho]) == {BOSON, FERMION}
+               for rho in fixed)
+
+
 def test_the_fixed_states_keep_module_state_within_the_capacity():
     # one state per n up to the cap: each cache grows by at most
     # MAX_QUBITS entries, and asking again adds nothing
@@ -150,34 +181,41 @@ def test_the_fixed_states_keep_module_state_within_the_capacity():
 
 
 def test_a_repeated_call_adds_nothing_to_the_memo():
+    # a phased DFT after a default call: the phased answer, kept nowhere
     u = phased_dft(3, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
     for rho in (aligned_mixture(3), maximally_mixed(3)):
         for stats in (BOSON, FERMION):
+            kept = interfere(rho, stats)
+            answers = dict(multiport._answers[rho])
             first = interfere(rho, stats, u)
             expansions = len(u._expansions)
-            plans = dict(u._plans)
             again = interfere(rho, stats, u)
             assert len(u._expansions) == expansions
-            assert u._plans == plans
-            assert list(again.probabilities.items()) == list(
-                first.probabilities.items())
+            assert first is not kept and again is not first
+            assert multiport._answers[rho] == answers
+            oracle = sorted(dict_interfere(rho, stats, u).probabilities.items())
+            assert list(first.probabilities.items()) == oracle
+            assert list(again.probabilities.items()) == oracle
+            assert interfere(rho, stats) is kept
 
 
-def test_kept_plans_stay_within_their_budget(monkeypatch):
-    # every subset of the eight basis states is its own support, so its own
-    # plan; with a budget of a few plans the oldest must give way
-    monkeypatch.setattr(multiport, "_PLAN_BUDGET", 300)
-    u = phased_dft(3, [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+def test_kept_answers_stay_within_the_live_states():
+    # every subset of the eight basis states, as a vector and as a fresh
+    # density matrix: the memo holds the live state's answer at most, with
+    # no budget, and nothing for a vector
+    before = len(multiport._answers)
     for mask in range(1, 2 ** 8):
         v = np.array([(mask >> i) & 1 for i in range(8)], dtype=float)
-        interfere(v, BOSON, u)
-        assert sum(p.size for p in u._plans.values()) <= 300
-    assert 1 < len(u._plans) < 2 ** 8 - 1
-    # three members of 128 outputs each are more than the whole budget
-    kept = dict(u._plans)
-    rho = DensityMatrix(_random_state(3, 3, np.random.default_rng(3)))
-    interfere(rho, BOSON, u)
-    assert u._plans == kept
+        held = len(multiport._answers)
+        interfere(v, BOSON)
+        assert len(multiport._answers) == held
+        rho = DensityMatrix(np.diag(v / v.sum()))
+        interfere(rho, BOSON)
+        assert len(multiport._answers) == before + 1
+        assert set(multiport._answers[rho]) == {BOSON}
+    del rho
+    gc.collect()
+    assert len(multiport._answers) == before
 
 
 def test_the_expansion_memo_holds_one_entry_per_statistics():
@@ -193,23 +231,55 @@ def test_the_expansion_memo_holds_one_entry_per_statistics():
     assert all(e.sizes.size == 2 ** 3 for e in u._expansions.values())
 
 
-def test_the_plans_of_both_statistics_at_five_particles_stay_kept(monkeypatch):
-    # the two boson plans at n = 5 hold 14,252 outputs each and the fermion
-    # ones 2,252: all four fit the budget, so none evicts another
-    u = MultiportUnitary(dft_unitary(5).matrix)
+def test_the_answers_of_both_statistics_at_five_particles_stay_kept(
+        monkeypatch):
+    # a repeated call on a shared state through the default multiport
+    # returns the kept answer itself: it neither loads the state nor merges
+    # a term, and a statistics given by its value finds the same entry
     states = (aligned_mixture(5), maximally_mixed(5))
+    kept = {(rho, stats): interfere(rho, stats)
+            for rho in states for stats in (BOSON, FERMION)}
+
+    def refuse(*args):
+        raise AssertionError("a kept answer was computed again")
+
+    monkeypatch.setattr(multiport, "prepare_input", refuse)
+    monkeypatch.setattr(multiport, "_merge", refuse)
+    for (rho, stats), answer in kept.items():
+        assert interfere(rho, stats) is answer
+        assert interfere(rho, stats.value) is answer
+        assert set(multiport._answers[rho]) == {BOSON, FERMION}
+
+
+def test_a_state_vector_is_never_kept(monkeypatch):
+    v = np.random.default_rng(43).normal(size=8) + 0j
+    before = len(multiport._answers)
+    merges = []
+    merge = multiport._merge
+    monkeypatch.setattr(multiport, "_merge",
+                        lambda *args: merges.append(1) or merge(*args))
     for stats in (BOSON, FERMION):
-        for rho in states:
-            interfere(rho, stats, u)
-    kept = dict(u._plans)
+        first = interfere(v, stats)
+        again = interfere(v, stats)
+        assert again is not first
+        assert list(again.probabilities.items()) == list(
+            first.probabilities.items())
+    assert len(merges) == 4
+    assert len(multiport._answers) == before
 
-    def no_plan(*args):
-        raise AssertionError("a kept plan was built again")
 
-    monkeypatch.setattr(multiport, "_Plan", no_plan)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kept_answers_are_the_dict_loop_bit_for_bit(n):
+    states = [aligned_mixture(n), maximally_mixed(n)]
+    if n == 2:
+        states.append(antialigned_mixture())
     for rho in states:
-        interfere(rho, BOSON, u)
-    assert u._plans == kept
+        for stats in (BOSON, FERMION):
+            interfere(rho, stats)
+            kept = interfere(rho, stats)
+            assert kept is multiport._answers[rho][stats]
+            assert list(kept.probabilities.items()) == sorted(
+                dict_interfere(rho, stats).probabilities.items())
 
 
 # ---------------------------------------------------------------- FockState
@@ -359,12 +429,17 @@ def test_interfere_loads_through_the_module_prepare_input_once(monkeypatch):
         return original(internal)
 
     monkeypatch.setattr(multiport, "prepare_input", counted)
-    rho = maximally_mixed(2)
+    # a fresh state, which no earlier call has answered
+    rho = DensityMatrix(maximally_mixed(2).matrix)
     for stats in (BOSON, FERMION):
         for internal in (rho, np.array([0.0, 1.0, 0.0, 0.0])):
             calls.clear()
             interfere(internal, stats)
             assert len(calls) == 1 and calls[0] is internal
+        # the state's kept answer needs no load
+        calls.clear()
+        interfere(rho, stats)
+        assert calls == []
 
 
 def test_a_density_matrix_is_eigendecomposed_once(monkeypatch):
@@ -472,10 +547,14 @@ def test_evolve_rejects_arm_mismatch():
         evolve(state, dft_unitary(3))
 
 
-def test_evolve_takes_one_particle_per_arm():
+def test_evolve_takes_one_particle_per_arm(monkeypatch):
     # two piled bosons, too few particles, two in one arm, too many arms,
     # and a register of three qubits sent to interfere through two arms:
-    # each is refused before anything is expanded or planned
+    # each is refused before anything is expanded or merged
+    def refuse(*args):
+        raise AssertionError("a refused input was merged")
+
+    monkeypatch.setattr(multiport, "_merge", refuse)
     u = MultiportUnitary(dft_unitary(2).matrix)
     for config in [(2, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0),
                    (1, 0, 0, 1, 1, 0)]:
@@ -484,7 +563,6 @@ def test_evolve_takes_one_particle_per_arm():
     with pytest.raises(ValueError, match="each of its 2 arms"):
         interfere(np.eye(2 ** 3)[0], BOSON, u)
     assert not u._expansions
-    assert not u._plans
 
 
 # --------------------------------------------------- distribution invariance
@@ -608,6 +686,24 @@ def test_outcome_distribution_rejects_patterns_of_different_lengths():
 def test_outcome_distribution_rejects_a_non_finite_probability(bad):
     with pytest.raises(ValueError, match="sum to one"):
         OutcomeDistribution({(1,): bad})
+
+
+def test_outcome_probabilities_are_read_only():
+    given = {(0, 2): 0.25, (2, 0): 0.25, (1, 1): 0.5}
+    dist = OutcomeDistribution(given)
+    with pytest.raises(TypeError):
+        dist.probabilities[(1, 1)] = 1.0
+    # the distribution keeps its own copy of the dict it was given
+    given[(1, 1)] = 1.0
+    assert dist.probabilities == {(0, 2): 0.25, (2, 0): 0.25, (1, 1): 0.5}
+    assert list(dist.probabilities.items()) == [
+        ((0, 2), 0.25), ((2, 0), 0.25), ((1, 1), 0.5)]
+    assert dist.probability([1, 1]) == 0.5
+    assert dist.probability((0, 1)) == 0.0
+    # so is every answer interfere returns, the kept ones included
+    for internal in (maximally_mixed(2), np.array([0.0, 1.0, 0.0, 0.0])):
+        with pytest.raises(TypeError):
+            interfere(internal, FERMION).probabilities[(1, 1)] = 1.0
 
 
 # ------------------------------------------------ excitation-block lemmas
@@ -991,21 +1087,21 @@ def test_the_expansion_memo_is_one_read_only_run_in_basis_index_order(n):
         assert (e.sizes > 0).all()
 
 
-def test_streamed_plans_are_the_dict_loop_bit_for_bit(monkeypatch):
+def test_streamed_groups_are_the_dict_loop_bit_for_bit(monkeypatch):
     # a group budget of about three basis-state members: the mixed state
     # runs in groups of several members, and each member of the random
     # rank-3 state, larger than the budget, makes a group of its own
     rng = np.random.default_rng(53)
     groups = []
+    merge = multiport._merge
 
-    class Recorded(multiport._Plan):
-        def __init__(self, member, index, offset, expansions):
-            super().__init__(member, index, offset, expansions)
-            members = int(member[-1]) + 1
-            groups.append((members, 8 * self.size
-                           + members * expansions.codes.size))
+    def recorded(member, index, amplitudes, expansions):
+        members = int(member[-1]) + 1
+        groups.append((members, 8 * int(expansions.sizes[index].sum())
+                       + members * expansions.codes.size))
+        return merge(member, index, amplitudes, expansions)
 
-    monkeypatch.setattr(multiport, "_Plan", Recorded)
+    monkeypatch.setattr(multiport, "_merge", recorded)
     budget = multiport._GROUP_BUDGET
     for stats in (BOSON, FERMION):
         u = phased_dft(4, rng.uniform(0, 6, 4), rng.uniform(0, 6, 4))
@@ -1021,22 +1117,20 @@ def test_streamed_plans_are_the_dict_loop_bit_for_bit(monkeypatch):
             groups.clear()
             streamed = interfere(rho, stats, u)
             assert len(groups) > 1
-            assert not u._plans
             if alone:
                 assert all(m == 1 and cost > small for m, cost in groups)
             else:
                 assert max(m for m, _ in groups) > 1
             assert list(streamed.probabilities.items()) == oracle
-            # under the usual budget the call is one group and keeps its
-            # plan: the cold call and the warm one give the same bits
+            # under the usual budget the call is one group, and a second
+            # call, merged again, gives the same bits
             monkeypatch.setattr(multiport, "_GROUP_BUDGET", budget)
             groups.clear()
-            cold = interfere(rho, stats, u)
-            warm = interfere(rho, stats, u)
-            assert len(groups) == 1 and len(u._plans) == 1
-            u._plans.clear()
-            assert list(cold.probabilities.items()) == oracle
-            assert list(warm.probabilities.items()) == oracle
+            first = interfere(rho, stats, u)
+            again = interfere(rho, stats, u)
+            assert [m for m, _ in groups] == [len(prepare_input(rho))] * 2
+            assert list(first.probabilities.items()) == oracle
+            assert list(again.probabilities.items()) == oracle
 
 
 @st.composite
