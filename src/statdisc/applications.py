@@ -95,14 +95,16 @@ def _capped_routings(n_arms: int, size: int, cap: int) -> int:
     """Arm assignments of ``size`` labeled particles, at most ``cap`` per arm.
 
     One arm's exponential generating function is sum_{j<=cap} x^j/j!, so
-    the count is size! [x^size] (sum_{j<=cap} x^j/j!)^n_arms.
+    the count is size! [x^size] (sum_{j<=cap} x^j/j!)^n_arms.  The product
+    is multiplied out in integers: with ways[i] the routings of i particles
+    over the arms so far, one more arm takes j of them in C(i, j) ways.
     """
-    arm = [Fraction(1, math.factorial(j)) for j in range(cap + 1)]
-    series = [Fraction(1)] + [Fraction(0)] * size
+    ways = [1] + [0] * size
     for _ in range(n_arms):
-        series = [sum(series[i - j] * arm[j] for j in range(min(i, cap) + 1))
-                  for i in range(size + 1)]
-    return int(math.factorial(size) * series[size])
+        ways = [sum(math.comb(i, j) * ways[i - j]
+                    for j in range(min(i, cap) + 1))
+                for i in range(size + 1)]
+    return ways[size]
 
 
 def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
@@ -118,7 +120,8 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     labels, the only routings that leave every arm distinct put the n
     particles on the n arms one to one, and n! of those obey either rule,
     so P(distinct | k) = n! / (R(n, k) R(n, n - k)) with R the capped
-    routing count.  The mixed hypothesis weighs k by C(n, k) / 2^n.
+    routing count, an integer; only the probabilities are fractions.  The
+    mixed hypothesis weighs k by C(n, k) / 2^n.
     """
     check_register(n)
     if interpretation not in ("standard", "literal"):

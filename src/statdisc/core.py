@@ -62,7 +62,7 @@ def as_complex_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -80,8 +80,10 @@ class DensityMatrix:
     most significant bit of the row/column index.
 
     The matrix is read-only, so one instance can be shared.  Construction
-    validates it with the eigenvalues alone; the eigenvectors are computed
-    when ``eigenstates`` is first read, and kept.
+    validates it with the eigenvalues alone, refusing a lowest eigenvalue
+    below ``-SUM_TOL``; a matrix with no imaginary part is real symmetric,
+    so its eigenvalues come from the faster real solver.  The eigenvectors
+    are computed when ``eigenstates`` is first read, and kept.
     """
 
     matrix: np.ndarray
@@ -102,7 +104,7 @@ class DensityMatrix:
         if abs(complex(np.trace(m)) - 1.0) > TOL:
             raise ValueError(f"density matrix must have unit trace, "
                              f"got {complex(np.trace(m)):.15g}")
-        lowest = float(np.linalg.eigvalsh(m)[0])
+        lowest = float(np.linalg.eigvalsh(m if m.imag.any() else m.real)[0])
         if lowest < -SUM_TOL:
             raise ValueError("density matrix must be positive semi-definite "
                              f"(lowest eigenvalue {lowest:.3e})")

@@ -491,6 +491,18 @@ def _group_routings(n_arms: int, size: int, cap: int) -> list[tuple[int, ...]]:
     return routings
 
 
+def series_capped_routings(n_arms: int, size: int, cap: int) -> int:
+    """Arm assignments of ``size`` labeled particles, at most ``cap`` per arm,
+    as size! [x^size] (sum_{j<=cap} x^j/j!)^n_arms multiplied out in
+    exact fractions."""
+    arm = [Fraction(1, math.factorial(j)) for j in range(cap + 1)]
+    series = [Fraction(1)] + [Fraction(0)] * size
+    for _ in range(n_arms):
+        series = [sum(series[i - j] * arm[j] for j in range(min(i, cap) + 1))
+                  for i in range(size + 1)]
+    return int(math.factorial(size) * series[size])
+
+
 def enumerated_pauli_success(n: int, interpretation: str = "standard") -> float:
     """The classical exclusion model by full enumeration.
 

@@ -16,7 +16,7 @@ from statdisc.multiport import Statistics, interfere
 from statdisc.states import (BlochDirection, bloch_vector, maximally_mixed,
                              qubit_density)
 
-from oracles import enumerated_pauli_success
+from oracles import enumerated_pauli_success, series_capped_routings
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -178,6 +178,15 @@ def test_standard_exclusion_reading_matches_the_closed_form(n):
 def test_exclusion_count_matches_the_enumeration(interpretation, n):
     assert classical_pauli_success(n, interpretation) == \
         enumerated_pauli_success(n, interpretation)
+
+
+def test_integer_routing_count_matches_the_fraction_series():
+    for n_arms in range(1, 11):
+        for size in range(n_arms + 1):
+            for cap in range(1, n_arms + 1):
+                assert applications._capped_routings(n_arms, size, cap) == \
+                    series_capped_routings(n_arms, size, cap), \
+                    (n_arms, size, cap)
 
 
 def test_literal_exclusion_reading_deviates():

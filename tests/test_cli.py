@@ -302,6 +302,11 @@ CONTRACT_DIGESTS = {
         '35feaff6e39f9e92a9062cd57cd277ab2a6e58488058688131c68935ba524983',
     'discriminate --n 6 --statistics boson --format json':
         '9dd1c5998d8d0995bd04c4eefcf8ad5e12fd820b04a051aab7b23289e1a25eef',
+    # the 128- and 256-wide positivity checks of the largest registers
+    'discriminate --n 7':
+        'f2cbb5435d0fa95eff2498a4c79b6bf345daa98a5765d15d9da7dc7ef1f2faf4',
+    'discriminate --n 8 --statistics fermion':
+        'e604f42b2129564d96931eebbe14dd96e2cf4d90d2017155a57f1107277a6727',
     'discriminate --n 2 --statistics fermion --format json':
         'c53640e4cbe2b927bb58cf494e049a16cb47a64d78fa3b5b6f504c0ec0e1f08c',
     'discriminate --n 3 --statistics fermion --format json':

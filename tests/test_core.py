@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import statdisc
 from statdisc.applications import classical_pauli_success, scan_discrimination
-from statdisc.core import (CapacityError, DensityMatrix, partial_trace,
-                           swap_operator, symmetric_projector, tensor,
-                           trace_norm)
+from statdisc.core import (SUM_TOL, CapacityError, DensityMatrix,
+                           partial_trace, swap_operator, symmetric_projector,
+                           tensor, trace_norm)
 from statdisc.discrimination import aligned_vs_mixed_bound
 from statdisc.multiport import (MultiportUnitary, Statistics, dft_unitary,
                                 prepare_input)
@@ -26,6 +26,33 @@ def random_density(rng, n_qubits):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The shape and dtype of every matrix handed to ``np.linalg.eigvalsh``."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append((m.shape, m.dtype))
+                        or eigvalsh(m))
+    return calls
+
+
+def state_with_lowest(seed, n_qubits, lowest, real):
+    """A Hermitian unit-trace matrix over n qubits whose spectrum is
+    ``lowest`` and positive weights, turned by a random orthogonal (real) or
+    unitary (complex) basis change."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** n_qubits
+    rest = rng.uniform(0.1, 1.0, size=dim - 1)
+    spectrum = np.concatenate(([lowest], rest * (1.0 - lowest) / rest.sum()))
+    a = rng.normal(size=(dim, dim))
+    if not real:
+        a = a + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(a)
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2
 
 
 # ------------------------------------------------------------ DensityMatrix
@@ -53,6 +80,49 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(m)
 
 
+def test_density_matrix_solves_real_states_in_real_arithmetic(
+        eigvalsh_calls):
+    DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+    assert eigvalsh_calls == [((2, 2), np.float64)]
+    eigvalsh_calls.clear()
+    DensityMatrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+    assert eigvalsh_calls == [((2, 2), np.complex128)]
+    # a refusal names the lowest eigenvalue on either path
+    eigvalsh_calls.clear()
+    for m in (np.diag([1.5, -0.5]),
+              np.array([[0.5, 1j], [-1j, 0.5]])):
+        with pytest.raises(ValueError,
+                           match=r"lowest eigenvalue -5\.000e-01"):
+            DensityMatrix(m)
+    assert eigvalsh_calls == [((2, 2), np.float64),
+                              ((2, 2), np.complex128)]
+
+
+# within 1e-12 of the threshold, yet far above the rounding of either solver
+NEAR_THRESHOLD = st.builds(lambda sign, offset: -SUM_TOL + sign * offset,
+                           st.sampled_from((-1, 1)),
+                           st.floats(1e-13, 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_qubits=st.integers(1, 4),
+       lowest=st.one_of(st.just(0.0), st.just(-0.1), NEAR_THRESHOLD),
+       real=st.booleans())
+def test_density_matrix_positivity_matches_the_complex_solver(
+        seed, n_qubits, lowest, real):
+    m = state_with_lowest(seed, n_qubits, lowest, real)
+    assert np.isrealobj(m) == real
+    oracle = np.linalg.eigvalsh(m.astype(complex))[0]
+    assert (oracle >= -SUM_TOL) == (lowest >= -SUM_TOL)
+    try:
+        DensityMatrix(m)
+        accepted = True
+    except ValueError as exc:
+        assert "positive semi-definite" in str(exc)
+        accepted = False
+    assert accepted == (oracle >= -SUM_TOL)
+
+
 def test_density_matrix_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="qubit"):
         DensityMatrix(np.eye(3) / 3)
@@ -71,16 +141,14 @@ def test_density_matrix_is_read_only():
         rho.matrix[0, 0] = 1.0
 
 
-def test_density_matrix_stops_at_the_capacity(monkeypatch):
+def test_density_matrix_stops_at_the_capacity(eigvalsh_calls):
     assert DensityMatrix(np.eye(2 ** 8) / 2 ** 8).n_qubits == 8
+    assert eigvalsh_calls == [((256, 256), np.float64)]
     # refused before the eigenvalue validation, the costly part
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: calls.append(m.shape) or eigvalsh(m))
+    eigvalsh_calls.clear()
     with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
         DensityMatrix(np.eye(2 ** 9) / 2 ** 9)
-    assert calls == []
+    assert eigvalsh_calls == []
     # and before its own copy of the matrix, 4 MB at 512 x 512
     big = np.eye(2 ** 9, dtype=complex) / 2 ** 9
     tracemalloc.start()
@@ -94,26 +162,18 @@ def test_density_matrix_stops_at_the_capacity(monkeypatch):
 
 
 def test_density_matrix_refuses_non_qubit_dimensions_before_any_work(
-        monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: calls.append(m.shape) or eigvalsh(m))
+        eigvalsh_calls):
     # seven qutrits: dimension 2187 lies between 2**11 and 2**12
     for m in (np.eye(3 ** 7) / 3 ** 7, np.ones((2, 4)) / 2, np.zeros((0, 0))):
         with pytest.raises(ValueError, match="qubit"):
             DensityMatrix(m)
-    assert calls == []
+    assert eigvalsh_calls == []
 
 
-def test_density_matrix_of_dimension_one_is_refused(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: calls.append(m.shape) or eigvalsh(m))
+def test_density_matrix_of_dimension_one_is_refused(eigvalsh_calls):
     with pytest.raises(ValueError, match="n must be at least 1"):
         DensityMatrix([[1.0]])
-    assert calls == []
+    assert eigvalsh_calls == []
 
 
 # ------------------------------------------------------------------ tensor
