@@ -68,7 +68,10 @@ An ensemble's members run in groups under one budget of accumulator
 cells and terms (``_merge``), so a call holds the expansion memo and one
 group's arrays, whatever the number of members.  Output numbers key the
 merge of a group's terms, with no sort, and pattern numbers the total of
-each arm-count pattern across groups, in one array.
+each arm-count pattern across groups, in one array.  A group whose
+members hold one input each, as the maximally mixed state's basis vectors
+do, has distinct keys: its terms are its merged outputs, taken as they
+stand, with no accumulator cells.
 
 Two memos keep what the package asks again and again.  Each
 ``MultiportUnitary`` keeps, per statistics, the output numbering and the
@@ -271,13 +274,19 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _first_seen(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``key``, each below ``cells``, in the order of
-    their first appearance, and the number of each key's value in that
-    order: one accumulator cell per value, with no sort."""
-    terms = np.arange(key.size)
-    cell = np.full(cells, key.size)
+    their first appearance, and the number (int32) of each key's value in
+    that order: one accumulator cell per value, with no sort.
+
+    Positions and cells are int32.  ``MultiportUnitary`` caps its arms, and
+    so n, at eight, where a key has at most the 22.2 M outputs of the boson
+    n = 8 memo (the largest group, the aligned hypothesis's largest member,
+    about 7.6 M terms) and at most 490 k cells, far below 2**31.
+    """
+    terms = np.arange(key.size, dtype=np.int32)
+    cell = np.full(cells, key.size, dtype=np.int32)
     np.minimum.at(cell, key, terms)
     merged = key[cell[key] == terms]
-    cell[merged] = np.arange(merged.size)
+    cell[merged] = np.arange(merged.size, dtype=np.int32)
     return merged, cell[key]
 
 
@@ -505,10 +514,11 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
 
 # Accumulator cells of one group of members, at most, a term counting as
 # eight (see ``interfere``): a member with more makes a group of its own.
-# Every call of the benchmark's sweep is one group.  On a 2-core Xeon,
-# aligned and mixed calls of 7 fermions or 6 bosons needed at most 4.4 MB
-# beyond the memo by tracemalloc (2**19: 8.0 MB), where one group of all
-# members had needed 10-22 MB.
+# A group of one-input members allocates no cells (see ``_merge``), so the
+# budget overstates it.  Every call of the benchmark's sweep is one group.
+# On a 2-core Xeon, aligned and mixed calls of 7 fermions or 6 bosons
+# needed at most 2.3 MB beyond the memo by tracemalloc (2**19: 3.3 MB),
+# where one group of all members had needed 10-22 MB.
 _GROUP_BUDGET = 1 << 18
 
 
@@ -526,24 +536,47 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
     abs(amp) ** 2, 0.0 where the modulus is at most ``TOL``, so that the
     output is dropped.  A kept output's modulus exceeds ``TOL``, so its
     square exceeds TOL ** 2 > 0.
+
+    A group whose members hold one input each, such as the maximally
+    mixed state's basis vectors, has nothing to merge: one expansion's
+    outputs are distinct, so each key is one term, met in list order.  Its
+    terms are its merged outputs as they stand, with no accumulator cells,
+    and when its basis indices are consecutive their expansions are one
+    slice of the memo, read in place.
     """
     lengths = expansions.sizes[index]
-    at = _ranges(expansions.offsets[index], lengths)
+    # members are numbered from 0 and each holds an input
+    one_input = member.size == member[-1] + 1
+    if one_input and (np.diff(index) == 1).all():
+        at = slice(expansions.offsets[index[0]],
+                   expansions.offsets[index[-1] + 1])
+    else:
+        at = _ranges(expansions.offsets[index], lengths)
     out_re = expansions.amplitudes.real[at]
     out_im = expansions.amplitudes.imag[at]
-    outputs = expansions.codes.size
-    key = np.repeat(member * outputs, lengths)
-    key += expansions.index[at]
-    del at  # let go before the merge, the peak
-    # one accumulator cell per member and output
-    merged, group = _first_seen(key, (member[-1] + 1) * outputs)
-    del key
-    owner, number = np.divmod(merged, outputs)
-    a = np.repeat(amplitudes, lengths)
-    # amp * a, rounded as numpy rounds a scalar complex product, and each
-    # merged output's terms added in the loop's order from 0.0
-    re = np.bincount(group, a.real * out_re - a.imag * out_im)
-    im = np.bincount(group, a.real * out_im + a.imag * out_re)
+    if one_input:
+        owner = np.repeat(member, lengths)
+        number = expansions.index[at]
+    else:
+        outputs = expansions.codes.size
+        key = np.repeat(member * outputs, lengths)
+        key += expansions.index[at]
+        del at  # let go before the merge, the peak
+        # one accumulator cell per member and output
+        merged, group = _first_seen(key, (member[-1] + 1) * outputs)
+        del key
+        owner, number = np.divmod(merged, outputs)
+    # amp * a, rounded as numpy rounds a scalar complex product, from the
+    # inputs' real and imaginary parts repeated one part at a time, so
+    # that no complex array of the terms is held at the peak; each merged
+    # output's terms added in the loop's order from 0.0: a lone term plus
+    # 0.0, which turns -0.0 into +0.0 as np.bincount does
+    re = np.repeat(amplitudes.real, lengths) * out_re
+    re -= np.repeat(amplitudes.imag, lengths) * out_im
+    re = re + 0.0 if one_input else np.bincount(group, re)
+    im = np.repeat(amplitudes.real, lengths) * out_im
+    im += np.repeat(amplitudes.imag, lengths) * out_re
+    im = im + 0.0 if one_input else np.bincount(group, im)
     # abs(amp) and its square, rounded as Python rounds them
     moduli = np.hypot(re, im)
     # amplitudes below TOL are interference zeros

@@ -220,7 +220,7 @@ def _parity(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def first_quantized_distribution(internal, statistics: Statistics,
+def first_quantized_distribution(internal, statistics: Statistics | str,
                                  unitary: MultiportUnitary | None = None
                                  ) -> OutcomeDistribution:
     """Explicit (anti)symmetrization of labeled particles.
@@ -229,6 +229,7 @@ def first_quantized_distribution(internal, statistics: Statistics,
     the arm unitary to every particle slot, and reads arm counts from the
     squared amplitudes.  Shares no code with the Fock-space path.
     """
+    statistics = Statistics(statistics)
     v = np.asarray(internal, dtype=complex).reshape(-1)
     n = v.size.bit_length() - 1
     if 2 ** n != v.size or n < 1:
@@ -280,11 +281,12 @@ def _permanents(a: np.ndarray) -> np.ndarray:
     return np.prod(a @ subsets.T, axis=-2) @ signs
 
 
-def _minors(u: np.ndarray, j: int, statistics: Statistics):
+def _minors(u: np.ndarray, j: int, statistics: Statistics | str):
     """det u[G, B] for fermions, perm u[G, B] for bosons, for every j-subset
     G of rows and every j-subset (fermions) or j-multiset (bosons) B of
     columns, both listed in ascending order: a (rows, columns) table, the
     row subsets' positions by subset, and each column choice's arm counts."""
+    statistics = Statistics(statistics)
     n = len(u)
     rows = list(combinations(range(n), j))
     cols = list((combinations if statistics is Statistics.FERMION
@@ -308,7 +310,8 @@ def _inversions(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return (first * later).sum(axis=-1)
 
 
-def factorised_block(statistics: Statistics, u: MultiportUnitary, k: int):
+def factorised_block(statistics: Statistics | str, u: MultiportUnitary,
+                     k: int):
     """The amplitudes of every spin string with k particles in spin 1, one
     per arm, into every output, from a factorisation of each amplitude.
 
@@ -329,6 +332,7 @@ def factorised_block(statistics: Statistics, u: MultiportUnitary, k: int):
     (B0 choices, B1 choices, strings) of the amplitudes, with the arm
     counts of each B0 and each B1 choice.
     """
+    statistics = Statistics(statistics)
     n = u.n
     spins = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     block = np.flatnonzero(spins.sum(axis=1) == k)
@@ -350,7 +354,8 @@ def factorised_block(statistics: Statistics, u: MultiportUnitary, k: int):
     return block, t, counts0, counts1
 
 
-def factorised_distribution(internal: DensityMatrix, statistics: Statistics,
+def factorised_distribution(internal: DensityMatrix,
+                            statistics: Statistics | str,
                             unitary: MultiportUnitary | None = None
                             ) -> OutcomeDistribution:
     """Arm counts of one particle per arm, from ``factorised_block``.
@@ -361,6 +366,7 @@ def factorised_distribution(internal: DensityMatrix, statistics: Statistics,
     no eigendecomposition.  Every pattern of the outputs is listed, in
     ascending order, even one of probability zero.
     """
+    statistics = Statistics(statistics)
     rho = internal.matrix
     n = internal.n_qubits
     u = dft_unitary(n) if unitary is None else unitary

@@ -302,6 +302,9 @@ CONTRACT_DIGESTS = {
         '35feaff6e39f9e92a9062cd57cd277ab2a6e58488058688131c68935ba524983',
     'discriminate --n 6 --statistics boson --format json':
         '9dd1c5998d8d0995bd04c4eefcf8ad5e12fd820b04a051aab7b23289e1a25eef',
+    # the mixed call runs 125 groups of one-input members here, 9 at n = 6
+    'discriminate --n 7 --statistics boson --format json':
+        '73afaa6b550e038c9db40380ef34c20abaa05a7f7e3316fcc64fbafe079ba000',
     # the 128- and 256-wide positivity checks of the largest registers
     'discriminate --n 7':
         'f2cbb5435d0fa95eff2498a4c79b6bf345daa98a5765d15d9da7dc7ef1f2faf4',

@@ -22,11 +22,11 @@ from statdisc.multiport import (FockState, MultiportUnitary,
 from statdisc.states import (BlochDirection, aligned_mixture,
                              antialigned_mixture, maximally_mixed)
 
-from oracles import (aligned_direction_state, dict_evolve, dict_expansion,
-                     dict_interfere, dict_spatial_distribution,
-                     factorised_block, factorised_distribution,
-                     first_quantized_distribution, fock_ensemble,
-                     one_per_arm, symmetric_two_port)
+from oracles import (_minors, aligned_direction_state, dict_evolve,
+                     dict_expansion, dict_interfere,
+                     dict_spatial_distribution, factorised_block,
+                     factorised_distribution, first_quantized_distribution,
+                     fock_ensemble, one_per_arm, symmetric_two_port)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -774,6 +774,64 @@ def test_rotating_one_qubit_does_change_arm_counts():
                                  ) > 1e-3
 
 
+# ------------------------------------- symmetries of the Fourier multiport
+
+# Both hypotheses up to the largest registers Tier-1 expands, and at the
+# cap under the frontier marker
+_HYPOTHESIS_SIZES = ([(n, FERMION) for n in range(1, 8)]
+                     + [(n, BOSON) for n in range(1, 7)]
+                     + [pytest.param(8, stats, marks=pytest.mark.frontier)
+                        for stats in (FERMION, BOSON)])
+
+
+def _dihedral_images(pattern):
+    """The arm counts after each rotation of the arms, and after each
+    rotation of their reflection a -> -a (mod n), which keeps arm 0."""
+    reflected = pattern[:1] + pattern[:0:-1]
+    return {m[k:] + m[:k] for m in (pattern, reflected)
+            for k in range(len(pattern))}
+
+
+def _check_dihedral_symmetry(d):
+    for pattern, p in d.probabilities.items():
+        for image in _dihedral_images(pattern):
+            assert abs(d.probability(image) - p) <= TOL
+
+
+# u[a, b + k] = u[a, b] exp(2i pi a k / n) puts a phase on each input arm,
+# which holds one particle, so rotating the output arms is a global phase;
+# u[a, -b] = u[-a, b] permutes the input arms, which a state symmetric
+# under qubit permutations does not see.
+@pytest.mark.parametrize("n, stats", _HYPOTHESIS_SIZES)
+def test_the_hypotheses_keep_the_dihedral_symmetry_of_the_dft(n, stats):
+    for state in (aligned_mixture, maximally_mixed):
+        _check_dihedral_symmetry(interfere(state(n), stats))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([BOSON, FERMION]),
+       st.integers(0, 2 ** 32 - 1))
+def test_symmetric_states_keep_the_dihedral_symmetry_of_the_dft(n, stats,
+                                                                 seed):
+    # a mixture of aligned directions is symmetric under qubit permutations
+    rng = np.random.default_rng(seed)
+    rho = sum(weight * aligned_direction_state(BlochDirection(
+        math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2.0 * math.pi)),
+        n).matrix for weight in rng.dirichlet(np.ones(3)))
+    _check_dihedral_symmetry(interfere(DensityMatrix(rho), stats))
+
+
+# The aligned mixture averages |w><w| ** n over directions w, and a global
+# internal rotation does not reach the arm counts, so it counts as the
+# string |0...0>.
+@pytest.mark.parametrize("n, stats", _HYPOTHESIS_SIZES)
+def test_the_aligned_hypothesis_counts_as_the_string_of_zeros(n, stats):
+    zeros = np.zeros(2 ** n)
+    zeros[0] = 1.0
+    assert max_pattern_deviation(interfere(aligned_mixture(n), stats),
+                                 interfere(zeros, stats)) <= 1e-14
+
+
 # ------------------------------------------------------ first-quantized oracle
 
 def test_oracle_agrees_on_hong_ou_mandel():
@@ -806,6 +864,30 @@ def test_oracle_refuses_registers_beyond_six_qubits(monkeypatch):
     monkeypatch.setattr(np, "zeros", small_zeros)
     with pytest.raises(ValueError, match="n = 6"):
         first_quantized_distribution(np.eye(2 ** 7)[0], BOSON)
+
+
+def test_the_oracles_take_statistics_as_its_value():
+    # given "fermion", the oracles once ran the boson formula: 10 patterns
+    # of three particles, not 7
+    rng = np.random.default_rng(64)
+    v = rng.normal(size=8) + 1j * rng.normal(size=8)
+    rho = aligned_mixture(3)
+    u = dft_unitary(3)
+    assert len(factorised_distribution(rho, "fermion").probabilities) == 7
+    for stats in (BOSON, FERMION):
+        for oracle, internal in ((first_quantized_distribution, v),
+                                 (factorised_distribution, rho)):
+            assert (list(oracle(internal, stats.value).probabilities.items())
+                    == list(oracle(internal, stats).probabilities.items()))
+        for k in range(4):
+            for a, b in zip(factorised_block(stats.value, u, k),
+                            factorised_block(stats, u, k)):
+                assert np.array_equal(a, b)
+            values, rows, counts = _minors(u.matrix, k, stats.value)
+            expected = _minors(u.matrix, k, stats)
+            assert np.array_equal(values, expected[0])
+            assert rows == expected[1]
+            assert np.array_equal(counts, expected[2])
 
 
 def test_oracle_matches_fock_evolution_on_mixed_states():
@@ -1133,6 +1215,69 @@ def test_streamed_groups_are_the_dict_loop_bit_for_bit(monkeypatch):
             assert list(again.probabilities.items()) == oracle
 
 
+def _merging_refused(key, cells):
+    raise AssertionError("a group of one-input members was merged")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def test_one_input_members_are_not_merged(monkeypatch, n, stats):
+    # each member of these holds one input, whose outputs are distinct:
+    # the basis vectors of the mixed state, consecutive, those of a
+    # diagonal state with distinct weights, which eigh lists by weight, and
+    # one phased string past the first, so its memo slice is not at 0
+    rng = np.random.default_rng(90 + n)
+    weights = rng.permutation(2 ** n) + 1.0
+    string = np.zeros(2 ** n, dtype=complex)
+    string[rng.integers(1, 2 ** n)] = np.exp(0.7j)
+    internals = [DensityMatrix(maximally_mixed(n).matrix),
+                 DensityMatrix(np.diag(weights / weights.sum())), string]
+    oracles = [sorted(dict_interfere(internal, stats).probabilities.items())
+               for internal in internals]
+    # the expansion steps do merge: their memos are filled first
+    u = symmetric_two_port()
+    for unitary in (dft_unitary(n), u):
+        multiport._expansions(stats, unitary)
+    monkeypatch.setattr(multiport, "_first_seen", _merging_refused)
+    # one group, then one group per member, each past the first at an
+    # offset of the memo
+    for budget in (multiport._GROUP_BUDGET, 1):
+        monkeypatch.setattr(multiport, "_GROUP_BUDGET", budget)
+        for internal, oracle in zip(internals, oracles):
+            # a fresh state each time, so that no kept answer is read
+            if isinstance(internal, DensityMatrix):
+                internal = DensityMatrix(internal.matrix)
+            assert list(interfere(internal, stats).probabilities.items()
+                        ) == oracle
+    # an amplitude of -1.0 on an output whose real part is exactly 0.0 makes
+    # -0.0, which the dict loop's sum from 0j turns into +0.0; repr tells
+    # the two apart
+    for config in one_per_arm(2):
+        state = FockState(stats, {config: -1.0})
+        assert (repr(list(evolve(state, u).amplitudes.items()))
+                == repr(list(dict_evolve(state, u).amplitudes.items())))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def test_members_of_several_inputs_are_merged(monkeypatch, n, stats):
+    # the aligned hypothesis's members are superpositions of the strings of
+    # one excitation number
+    rho = DensityMatrix(aligned_mixture(n).matrix)
+    oracle = sorted(dict_interfere(rho, stats).probabilities.items())
+    multiport._expansions(stats, dft_unitary(n))
+    merged = []
+    first_seen = multiport._first_seen
+
+    def recorded(key, cells):
+        merged.append(key.size)
+        return first_seen(key, cells)
+
+    monkeypatch.setattr(multiport, "_first_seen", recorded)
+    assert list(interfere(rho, stats).probabilities.items()) == oracle
+    assert merged
+
+
 @st.composite
 def fock_states(draw):
     """A random Fock state of 1-6 distinct spin strings, one particle per
@@ -1281,7 +1426,8 @@ def test_frontier_distributions_list_their_patterns_in_ascending_order(
     assert list(d.probabilities) == sorted(d.probabilities)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, pytest.param(
+    8, marks=pytest.mark.frontier)])
 def test_interfere_leaves_out_the_patterns_of_interference_zeros(n):
     # aligned spins are symmetric, so fermions leave one per arm: every
     # bunched output that the inputs' expansions reach cancels, and its
