@@ -269,8 +269,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="statdisc",
                      description="Discriminate collective internal states of "
                                  "identical particles by arm counting.")
+    statistics = tuple(s.value for s in Statistics)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json", "csv"),
+    common.add_argument("--format", choices=tuple(RENDERERS),
                         default="table")
     common.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")
@@ -290,7 +291,7 @@ def build_parser() -> _Parser:
                       choices=("aligned-antialigned", "aligned-mixed"),
                       default="aligned-mixed")
     disc.add_argument("--n", type=int, default=2)
-    disc.add_argument("--statistics", choices=("boson", "fermion"),
+    disc.add_argument("--statistics", choices=statistics,
                       default="fermion")
     disc.add_argument("--prior0", type=float, default=0.5)
 
@@ -298,14 +299,14 @@ def build_parser() -> _Parser:
                           help="probe the strategy against the bound as the "
                                "particle number grows")
     scan.add_argument("--n-max", type=int, default=6, dest="n_max")
-    scan.add_argument("--statistics", choices=("boson", "fermion"),
+    scan.add_argument("--statistics", choices=statistics,
                       default="fermion")
 
     detect = sub.add_parser("detect", parents=[common],
                             help="entanglement detection from two marginals")
     detect.add_argument("--schmidt", type=float, required=True,
                         help="smaller squared Schmidt coefficient in [0, 1/2]")
-    detect.add_argument("--statistics", choices=("boson", "fermion"),
+    detect.add_argument("--statistics", choices=statistics,
                         default="fermion")
 
     purify = sub.add_parser("purify", parents=[common],
@@ -338,15 +339,10 @@ COMMANDS = {
 }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
-    return RunConfig(**fields)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    config = RunConfig(**vars(args))
     try:
         rows, code = COMMANDS[config.command](config)
         text = RENDERERS[config.format](config, rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -36,11 +36,12 @@ SUM_TOL = 1e-10
 # multiport 1 to 8 arms, one particle each.  Every published number lies
 # within it and dense 2**n matrices stay small (256 x 256).  The Fock
 # evolution grows much faster: at n = 8 the expansions of one fermion task
-# hold 0.74 million outputs (about 0.15 s on a 2-core Xeon), and those of a
-# boson task 22 million (about 3.3 s), at 20 bytes each in the memo.  On
-# that machine `discriminate --n 8` peaks at about 80 MB RSS for fermions
-# (in about 0.6 s) and 1.0 GB for bosons (in about 8 s).  Raise this only
-# when the benchmark shows a scan at the new size fits its time and memory.
+# hold 0.74 million outputs (about 0.18 s on a 2-core Xeon), and those of a
+# boson task 22 million (3.4-3.7 s), at 20 bytes each in the memo.  On that
+# machine, over three runs each, `discriminate --n 8` peaks at 68 MB RSS for
+# fermions (0.6-1.8 s, median 0.65 s) and 790 MB for bosons (7.9-9.1 s,
+# median 8.9 s).  Raise this only when the benchmark shows a scan at the
+# new size fits its time and memory.
 MAX_QUBITS = 8
 
 
@@ -82,8 +83,7 @@ class DensityMatrix:
     The matrix is read-only, so one instance can be shared.  Construction
     validates it with the eigenvalues alone, refusing a lowest eigenvalue
     below ``-SUM_TOL``; a matrix with no imaginary part is real symmetric,
-    so its eigenvalues come from the faster real solver.  The eigenvectors
-    are computed when ``eigenstates`` is first read, and kept.
+    so its eigenvalues come from the faster real solver.
     """
 
     matrix: np.ndarray
@@ -108,24 +108,6 @@ class DensityMatrix:
         if lowest < -SUM_TOL:
             raise ValueError("density matrix must be positive semi-definite "
                              f"(lowest eigenvalue {lowest:.3e})")
-
-    @cached_property
-    def eigenstates(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """The weighted unit eigenvectors: each eigenvalue above ``TOL``, in
-        ascending order, with its eigenvector divided by its norm, read-only.
-
-        Any orthonormal eigenbasis of a degenerate eigenvalue would do; this
-        is the one ``np.linalg.eigh`` returns, computed once per instance.
-        """
-        vals, vecs = np.linalg.eigh(self.matrix)
-        states = []
-        # unit trace over at most 2**8 eigenvalues leaves one above TOL
-        for weight, vec in zip(vals, vecs.T):
-            if weight > TOL:
-                unit = vec / np.linalg.norm(vec)
-                unit.setflags(write=False)
-                states.append((float(weight), unit))
-        return tuple(states)
 
     @property
     def dim(self) -> int:

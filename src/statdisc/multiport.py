@@ -11,8 +11,10 @@ Mode convention, load-bearing for every fermionic sign below:
 
 Evolution substitutes each creation operator by its image under the arm
 unitary and multiplies the resulting operator polynomial out term by term.
-No permanent or determinant formulas anywhere.  The independent cross-check,
-explicit (anti)symmetrization of labeled particles, lives in the test suite.
+No permanent or determinant formulas anywhere.  The independent
+cross-checks live in ``tests/oracles.py``: explicit (anti)symmetrization of
+labeled particles, and a determinant/permanent factorisation of each spin
+string's amplitude.
 
 The kernel does this on numpy arrays of numbered configurations, and
 performs the floating-point operations of the plain dict loop
@@ -193,17 +195,21 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
 
     ``internal`` is a one-dimensional state vector over n qubits or a
     ``DensityMatrix``.  A state vector gives a single member of weight one,
-    its vector divided by its norm.  A density matrix gives its
-    ``eigenstates``, each eigenvector above the weight cutoff a member,
-    read-only and eigendecomposed once per instance, however often it is
-    loaded; any orthonormal eigenbasis of a degenerate spectrum yields the
-    same downstream statistics.  Each member's vector lists the amplitudes
-    of the 2**n configurations by basis index (see the module docstring).
-    ``interfere`` loads a density matrix through the default multiport
-    once per statistics, and after that answers from its memo.
+    its vector divided by its norm.  A density matrix is eigendecomposed on
+    every load: each eigenvalue above ``TOL``, in ascending order, is a
+    member's weight, and its eigenvector divided by its norm the member's
+    vector.  Any orthonormal eigenbasis of a degenerate spectrum yields the
+    same downstream statistics; this is the one ``np.linalg.eigh`` returns.
+    Each member's vector lists the amplitudes of the 2**n configurations by
+    basis index (see the module docstring), and every load is the caller's
+    own.  ``interfere`` loads a density matrix through the default
+    multiport once per statistics, and after that answers from its memo.
     """
     if isinstance(internal, DensityMatrix):
-        return list(internal.eigenstates)
+        vals, vecs = np.linalg.eigh(internal.matrix)
+        # unit trace over at most 2**8 eigenvalues leaves one above TOL
+        return [(float(weight), vec / np.linalg.norm(vec))
+                for weight, vec in zip(vals, vecs.T) if weight > TOL]
     v = np.asarray(internal, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"a state vector is one-dimensional, not of "
@@ -683,19 +689,19 @@ def interfere(internal, statistics: Statistics | str,
     """Full pipeline: load, evolve through the multiport, count arms.
 
     ``internal`` is as ``prepare_input`` takes it, a one-dimensional state
-    vector or a ``DensityMatrix`` over n qubits, whose eigenstates are
-    computed on its first call and reused by every later one, and
-    ``statistics`` is a ``Statistics`` member or its value.  The default
-    unitary is the n-arm discrete-Fourier multiport.  The result is
-    ``spatial_distribution`` of every member ``evolve``d, computed from the
-    members' vectors without building a ``FockState``: the patterns of the
-    kept outputs, in ascending order, a pattern whose outputs are all
-    interference zeros left out.  The members run in groups under
-    ``_GROUP_BUDGET``, one ``_merge`` each.
+    vector or a ``DensityMatrix`` over n qubits, and ``statistics`` is a
+    ``Statistics`` member or its value.  The default unitary is the n-arm
+    discrete-Fourier multiport.  The result is ``spatial_distribution`` of
+    every member ``evolve``d, computed from the members' vectors without
+    building a ``FockState``: the patterns of the kept outputs, in
+    ascending order, a pattern whose outputs are all interference zeros
+    left out.  The members run in groups under ``_GROUP_BUDGET``, one
+    ``_merge`` each.
 
     A ``DensityMatrix`` through the default multiport keeps its answer for
     each statistics, so asking again returns the same read-only
-    distribution without loading the state; a call with ``unitary``, or on
+    distribution without loading the state, and the state is
+    eigendecomposed once per statistics; a call with ``unitary``, or on
     a state vector, is computed afresh and kept nowhere.
     """
     statistics = Statistics(statistics)

@@ -8,7 +8,8 @@ fixed-direction states that live there with it.
 The fixed hypothesis states, ``aligned_mixture(n)``, ``maximally_mixed(n)``
 and ``antialigned_mixture()``, depend on n alone, so each is built and
 validated once per process and the same read-only ``DensityMatrix`` is
-returned to every caller, its eigenstates computed at most once.
+returned to every caller.  Its arm-count distributions are kept by
+``multiport.interfere``, once per statistics.
 """
 
 from __future__ import annotations

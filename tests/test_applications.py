@@ -226,6 +226,11 @@ def test_classical_comparison_stops_at_the_capacity(monkeypatch):
     assert calls == []
 
 
+def test_classical_comparison_refuses_fewer_than_two_particles():
+    with pytest.raises(ValueError, match="at least 2"):
+        classical_comparison(1)
+
+
 # ----------------------------------------------------------------------- scan
 
 def test_scan_meets_the_bound_for_small_fermion_registers():

@@ -412,3 +412,33 @@ def test_the_cli_output_is_byte_identical_to_its_pinned_digests(monkeypatch):
         changed = [line for line, digest in CONTRACT_DIGESTS.items()
                    if contract_digest(line.split()) != digest]
         assert changed == []
+
+
+# The help text of statdisc and of each subcommand, pinned at 80 columns by
+# the contract_digest of its exit code (0), stdout and empty stderr.
+HELP_DIGESTS = {
+    '--help':
+        'a80b533238ab360c3d12e329fba1c08d5cfa7bc15726e985d545142b4a2d9912',
+    'reproduce --help':
+        'db558a7da058b40f1c4efc3218e7fe7cc24aafacbeac34402c845f4a9f4ce1ae',
+    'discriminate --help':
+        '1aceda955504926eee721fdd7514e743a2ef466697e52219faf1ac24684ff81e',
+    'scan --help':
+        '0d43e970cf76a179dfd543b532d52b61fe8b44e919dc7ea6ca21e89a52920cba',
+    'detect --help':
+        '9dbac9f7c1c72c613a569e289489e1d4db00ee01da934e4cbad638278af8519f',
+    'purify --help':
+        'cba51080fd51f6f68677f8faf0a6f4504a6291201d404c7d7d8ea7cb6dbb04f8',
+    'classical --help':
+        '2be92aaa73250779999aa610b6d66a374401e407bb262c2a5b23f72f1d62154b',
+}
+
+
+def test_the_help_texts_are_byte_identical_to_their_pinned_digests(
+        monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert set(HELP_DIGESTS) == {"--help"} | {
+        f"{command} --help" for command in cli.COMMANDS}
+    changed = [line for line, digest in HELP_DIGESTS.items()
+               if contract_digest(line.split()) != digest]
+    assert changed == []

@@ -126,6 +126,8 @@ def test_density_matrix_positivity_matches_the_complex_solver(
 def test_density_matrix_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="qubit"):
         DensityMatrix(np.eye(3) / 3)
+    with pytest.raises(ValueError, match=r"matrix, got array of shape \(4,\)"):
+        DensityMatrix(np.full(4, 0.25))
 
 
 def test_density_matrix_rejects_non_finite():
@@ -274,6 +276,11 @@ def test_trace_norm_of_diagonal_matrix():
 def test_trace_norm_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_trace_norm_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        trace_norm(np.zeros((2, 3)))
 
 
 def test_trace_norm_dominates_trace():

@@ -156,6 +156,9 @@ def test_map_strategy_rejects_bad_priors():
     d0 = OutcomeDistribution({(1, 1): 1.0})
     with pytest.raises(ValueError, match="sum to one"):
         map_strategy(d0, d0, priors=(0.6, 0.6))
+    # priors that sum to one may still leave [0, 1]
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        map_strategy(d0, d0, priors=(1.5, -0.5))
 
 
 # ------------------------------------------------------------------- reports

@@ -318,6 +318,12 @@ def test_fock_state_rejects_negative_occupation():
         FockState(BOSON, {(3, -1, 0, 0): 1.0})
 
 
+def test_fock_state_rejects_no_configuration():
+    for stats in (BOSON, FERMION):
+        with pytest.raises(ValueError, match="at least one configuration"):
+            FockState(stats, {})
+
+
 def test_evolve_refuses_nine_arms_before_any_expansion(monkeypatch):
     # no 9-arm multiport exists, so a 9-arm state meets the arm check
     calls = []
@@ -367,6 +373,11 @@ def test_prepare_input_rejects_non_qubit_register():
     with pytest.raises(ValueError, match="qubit"):
         rho = DensityMatrix(np.eye(3) / 3)
         prepare_input(rho)
+
+
+def test_prepare_input_rejects_the_zero_vector():
+    with pytest.raises(ValueError, match="nonzero"):
+        prepare_input(np.zeros(4))
 
 
 def test_prepare_input_rejects_bad_dimension():
@@ -442,32 +453,45 @@ def test_interfere_loads_through_the_module_prepare_input_once(monkeypatch):
         assert calls == []
 
 
-def test_a_density_matrix_is_eigendecomposed_once(monkeypatch):
+def test_each_statistics_eigendecomposes_a_density_matrix_once(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda m: calls.append(m.shape) or eigh(m))
     rho = DensityMatrix(_random_state(3, 2, np.random.default_rng(5)))
     assert calls == []
-    first = prepare_input(rho)
-    assert len(calls) == 1
-    second = prepare_input(rho)
+    for stats in (BOSON, FERMION):
+        # the first default-multiport call loads the state, and its kept
+        # answer spares every later one the eigensolve
+        calls.clear()
+        interfere(rho, stats)
+        assert calls == [(8, 8)]
+        calls.clear()
+        interfere(rho, stats)
+        interfere(rho, stats.value)
+        assert calls == []
+
+
+def test_each_load_is_the_callers_own():
+    for rho in (aligned_mixture(3), DensityMatrix(np.eye(4) / 4)):
+        answer = interfere(rho, FERMION)
+        before = list(answer.probabilities.items())
+        first = prepare_input(rho)
+        fresh = [(w, v.tobytes()) for w, v in first]
+        for _, vec in first:
+            vec[:] = 0.0
+        first.clear()
+        assert [(w, v.tobytes()) for w, v in prepare_input(rho)] == fresh
+        assert interfere(rho, FERMION) is answer
+        assert list(answer.probabilities.items()) == before
+
+
+def test_a_density_matrix_keeps_nothing_but_its_matrix():
+    rho = DensityMatrix(_random_state(2, 3, np.random.default_rng(11)))
     for stats in (BOSON, FERMION):
         interfere(rho, stats)
-    assert len(calls) == 1
-    assert [(w, v.tobytes()) for w, v in second] == [
-        (w, v.tobytes()) for w, v in first]
-
-
-def test_the_kept_eigenstates_are_read_only():
-    for rho in (aligned_mixture(3), DensityMatrix(np.eye(4) / 4)):
-        ensemble = prepare_input(rho)
-        for _, vec in ensemble:
-            with pytest.raises(ValueError):
-                vec[0] = 1.0
-        # the list is the caller's own
-        ensemble.clear()
-        assert len(prepare_input(rho)) == len(rho.eigenstates)
+    prepare_input(rho)
+    assert list(vars(rho)) == ["matrix"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -680,6 +704,12 @@ def test_outcome_distribution_rejects_patterns_of_different_lengths():
     # no pattern at all has no arm count and no probability to sum
     with pytest.raises(ValueError, match="sum to one"):
         OutcomeDistribution({})
+
+
+def test_outcome_distribution_rejects_a_negative_probability():
+    # the total is one, so the sign alone refuses it
+    with pytest.raises(ValueError, match="negative probability"):
+        OutcomeDistribution({(0, 2): -0.5, (2, 0): 1.5})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1149,6 +1179,16 @@ def test_a_wrong_output_count_is_refused(monkeypatch):
         with pytest.raises(RuntimeError, match="closed form"):
             multiport._expansions(stats, u)
         assert not u._expansions
+
+
+def test_an_unnormalized_expansion_is_refused():
+    # a memo whose amplitudes are doubled evolves a unit vector to norm 4
+    for stats in (BOSON, FERMION):
+        u = MultiportUnitary(dft_unitary(2).matrix)
+        e = multiport._expansions(stats, u)
+        u._expansions[stats] = e._replace(amplitudes=2 * e.amplitudes)
+        with pytest.raises(ValueError, match="must be normalized"):
+            interfere(np.array([0.0, 1.0, 0.0, 0.0]), stats, u)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])

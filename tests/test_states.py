@@ -250,3 +250,8 @@ def test_qubit_density_roundtrips_bloch_vector(r, theta, phi):
 def test_qubit_density_rejects_overlong_bloch_vector():
     with pytest.raises(ValueError):
         qubit_density(1.2, BlochDirection(0.0, 0.0))
+
+
+def test_bloch_vector_refuses_two_qubits():
+    with pytest.raises(ValueError, match="single qubit"):
+        bloch_vector(maximally_mixed(2))
