@@ -3,10 +3,11 @@
 Every register is n qubits, the internal states of n two-level particles,
 so a ``DensityMatrix`` is a 2**n x 2**n matrix and reads n from its
 dimension.  Everything here is plain numpy complex128.  A register holds
-1 to ``MAX_QUBITS`` (eight) qubits, a rule that one function,
-``check_register``, enforces wherever a size enters the package, before
-any work of that size: on n where it is given, on a ``DensityMatrix``'s
-dimension, and, in ``MultiportUnitary``, on the multiport's own arms.
+an integer from 1 to ``MAX_QUBITS`` (eight) qubits, a rule that one
+function, ``check_register``, enforces wherever a size enters the package,
+before any work of that size: on n where it is given, on a
+``DensityMatrix``'s dimension, and, in ``MultiportUnitary``, on the
+multiport's own arms.
 So every operation is an exact eigendecomposition or an index
 manipulation; nothing is sampled and nothing is sparse.
 
@@ -17,6 +18,7 @@ This module also holds the package's two tolerances, ``TOL`` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -50,8 +52,9 @@ class CapacityError(Exception):
 
 
 def check_register(n: int) -> None:
-    """Refuse a register size n below one or above ``MAX_QUBITS``."""
-    if n < 1:
+    """Refuse a register size n that is not an integer (``TypeError``),
+    below one or above ``MAX_QUBITS``."""
+    if operator.index(n) < 1:
         raise ValueError("n must be at least 1")
     if n > MAX_QUBITS:
         raise CapacityError(f"n = {n} is above the {MAX_QUBITS}-qubit limit "
@@ -130,10 +133,10 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     """Trace out every qubit not listed in ``keep``.
 
-    ``keep`` must be strictly increasing, so the surviving qubits retain
-    their original order.
+    ``keep`` must be strictly increasing integers, so the surviving qubits
+    retain their original order.
     """
-    kept = tuple(int(i) for i in keep)
+    kept = tuple(map(operator.index, keep))
     n = rho.n_qubits
     if any(i < 0 or i >= n for i in kept):
         raise ValueError(f"qubit index out of range for {n} qubits: {kept}")

@@ -449,7 +449,7 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
         entry = u.matrix[n - 1 - step]
         entry_re, entry_im = entry.real.copy(), entry.imag.copy()
         half = sizes.size
-        held_from, held_sizes = offsets[:-1], sizes
+        held_offsets, held_sizes = offsets, sizes
         held, held_amplitudes = index, amplitudes
         # a node holds step + 1 particles, as many in spin 1 as its bits
         sizes = _output_counts(statistics, n, step + 1)[
@@ -461,14 +461,14 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
         for a, b in zip(bounds, bounds[1:]):
             # nodes a to b - 1: each parent's terms, each created into
             # mode 2 * arm for every arm the table allows, term-major,
-            # arm-minor, as the node's own loop visits them
-            n_held = held_sizes[a:b]
-            owner = np.repeat(np.arange(b - a), n_held)
-            src = _ranges(held_from[a:b], n_held)
-            row = held[src]
+            # arm-minor, as the node's own loop visits them; their parents
+            # are nodes a to b - 1 of the parent level, one slice of it
+            owner = np.repeat(np.arange(b - a), held_sizes[a:b])
+            start, stop = held_offsets[a], held_offsets[b]
+            row = held[start:stop]
             count = first[row + 1] - first[row]
             at = _ranges(first[row], count)
-            amp = held_amplitudes[np.repeat(src, count)]
+            amp = np.repeat(held_amplitudes[start:stop], count)
             arm = arms[at]
             u_re, u_im = entry_re[arm], entry_im[arm]
             # amp * entry, rounded as numpy rounds a scalar complex

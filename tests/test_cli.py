@@ -228,6 +228,39 @@ def test_unexpected_failures_exit_2(monkeypatch, capsys):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_value_off_its_reference_exits_1(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "classical_pauli_success", lambda n, how: 0.5)
+    code, out, err = run(["reproduce", "--format", fmt], capsys)
+    assert code == 1
+    assert "classical exclusion model, n=6" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_nan_value_exits_1_wherever_its_row_sits(fmt, monkeypatch, capsys):
+    # the classical rows follow the first one, which carries a finite error
+    monkeypatch.setattr(cli, "classical_pauli_success",
+                        lambda n, how: float("nan"))
+    code, out, _ = run(["reproduce", "--format", fmt], capsys)
+    assert code == 1
+    assert "classical exclusion model, n=6" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce"], ["discriminate"], ["scan", "--n-max", "2"],
+    ["detect", "--schmidt", "0.3"], ["purify", "--r", "0.5"],
+    ["classical", "--n", "3"]])
+def test_every_report_echoes_every_setting(argv, capsys):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert set(config) == {
+        "command", "format", "seed", "n", "n_max", "statistics", "prior0",
+        "pair", "schmidt", "r", "theta", "phi", "classical_interpretation"}
+    assert config["command"] == argv[0]
+
+
 def test_module_entry_point_runs():
     # the child must find the same statdisc this process imported, whether
     # it came from an install or from pytest's pythonpath setting

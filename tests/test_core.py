@@ -267,6 +267,16 @@ def test_partial_trace_rejects_unsorted_keep():
         partial_trace(rho, (2,))
 
 
+def test_partial_trace_refuses_an_index_that_is_not_an_integer():
+    rho = random_density(np.random.default_rng(9), 2)
+    for keep in ((0.9,), (0, 1.0)):
+        with pytest.raises(TypeError, match="integer"):
+            partial_trace(rho, keep)
+    # an integer of numpy's is an index
+    assert np.array_equal(partial_trace(rho, (np.int64(0),)).matrix,
+                          partial_trace(rho, (0,)).matrix)
+
+
 # --------------------------------------------------------------- trace_norm
 
 def test_trace_norm_of_diagonal_matrix():
@@ -454,5 +464,7 @@ def test_empty_registers_are_refused_only_by_check_register():
 def test_every_register_size_meets_the_one_rule(entry):
     with pytest.raises(ValueError, match="n must be at least 1"):
         entry(0)
+    with pytest.raises(TypeError, match="integer"):
+        entry(2.5)
     with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
         entry(9)

@@ -495,7 +495,7 @@ def test_a_density_matrix_keeps_nothing_but_its_matrix():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_kept_eigenstates_are_those_of_a_fresh_state_byte_for_byte(n):
+def test_two_loads_of_a_state_agree_byte_for_byte(n):
     states = [aligned_mixture(n), maximally_mixed(n)]
     if n == 2:
         states.append(antialigned_mixture())
@@ -510,8 +510,8 @@ def test_kept_eigenstates_are_those_of_a_fresh_state_byte_for_byte(n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([BOSON, FERMION]),
        st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
-def test_interfere_on_kept_eigenstates_equals_a_fresh_state(n, stats, rank,
-                                                            seed):
+def test_an_answer_memo_hit_equals_a_fresh_states_answer(n, stats, rank,
+                                                         seed):
     rho = DensityMatrix(_random_state(n, rank, np.random.default_rng(seed)))
     interfere(rho, stats)
     kept = interfere(rho, stats)
