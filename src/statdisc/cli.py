@@ -169,6 +169,9 @@ def cmd_classical(config: argparse.Namespace) -> list[dict]:
 # ------------------------------------------------------------- formatting
 
 def _fraction_note(value: float) -> str | None:
+    # NaN and infinities have no fraction; their plain digits say it all
+    if not math.isfinite(value):
+        return None
     frac = Fraction(value).limit_denominator(MAX_DENOMINATOR)
     # whole numbers need no annotation, the plain digits already say it
     if frac.denominator == 1:

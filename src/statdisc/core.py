@@ -38,12 +38,13 @@ SUM_TOL = 1e-10
 # multiport 1 to 8 arms, one particle each.  Every published number lies
 # within it and dense 2**n matrices stay small (256 x 256).  The Fock
 # evolution grows much faster: at n = 8 the expansions of one fermion task
-# hold 0.74 million outputs (about 0.18 s on a 2-core Xeon), and those of a
-# boson task 22 million (3.4-3.7 s), at 20 bytes each in the memo.  On that
-# machine, over three runs each, `discriminate --n 8` peaks at 68 MB RSS for
-# fermions (0.6-1.8 s, median 0.65 s) and 790 MB for bosons (7.9-9.1 s,
-# median 8.9 s).  Raise this only when the benchmark shows a scan at the
-# new size fits its time and memory.
+# hold 0.74 million outputs (0.13-0.18 s on a 2-core Xeon), and those of a
+# boson task 22 million (3.7-5.0 s); the memo keeps their spin-0 half, 0.37
+# and 11.1 million, at 20 bytes each.  On that machine, over three runs
+# each, `discriminate --n 8` peaks at 56 MB RSS for fermions (0.64-1.7 s,
+# median 0.65 s) and 431 MB for bosons (6.9-8.4 s, median 7.6 s).  Raise
+# this only when the benchmark shows a scan at the new size fits its time
+# and memory.
 MAX_QUBITS = 8
 
 

@@ -19,16 +19,17 @@ string's amplitude.
 The kernel does this on numpy arrays of numbered configurations, and
 performs the floating-point operations of the plain dict loop
 ``out[config] += term`` in that loop's order: the terms are listed as the
-loop visits them and ``np.bincount`` adds each configuration's terms one
-after the other from 0.0, in list order.  Complex products are spelled
-out in real arithmetic, and moduli and squares are taken with ``np.hypot``
-and ``np.float_power``, because numpy's vectorised complex product,
-``abs`` and ``** 2`` round differently from the scalar operations the
-loop performed.  Every amplitude and probability is therefore the dict
-loop's bit for bit, and so is the order of an evolved ``FockState``'s
-configurations; that loop lives on in the test suite as an oracle.  An
-arm-count distribution lists its patterns in ascending order, the order
-in which every reader of it walks them.
+loop visits them and ``np.bincount``, or ``np.add.at`` across the chunks
+of a merge, adds each configuration's terms one after the other from 0.0,
+in list order.  Complex products are spelled out in real arithmetic, and
+moduli and squares are taken with ``np.hypot`` and ``np.float_power``,
+because numpy's vectorised complex product, ``abs`` and ``** 2`` round
+differently from the scalar operations the loop performed.  Every
+amplitude and probability is therefore the dict loop's bit for bit, and
+so is the order of an evolved ``FockState``'s configurations; that loop
+lives on in the test suite as an oracle.  An arm-count distribution lists
+its patterns in ascending order, the order in which every reader of it
+walks them.
 
 The kernel takes the one input the package makes: n particles on the n
 arms, one per arm.  Bit i of a basis index of the n-qubit internal state,
@@ -47,38 +48,43 @@ multiport acts on the arms alone, so swapping every particle's spin
 commutes with it: node 2**(t+1) - 1 - p, the complement string, is node p
 with the spins of every output swapped, times a fermion sign (see
 ``_mirror_sign``).  A step therefore computes its spin-0 nodes, one per
-node of the step before, and mirrors them into its spin-1 half.  A computed
-node's terms are listed, grouped and added as that configuration's own
-loop would, and a mirrored node's loop would meet the swapped keys in the
-same order and add the same terms times the sign, so neither the sharing
-nor the mirror changes a bit.  The k-particle configurations of the 2n
-modes are numbered in ascending code at each level k, and a term holds the
-number of its configuration; level n, C(2n, n) configurations for
-fermions and C(3n - 1, n) for bosons, numbers the outputs.  A step reads
-its creations from a table with one row per configuration number, which
-lists arm by arm the number of the configuration a spin-0 creation makes
-and its factor, and finds each key's first term on one accumulator cell
-per node and configuration, with no sort.  A node's outputs are the
-configurations of its particles with as many in spin 1 as it has set
-bits, a closed-form count, so each step's arrays are allocated whole and
-filled in chunks of whole nodes and about ``_CHUNK_TERMS`` creations or
-mirrored outputs, which bounds the transient memory.  The last step's
-arrays are the memo: a 4-byte output number and a 16-byte amplitude per
-output, one slice per basis index.
+node of the step before, and mirrors them into its spin-1 half; the last
+step leaves its spin-1 half to the merge, which mirrors each such basis
+index when it gathers it (``_gathered``).  A computed node's terms are
+listed, grouped and added as that configuration's own loop would, and a
+mirrored node's loop would meet the swapped keys in the same order and add
+the same terms times the sign, so neither the sharing nor the mirror
+changes a bit.  The k-particle configurations of the 2n modes are
+numbered in ascending code at each level k, and a term holds the number
+of its configuration; level n, C(2n, n) configurations for fermions and
+C(3n - 1, n) for bosons, numbers the outputs.  A step reads its creations
+from a table with one row per configuration number, which lists arm by
+arm the number of the configuration a spin-0 creation makes and its
+factor, and finds each key's first term on one accumulator cell per node
+and configuration, with no sort.  A node's outputs are the configurations
+of its particles with as many in spin 1 as it has set bits, a closed-form
+count, so each step's arrays are allocated whole and filled in chunks of
+whole nodes and about ``_CHUNK_TERMS`` creations or mirrored outputs,
+which bounds the transient memory.  The last step's arrays for its spin-0
+half are the memo: a 4-byte output number and a 16-byte amplitude per
+output, one slice per basis index below 2**(n - 1), with the level's swap
+map and, for fermions, its sign.
 
 An ensemble's members run in groups under one budget of accumulator
-cells and terms (``_merge``), so a call holds the expansion memo and one
-group's arrays, whatever the number of members.  Output numbers key the
-merge of a group's terms, with no sort, and pattern numbers the total of
-each arm-count pattern across groups, in one array.  A group whose
-members hold one input each, as the maximally mixed state's basis vectors
-do, has distinct keys: its terms are its merged outputs, taken as they
-stand, with no accumulator cells.
+cells and terms (``_merge``), and a group's terms are merged in chunks of
+whole inputs, so a call holds the expansion memo, one group's cells and
+one chunk's arrays, whatever the number of members and the size of the
+largest.  Output numbers key the merge of a group's terms, with no sort,
+and pattern numbers the total of each arm-count pattern across groups, in
+one array.  A group whose members hold one input each, as the maximally
+mixed state's basis vectors do, has distinct keys: its terms are its
+merged outputs, taken as they stand, with no accumulator cells.
 
 Two memos keep what the package asks again and again.  Each
 ``MultiportUnitary`` keeps, per statistics, the output numbering and the
-expansions of all 2**n configurations.  ``interfere`` keeps its answer,
-per statistics, on each ``DensityMatrix`` it sends through the default
+expansions of the spin-0 half of the 2**n configurations, from which the
+merge gathers all of them.  ``interfere`` keeps its answer, per
+statistics, on each ``DensityMatrix`` it sends through the default
 multiport, for as long as that state lives, so asking the shared
 hypothesis states again costs a lookup.
 """
@@ -234,12 +240,15 @@ class _Expansions(NamedTuple):
     The n-particle configurations of the 2n modes are numbered in
     ascending code (see ``_place_values``): number j has code ``codes[j]``
     and the arm-count pattern numbered ``patterns[j]``, whose arm counts
-    are ``labels[patterns[j]]``; the labels ascend.  The expansion of
-    basis index i (see the module docstring) is the slice
-    ``offsets[i]:offsets[i + 1]``, of ``sizes[i]`` outputs, of the
-    read-only arrays ``index`` and ``amplitudes``: output number
-    ``index[o]`` with amplitude ``amplitudes[o]``.  The slices tile both
-    arrays in basis-index order.
+    are ``labels[patterns[j]]``; the labels ascend.  Basis index i (see the
+    module docstring) expands to ``sizes[i]`` outputs.  Only the spin-0
+    half is kept, the indices i below 2**(n - 1): the expansion of such an
+    i is the slice ``offsets[i]:offsets[i + 1]`` of the read-only arrays
+    ``index`` and ``amplitudes``, output number ``index[o]`` with amplitude
+    ``amplitudes[o]``, and the slices tile both arrays in basis-index
+    order.  Index 2**n - 1 - i is the spin swap of i: output number ``j``
+    becomes ``swap[j]`` and, for fermions, its amplitude is multiplied by
+    ``sign[j]``, which is None for bosons (see ``_gathered``).
     """
 
     codes: np.ndarray
@@ -249,6 +258,8 @@ class _Expansions(NamedTuple):
     amplitudes: np.ndarray
     offsets: np.ndarray
     sizes: np.ndarray
+    swap: np.ndarray
+    sign: np.ndarray | None
 
 
 def _place_values(statistics: Statistics, n: int) -> tuple[int, np.ndarray]:
@@ -278,22 +289,23 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         starts - (np.cumsum(lengths) - lengths), lengths)
 
 
-def _first_seen(key: np.ndarray, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``key``, each below ``cells``, in the order of
-    their first appearance, and the number (int32) of each key's value in
-    that order: one accumulator cell per value, with no sort.
+def _first_seen(key: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The values of ``key`` that ``cell`` has not met, in the order of
+    their first appearance in ``key``, with no sort; they are marked met.
 
-    Positions and cells are int32.  ``MultiportUnitary`` caps its arms, and
-    so n, at eight, where a key has at most the 22.2 M outputs of the boson
-    n = 8 memo (the largest group, the aligned hypothesis's largest member,
-    about 7.6 M terms) and at most 490 k cells, far below 2**31.
+    ``cell`` holds one int32 per value: -1 for a value met before, so that
+    a key can be walked in consecutive parts, and for a value not met yet
+    any number not below ``key.size``.  A key is one chunk of an expansion
+    step or of ``_merge``, whole nodes or inputs of about ``_CHUNK_TERMS``
+    or ``_MERGE_TERMS`` terms; ``MultiportUnitary`` caps its arms, and so
+    n, at eight, where one node or input has at most a few hundred
+    thousand terms, so positions are far below 2**31.
     """
     terms = np.arange(key.size, dtype=np.int32)
-    cell = np.full(cells, key.size, dtype=np.int32)
     np.minimum.at(cell, key, terms)
-    merged = key[cell[key] == terms]
-    cell[merged] = np.arange(merged.size, dtype=np.int32)
-    return merged, cell[key]
+    first = key[cell[key] == terms]
+    cell[first] = -1
+    return first
 
 
 def _levels(statistics: Statistics, n: int
@@ -423,8 +435,9 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
 
     An expansion is independent of the rest of the superposition, so all
     2**n are expanded together, one creation step for all of them at a time,
-    the spin-1 half of each step mirrored from its spin-0 half (see the
-    module docstring), and memoized on ``u`` once per statistics.
+    the spin-1 half of each step but the last mirrored from its spin-0 half
+    (see the module docstring), and memoized on ``u`` once per statistics.
+    The last step's spin-1 half is left to ``_gathered``.
     """
     memo = u._expansions
     if statistics in memo:
@@ -454,7 +467,10 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
         # a node holds step + 1 particles, as many in spin 1 as its bits
         sizes = _output_counts(statistics, n, step + 1)[
             np.bitwise_count(np.arange(2 * half))]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        # the last step keeps only its spin-0 half
+        last = step == n - 1
+        offsets = np.concatenate(([0], np.cumsum(sizes[:half] if last
+                                                  else sizes)))
         index = np.empty(offsets[-1], dtype=np.int32)
         amplitudes = np.empty(offsets[-1], dtype=complex)
         bounds = _packed((held_sizes * n).tolist(), _CHUNK_TERMS)
@@ -479,19 +495,25 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             term_re *= factor
             term_im *= factor
             # a key per node and configuration, each node's in the order
-            # its loop first meets them, so node by node
-            merged, group = _first_seen(
-                np.repeat(owner * width, count) + numbers[at], (b - a) * width)
+            # its loop first meets them, so node by node, and its terms
+            # numbered by their key's cell in that order
+            key = np.repeat(owner * width, count) + numbers[at]
+            cell = np.full((b - a) * width, key.size, dtype=np.int32)
+            merged = _first_seen(key, cell)
             lo, hi = offsets[a], offsets[b]
             if merged.size != hi - lo:
                 raise RuntimeError(f"expansion step {step} made {merged.size} "
                                    f"outputs, not the closed form's {hi - lo}")
+            cell[merged] = np.arange(merged.size, dtype=np.int32)
+            group = cell[key]
             index[lo:hi] = merged % width
             amplitudes.real[lo:hi] = np.bincount(group, term_re)
             amplitudes.imag[lo:hi] = np.bincount(group, term_im)
         # the table and the parent level are let go before the mirror
         # writes the spin-1 half, whose pages are untouched until then
         del first, arms, numbers, factors, held, held_amplitudes
+        if last:
+            break
         # node half + p is node half - 1 - p with every spin swapped: its
         # loop meets the swapped keys in the same order and adds the same
         # terms times the swap's sign, exactly; + 0.0 turns the -0.0 of a
@@ -511,21 +533,88 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
                 amplitudes.imag[lo:hi] = amplitudes.imag[src] * signs + 0.0
     # bit t of a last-step node is the spin of arm n - 1 - t, as it is of
     # a basis index: the nodes come in basis-index order
-    for array in (index, amplitudes, offsets, sizes):
-        array.setflags(write=False)
+    for array in (index, amplitudes, offsets, sizes, swap, sign):
+        if array is not None:
+            array.setflags(write=False)
     memo[statistics] = _Expansions(levels[n], patterns, labels, index,
-                                   amplitudes, offsets, sizes)
+                                   amplitudes, offsets, sizes, swap, sign)
     return memo[statistics]
 
 
+def _gathered(index: np.ndarray, expansions: _Expansions
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """The expansions of basis indices ``index``, one after the other:
+    each output's number (int32) and amplitude.
+
+    Index i below half = 2**(n - 1) reads its slice of the memo, and the
+    expansions of consecutive such indices are one slice, read in place.
+    Index i from half on is the spin swap of its complement 2 * half - 1 - i,
+    which the memo keeps, exactly as ``_expansions`` mirrors a node: each
+    output number goes through the swap map, and a fermion amplitude is
+    multiplied by the sign and then ``+ 0.0``, so that a negated zero is
+    the +0.0 that ``np.bincount`` leaves.
+    """
+    half = expansions.offsets.size - 1
+    mirrored = index >= half
+    if not mirrored[-1] and (np.diff(index) == 1).all():
+        at = slice(expansions.offsets[index[0]],
+                   expansions.offsets[index[-1] + 1])
+    else:
+        kept = np.minimum(index, 2 * half - 1 - index)
+        at = _ranges(expansions.offsets[kept], expansions.sizes[kept])
+    number = expansions.index[at]
+    amplitudes = expansions.amplitudes[at]
+    if mirrored.any():
+        swapped = np.repeat(mirrored, expansions.sizes[index])
+        original = number[swapped]
+        number[swapped] = expansions.swap[original]
+        if expansions.sign is not None:
+            # a sign of +-1 multiplies each part exactly, and + 0.0 makes
+            # either part's zero +0.0, whatever sign the product gave it
+            amplitudes[swapped] = (amplitudes[swapped]
+                                   * expansions.sign[original] + 0.0)
+    return number, amplitudes
+
+
+def _terms(index: np.ndarray, amplitudes: np.ndarray,
+           expansions: _Expansions) -> tuple[np.ndarray, np.ndarray]:
+    """Every expansion output of the inputs, basis index ``index[k]`` with
+    amplitude ``amplitudes[k]``, in the dict loop's order: its output
+    number and the term amp * a.
+
+    The product is rounded as numpy rounds a scalar complex product: it is
+    spelled out in real arithmetic, (ar * a.real - ai * a.imag) and
+    (ar * a.imag + ai * a.real), from the inputs' real and then imaginary
+    parts repeated, one part at a time.
+    """
+    number, out = _gathered(index, expansions)
+    lengths = expansions.sizes[index]
+    terms = np.empty(number.size, dtype=complex)
+    part = np.repeat(amplitudes.real, lengths)
+    np.multiply(part, out.real, out=terms.real)
+    np.multiply(part, out.imag, out=terms.imag)
+    part = np.repeat(amplitudes.imag, lengths)
+    terms.real -= part * out.imag
+    terms.imag += part * out.real
+    return number, terms
+
+
 # Accumulator cells of one group of members, at most, a term counting as
-# eight (see ``interfere``): a member with more makes a group of its own.
-# A group of one-input members allocates no cells (see ``_merge``), so the
-# budget overstates it.  Every call of the benchmark's sweep is one group.
-# On a 2-core Xeon, aligned and mixed calls of 7 fermions or 6 bosons
-# needed at most 2.3 MB beyond the memo by tracemalloc (2**19: 3.3 MB),
-# where one group of all members had needed 10-22 MB.
+# eight (see ``interfere``): a member with more makes a group of its own,
+# whose terms ``_merge`` walks in chunks of ``_MERGE_TERMS``.  A cell takes
+# 20 bytes, a 4-byte mark and a 16-byte complex sum, and a chunk's terms
+# about 50 bytes each at their peak.  A group of one-input members
+# allocates no cells (see ``_merge``), so the budget overstates it.  Every
+# call of the benchmark's sweep is one group.  On a 2-core Xeon, aligned
+# and mixed calls of 7 fermions or 6 bosons needed at most 2.6 MB beyond
+# the memo by tracemalloc, where one group of all members had needed
+# 10-22 MB.
 _GROUP_BUDGET = 1 << 18
+
+# Terms per chunk of a merge, at most about this many: a chunk holds whole
+# inputs, so an input with more makes a chunk of its own.  A group under
+# the budget holds no more terms than this, so it is one chunk.
+_MERGE_TERMS = _GROUP_BUDGET // 8
 
 
 def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
@@ -535,54 +624,55 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
     Input k of the group, listed member by member as the dict loop visits
     them, is basis index ``index[k]`` of member ``member[k]``, counted from
     0 in the group, with amplitude ``amplitudes[k]``.  The terms, every
-    expansion output of every input, are listed in the loop's order and
-    keyed by their member and output number; the merged outputs, one per
-    key, come in the order the loop first meets them.  Returns each merged
-    output's member, output number, amplitude as (re, im), and
-    abs(amp) ** 2, 0.0 where the modulus is at most ``TOL``, so that the
-    output is dropped.  A kept output's modulus exceeds ``TOL``, so its
-    square exceeds TOL ** 2 > 0.
+    expansion output of every input (see ``_terms``), are listed in the
+    loop's order and keyed by their member and output number; the merged
+    outputs, one per key, come in the order the loop first meets them.
+    Returns each merged output's member, output number, amplitude as
+    (re, im), and abs(amp) ** 2, 0.0 where the modulus is at most ``TOL``,
+    so that the output is dropped.  A kept output's modulus exceeds
+    ``TOL``, so its square exceeds TOL ** 2 > 0.
+
+    The terms are walked in chunks of whole inputs and about
+    ``_MERGE_TERMS`` terms, so a group under ``_GROUP_BUDGET`` is one chunk
+    and a member over it holds its accumulator cells and one chunk at a
+    time.  Each key has one cell, which ``_first_seen`` marks when the walk
+    first meets it, and ``np.add.at`` adds each chunk's terms into the
+    cells one after the other, from 0.0: each merged output's terms in the
+    loop's order, as ``np.bincount`` adds them.
 
     A group whose members hold one input each, such as the maximally
     mixed state's basis vectors, has nothing to merge: one expansion's
     outputs are distinct, so each key is one term, met in list order.  Its
-    terms are its merged outputs as they stand, with no accumulator cells,
-    and when its basis indices are consecutive their expansions are one
-    slice of the memo, read in place.
+    terms are its merged outputs as they stand, a lone term plus 0.0, which
+    turns -0.0 into +0.0 as ``np.bincount`` does, with no accumulator cells.
     """
     lengths = expansions.sizes[index]
     # members are numbered from 0 and each holds an input
-    one_input = member.size == member[-1] + 1
-    if one_input and (np.diff(index) == 1).all():
-        at = slice(expansions.offsets[index[0]],
-                   expansions.offsets[index[-1] + 1])
-    else:
-        at = _ranges(expansions.offsets[index], lengths)
-    out_re = expansions.amplitudes.real[at]
-    out_im = expansions.amplitudes.imag[at]
-    if one_input:
+    if member.size == member[-1] + 1:
+        number, amps = _terms(index, amplitudes, expansions)
         owner = np.repeat(member, lengths)
-        number = expansions.index[at]
+        amps += 0.0
     else:
         outputs = expansions.codes.size
-        key = np.repeat(member * outputs, lengths)
-        key += expansions.index[at]
-        del at  # let go before the merge, the peak
         # one accumulator cell per member and output
-        merged, group = _first_seen(key, (member[-1] + 1) * outputs)
-        del key
+        cells = (member[-1] + 1) * outputs
+        cell = np.full(cells, np.iinfo(np.int32).max, dtype=np.int32)
+        sums = np.zeros(cells, dtype=complex)
+        merged = []
+        bounds = _packed(lengths.tolist(), _MERGE_TERMS)
+        for a, b in zip(bounds, bounds[1:]):
+            number, terms = _terms(index[a:b], amplitudes[a:b], expansions)
+            key = np.repeat(member[a:b] * outputs, lengths[a:b])
+            key += number
+            del number
+            merged.append(_first_seen(key, cell))
+            # complex sums add the real and the imaginary parts apart
+            np.add.at(sums, key, terms)
+        del cell, key, terms
+        merged = np.concatenate(merged)
+        amps = sums[merged]
         owner, number = np.divmod(merged, outputs)
-    # amp * a, rounded as numpy rounds a scalar complex product, from the
-    # inputs' real and imaginary parts repeated one part at a time, so
-    # that no complex array of the terms is held at the peak; each merged
-    # output's terms added in the loop's order from 0.0: a lone term plus
-    # 0.0, which turns -0.0 into +0.0 as np.bincount does
-    re = np.repeat(amplitudes.real, lengths) * out_re
-    re -= np.repeat(amplitudes.imag, lengths) * out_im
-    re = re + 0.0 if one_input else np.bincount(group, re)
-    im = np.repeat(amplitudes.real, lengths) * out_im
-    im += np.repeat(amplitudes.imag, lengths) * out_re
-    im = im + 0.0 if one_input else np.bincount(group, im)
+    re, im = amps.real, amps.imag
     # abs(amp) and its square, rounded as Python rounds them
     moduli = np.hypot(re, im)
     # amplitudes below TOL are interference zeros
@@ -723,8 +813,8 @@ def interfere(internal, statistics: Statistics | str,
     weights = np.array([weight for weight, _ in ensemble])
     amplitudes = vectors[member, index]
     expansions = _expansions(statistics, u)
-    # each member's accumulator cells and terms; a term's arrays take
-    # about eight times a cell's eight bytes, so it counts as eight cells
+    # each member's accumulator cells and terms; a term is counted as
+    # eight cells (see ``_GROUP_BUDGET``)
     cost = (8 * np.bincount(member, expansions.sizes[index])
             + expansions.codes.size)
     bounds = _packed(cost.astype(np.int64).tolist(), _GROUP_BUDGET)

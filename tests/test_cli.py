@@ -237,14 +237,19 @@ def test_a_value_off_its_reference_exits_1(fmt, monkeypatch, capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_a_nan_value_exits_1_wherever_its_row_sits(fmt, monkeypatch, capsys):
-    # the classical rows follow the first one, which carries a finite error
-    monkeypatch.setattr(cli, "classical_pauli_success",
-                        lambda n, how: float("nan"))
-    code, out, _ = run(["reproduce", "--format", fmt], capsys)
-    assert code == 1
-    assert "classical exclusion model, n=6" in out
+    # the classical rows follow the first one, which carries a finite error;
+    # an infinite value fails the same way, and both print as plain digits
+    for value, digits in ((float("nan"), "nan"), (float("inf"), "inf")):
+        monkeypatch.setattr(cli, "classical_pauli_success",
+                            lambda n, how: value)
+        code, out, err = run(["reproduce", "--format", fmt], capsys)
+        assert code == 1
+        assert err == ""
+        assert "classical exclusion model, n=6" in out
+        if fmt != "json":
+            assert digits in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 """Checks at eight particles, the largest register the Fock kernel takes.
 
-Together they take about 15 s and 1.1 GB on a 2-core Xeon, so the
-``frontier`` marker (see ``pyproject.toml``) keeps them out of a default
-run.  Run them with ``python -m pytest -m frontier``.
+Together they take about 20 s and 0.8 GB on a 2-core Xeon, with the
+frontier cases of the other test modules, so the ``frontier`` marker (see
+``pyproject.toml``) keeps them out of a default run.  Run them with
+``python -m pytest -m frontier``.
 """
 
 import hashlib
@@ -40,3 +41,17 @@ def test_the_boson_mixed_distribution_at_eight_particles_is_pinned():
     text = "".join(f"{pattern} {p.hex()}\n"
                    for pattern, p in d.probabilities.items())
     assert hashlib.sha256(text.encode()).hexdigest() == _BOSON_MIXED_8
+
+
+# SHA-256 of the boson n = 8 aligned distribution, the same lines: its
+# largest member, 70 inputs and about 7.6 M terms, is over the group budget
+# and merged in chunks
+_BOSON_ALIGNED_8 = (
+    "7bb429f34d5018f897ee6a3bb0088577946f1beb1bca782182a06e228cd42e9d")
+
+
+def test_the_boson_aligned_distribution_at_eight_particles_is_pinned():
+    d = interfere(aligned_mixture(8), Statistics.BOSON)
+    text = "".join(f"{pattern} {p.hex()}\n"
+                   for pattern, p in d.probabilities.items())
+    assert hashlib.sha256(text.encode()).hexdigest() == _BOSON_ALIGNED_8

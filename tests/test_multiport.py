@@ -1125,10 +1125,11 @@ def test_output_counts_are_the_configurations_by_spin(n):
             assert multiport._output_counts(stats, n, m).tolist() == brute
 
 
-# sha256 over the index, amplitudes and offsets bytes of the expansions,
-# as the kernel that expanded every spin string, without the mirror, left
-# them.  A -0.0 among the amplitudes would change them, where == cannot see
-# it; of these, only fermion n=6 holds zeros that the mirror negates
+# sha256 over the index, amplitudes and offsets bytes of the expansions of
+# all 2**n basis indices, as the kernel that expanded every spin string,
+# without the mirror, kept them in its memo.  A -0.0 among the amplitudes
+# would change them, where == cannot see it; of these, only fermion n=6
+# holds zeros that the mirror negates
 _MEMO_DIGESTS = {
     (FERMION, 6): "b9cccaaed7111162f727366e427a4a7c"
                   "15e28e8c8d65e48b9d06427a4abcceb7",
@@ -1141,11 +1142,78 @@ _MEMO_DIGESTS = {
 
 @pytest.mark.parametrize("stats, n", list(_MEMO_DIGESTS))
 def test_the_memo_bytes_are_pinned(stats, n):
+    # the memo keeps half of the expansions; the merge's gather rebuilds
+    # the other half, so the bytes it gathers for every basis index, with
+    # the offsets of the old full memo, are hashed
     e = multiport._expansions(stats, MultiportUnitary(dft_unitary(n).matrix))
+    index, amplitudes = multiport._gathered(np.arange(2 ** n), e)
+    offsets = np.concatenate(([0], np.cumsum(e.sizes)))
     digest = hashlib.sha256()
-    for array in (e.index, e.amplitudes, e.offsets):
+    for array in (index, amplitudes, offsets):
         digest.update(array.tobytes())
     assert digest.hexdigest() == _MEMO_DIGESTS[stats, n]
+
+
+@pytest.mark.parametrize("n, stats", [(n, FERMION) for n in range(1, 9)]
+                         + [(n, BOSON) for n in range(1, 8)])
+def test_the_memo_holds_the_spin_0_half(n, stats):
+    # the basis indices below 2**(n - 1), 20 bytes per kept output: a 4-byte
+    # output number and a 16-byte amplitude; the swap map and the fermion
+    # sign cover the outputs once
+    e = multiport._expansions(stats, MultiportUnitary(dft_unitary(n).matrix))
+    half = 2 ** (n - 1)
+    assert e.sizes.size == 2 ** n
+    assert e.offsets.size == half + 1
+    assert e.index.size == e.amplitudes.size == e.sizes[:half].sum()
+    assert e.index.nbytes + e.amplitudes.nbytes == 20 * e.index.size
+    assert e.swap.size == e.codes.size
+    assert (e.sign is None) == (stats is BOSON)
+
+
+def _expansion_list(e, index, stats, n):
+    """The gathered expansions of basis indices ``index``, one after the
+    other, as (configuration, amplitude) pairs."""
+    number, amplitudes = multiport._gathered(np.asarray(index), e)
+    return list(zip(multiport._configurations(e.codes[number], stats, n),
+                    amplitudes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([BOSON, FERMION]),
+       st.integers(0, 2 ** 32 - 1))
+def test_gathered_expansions_are_the_dict_loop_bit_for_bit(n, stats, seed):
+    # every basis index, the kept half and the mirrored half, on its own
+    # and all of them gathered at once in a random order, as the merge
+    # gathers a group's inputs
+    rng = np.random.default_rng(seed)
+    u = phased_dft(n, rng.uniform(0, 6, n), rng.uniform(0, 6, n))
+    e = multiport._expansions(stats, u)
+    oracles = [list(dict_expansion(config, stats, u).items())
+               for config in one_per_arm(n)]
+    for i, oracle in enumerate(oracles):
+        assert _expansion_list(e, [i], stats, n) == oracle
+    index = rng.permutation(2 ** n)
+    assert _expansion_list(e, index, stats, n) == [
+        pair for i in index.tolist() for pair in oracles[i]]
+
+
+@pytest.mark.parametrize("n, stats", [(n, stats) for n in range(5, 7)
+                                      for stats in (BOSON, FERMION)]
+                         + [(7, FERMION)])
+def test_the_mirrored_half_is_the_dict_loop_bit_for_bit(n, stats):
+    # the memo keeps the spin-0 half, which the dict-loop test above reads;
+    # the gather rebuilds the rest, on the DFT and a phased DFT below seven
+    rng = np.random.default_rng(n)
+    unitaries = [MultiportUnitary(dft_unitary(n).matrix)]
+    if n <= 6:
+        unitaries.append(phased_dft(n, rng.uniform(0, 6, n),
+                                    rng.uniform(0, 6, n)))
+    configs = one_per_arm(n)
+    for u in unitaries:
+        e = multiport._expansions(stats, u)
+        for i in range(2 ** (n - 1), 2 ** n):
+            assert (_expansion_list(e, [i], stats, n)
+                    == list(dict_expansion(configs[i], stats, u).items()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1196,16 +1264,21 @@ def test_the_expansion_memo_is_one_read_only_run_in_basis_index_order(n):
     for stats in (BOSON, FERMION):
         e = multiport._expansions(stats, MultiportUnitary(
             dft_unitary(n).matrix))
-        assert e.index.dtype == np.int32
-        for array in (e.index, e.amplitudes):
+        assert e.index.dtype == e.swap.dtype == np.int32
+        for array in (e.index, e.amplitudes, e.swap, e.sign):
+            if array is None:
+                continue
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
-        # the slices of the 2**n basis indices tile the arrays, in order
-        assert e.offsets.size == 2 ** n + 1
+        # the slices of the kept basis indices, the lower half of the 2**n,
+        # tile the arrays, in order
+        half = 2 ** (n - 1)
+        assert e.offsets.size == half + 1
         assert e.offsets[0] == 0
         assert e.offsets[-1] == e.index.size == e.amplitudes.size
-        assert np.diff(e.offsets).tolist() == e.sizes.tolist()
+        assert np.diff(e.offsets).tolist() == e.sizes[:half].tolist()
+        assert e.sizes.size == 2 ** n
         assert (e.sizes > 0).all()
 
 
@@ -1316,6 +1389,65 @@ def test_members_of_several_inputs_are_merged(monkeypatch, n, stats):
     monkeypatch.setattr(multiport, "_first_seen", recorded)
     assert list(interfere(rho, stats).probabilities.items()) == oracle
     assert merged
+
+
+@pytest.mark.parametrize("n, stats", [(n, FERMION) for n in range(2, 7)]
+                         + [(n, BOSON) for n in range(2, 6)])
+def test_merges_in_chunks_of_a_few_terms_keep_every_bit(monkeypatch, n, stats):
+    # a chunk holds whole inputs, so chunks of about three terms take one
+    # input each, and chunks of about two of the largest inputs take a few:
+    # a merged output's terms are added across chunks, in the loop's order
+    rng = np.random.default_rng(110 + n)
+    u = dft_unitary(n)
+    states = [aligned_mixture(n), maximally_mixed(n),
+              DensityMatrix(_random_state(n, 3, rng))]
+    merged = []
+    first_seen = multiport._first_seen
+
+    def recorded(key, cell):
+        merged.append(key.size)
+        return first_seen(key, cell)
+
+    def bits():
+        # an explicit unitary, so that no kept answer is read
+        return [[(p, v.hex()) for p, v in
+                 interfere(rho, stats, u).probabilities.items()]
+                for rho in states]
+
+    e = multiport._expansions(stats, u)
+    monkeypatch.setattr(multiport, "_first_seen", recorded)
+    whole = bits()
+    chunks = len(merged)
+    for terms in (3, 2 * int(e.sizes.max())):
+        monkeypatch.setattr(multiport, "_MERGE_TERMS", terms)
+        merged.clear()
+        assert bits() == whole
+        assert len(merged) > chunks
+
+
+def test_a_streamed_member_holds_its_cells_and_one_chunk():
+    # the aligned hypothesis's largest member at boson n = 7, 35 inputs and
+    # 617,400 terms, is over the group budget; its merge holds a 4-byte
+    # mark and a 16-byte sum per cell, and about a hundred bytes per term of
+    # one chunk and per merged output, never an array over all of its terms
+    u = MultiportUnitary(dft_unitary(7).matrix)
+    e = multiport._expansions(BOSON, u)
+    vec = max((vec for _, vec in prepare_input(aligned_mixture(7))),
+              key=lambda vec: e.sizes[np.abs(vec) > TOL].sum())
+    index = np.flatnonzero(np.abs(vec) > TOL)
+    lengths = e.sizes[index]
+    terms, cells = int(lengths.sum()), e.codes.size
+    assert 8 * terms + cells > multiport._GROUP_BUDGET
+    tracemalloc.start()
+    try:
+        owner, _, _, _, _ = multiport._merge(
+            np.zeros_like(index), index, vec[index], e)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk = max(multiport._MERGE_TERMS, int(lengths.max()))
+    assert peak <= 20 * cells + 100 * (chunk + owner.size)
+    assert peak < 8 * terms
 
 
 @st.composite
@@ -1476,8 +1608,8 @@ def test_interfere_leaves_out_the_patterns_of_interference_zeros(n):
     e = multiport._expansions(FERMION, dft_unitary(n))
     inputs = {i for _, vec in prepare_input(rho)
               for i in np.flatnonzero(np.abs(vec) > TOL).tolist()}
-    reached = {e.labels[p] for i in inputs
-               for p in e.patterns[e.index[e.offsets[i]:e.offsets[i + 1]]]}
+    number, _ = multiport._gathered(np.array(sorted(inputs)), e)
+    reached = {e.labels[p] for p in e.patterns[number]}
     assert reached > {(1,) * n}
     assert list(interfere(rho, FERMION).probabilities) == [(1,) * n]
     if n <= 4:
