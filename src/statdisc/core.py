@@ -41,10 +41,10 @@ SUM_TOL = 1e-10
 # hold 0.74 million outputs (0.13-0.18 s on a 2-core Xeon), and those of a
 # boson task 22 million (3.7-5.0 s); the memo keeps their spin-0 half, 0.37
 # and 11.1 million, at 20 bytes each.  On that machine, over three runs
-# each, `discriminate --n 8` peaks at 56 MB RSS for fermions (0.64-1.7 s,
-# median 0.65 s) and 431 MB for bosons (6.9-8.4 s, median 7.6 s).  Raise
-# this only when the benchmark shows a scan at the new size fits its time
-# and memory.
+# each timed by wait4, `discriminate --n 8` peaks at 52 MB RSS for
+# fermions (0.44-1.5 s, median 0.57 s) and 378 MB for bosons (5.6-6.3 s,
+# median 5.7 s).  Raise this only when the benchmark shows a scan at the
+# new size fits its time and memory.
 MAX_QUBITS = 8
 
 

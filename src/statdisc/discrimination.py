@@ -26,6 +26,8 @@ class Hypothesis:
     def __post_init__(self) -> None:
         if self.label not in LABELS:
             raise ValueError(f"label must be one of {LABELS}")
+        if not isinstance(self.state, DensityMatrix):
+            raise TypeError("a hypothesis state must be a DensityMatrix")
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError(f"prior must lie in [0, 1], got {self.prior}")
 

@@ -45,30 +45,31 @@ n - 1 - t, and step t has 2**(t+1) nodes, one per string of the spins
 created so far: node p + s * 2**t is node p of the step before with spin
 s, so the last step's nodes are the basis indices, in order.  The
 multiport acts on the arms alone, so swapping every particle's spin
-commutes with it: node 2**(t+1) - 1 - p, the complement string, is node p
-with the spins of every output swapped, times a fermion sign (see
-``_mirror_sign``).  A step therefore computes its spin-0 nodes, one per
-node of the step before, and mirrors them into its spin-1 half; the last
-step leaves its spin-1 half to the merge, which mirrors each such basis
-index when it gathers it (``_gathered``).  A computed node's terms are
-listed, grouped and added as that configuration's own loop would, and a
-mirrored node's loop would meet the swapped keys in the same order and add
-the same terms times the sign, so neither the sharing nor the mirror
-changes a bit.  The k-particle configurations of the 2n modes are
-numbered in ascending code at each level k, and a term holds the number
-of its configuration; level n, C(2n, n) configurations for fermions and
-C(3n - 1, n) for bosons, numbers the outputs.  A step reads its creations
-from a table with one row per configuration number, which lists arm by
-arm the number of the configuration a spin-0 creation makes and its
-factor, and finds each key's first term on one accumulator cell per node
-and configuration, with no sort.  A node's outputs are the configurations
-of its particles with as many in spin 1 as it has set bits, a closed-form
-count, so each step's arrays are allocated whole and filled in chunks of
-whole nodes and about ``_CHUNK_TERMS`` creations or mirrored outputs,
-which bounds the transient memory.  The last step's arrays for its spin-0
-half are the memo: a 4-byte output number and a 16-byte amplitude per
-output, one slice per basis index below 2**(n - 1), with the level's swap
-map and, for fermions, its sign.
+commutes with it: node 2**(t+1) - 1 - p, the complement string, is node
+p with the spins of every output swapped, times a fermion sign (see
+``_mirror_sign``).  A step therefore computes and keeps only its spin-0
+nodes, one per node of the step before, and a spin-1 node is read, by
+the next step or by the merge, from its complement through the swap
+(``_gathered``, the one place the mirror is applied).  A computed node's
+terms are listed, grouped and added as that configuration's own loop
+would, and a mirrored node's loop would meet the swapped keys in the
+same order and add the same terms times the sign, so neither the sharing
+nor the mirror changes a bit.  The k-particle configurations of the 2n
+modes are numbered in ascending code at each level k, and a term holds
+the number of its configuration; level n, C(2n, n) configurations for
+fermions and C(3n - 1, n) for bosons, numbers the outputs.  A step reads
+its creations from a table with one row per configuration number, which
+lists arm by arm the number of the configuration a spin-0 creation makes
+and its factor, and finds each key's first term on one accumulator cell
+per node and configuration, with no sort.  A node's outputs are the
+configurations of its particles with as many in spin 1 as it has set
+bits, a closed-form count, so each step's arrays are allocated whole and
+filled in chunks of whole nodes and about ``_CHUNK_TERMS`` creations,
+which bounds the transient memory, and a step holds only its parent
+level's spin-0 half.  The last step's arrays for its spin-0 half are the
+memo: a 4-byte output number and a 16-byte amplitude per output, one
+slice per basis index below 2**(n - 1), with the level's swap map and,
+for fermions, its sign.
 
 An ensemble's members run in groups under one budget of accumulator
 cells and terms (``_merge``), and a group's terms are merged in chunks of
@@ -249,6 +250,10 @@ class _Expansions(NamedTuple):
     order.  Index 2**n - 1 - i is the spin swap of i: output number ``j``
     becomes ``swap[j]`` and, for fermions, its amplitude is multiplied by
     ``sign[j]``, which is None for bosons (see ``_gathered``).
+
+    Each level of ``_expansions``, the nodes of one creation step, is kept
+    the same way, its nodes for basis indices, with ``codes``, ``patterns``
+    and ``labels`` None; the memo is the last level with them attached.
     """
 
     codes: np.ndarray
@@ -419,13 +424,14 @@ def _packed(sizes: list[int], budget: int) -> list[int]:
     return bounds
 
 
-# Creations, or mirrored outputs, per chunk of one expansion step, at most
-# about this many: a chunk holds whole nodes, so a node with more makes a
-# chunk of its own.  On a 2-core Xeon, expanding the 2**n one-per-arm
-# configurations of 7 fermions or 6 bosons took 20.5 and 16.8 ms and
-# needed 1.9 and 2.1 MB beyond the memo at 2**13; 2**12 took 6-14% more
-# time, and 2**14 took 6% less for fermions and 10% more for bosons and
-# needed 2.3 and 3.3 MB.  One chunk per step took 45-50% longer and 43 MB.
+# Creations per chunk of one expansion step, at most about this many: a
+# chunk holds whole nodes, so a node with more makes a chunk of its own.
+# On a 2-core Xeon, expanding the 2**n one-per-arm configurations of 7
+# fermions or 6 bosons took 20.5 and 16.8 ms and needed 1.9 and 2.1 MB
+# beyond the memo at 2**13; 2**12 took 6-14% more time, and 2**14 took 6%
+# less for fermions and 10% more for bosons and needed 2.3 and 3.3 MB.
+# One chunk per step took 45-50% longer and 43 MB.  Since every level
+# keeps only its spin-0 half, 2**13 needs 1.4 and 1.6 MiB by tracemalloc.
 _CHUNK_TERMS = 1 << 13
 
 
@@ -435,9 +441,9 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
 
     An expansion is independent of the rest of the superposition, so all
     2**n are expanded together, one creation step for all of them at a time,
-    the spin-1 half of each step but the last mirrored from its spin-0 half
-    (see the module docstring), and memoized on ``u`` once per statistics.
-    The last step's spin-1 half is left to ``_gathered``.
+    and memoized on ``u`` once per statistics.  Each step keeps only its
+    spin-0 half and reads its parents, both halves of the level before,
+    through ``_gathered`` (see the module docstring).
     """
     memo = u._expansions
     if statistics in memo:
@@ -448,43 +454,36 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
     # |config> = prod(creations, ascending) applied to the vacuum: step t
     # creates the particle of arm n - 1 - t, and node p + s * 2**t of step t
     # is node p of step t - 1 with spin s; the root holds the vacuum.  A
-    # level holds the configuration numbers and amplitudes of its nodes'
-    # outputs, node by node, node i at offsets[i]:offsets[i + 1].  Node p
-    # of step t is its parent's spin-0 child, for p below half = 2**t
-    index, amplitudes = np.zeros(1, dtype=np.int32), np.ones(1, dtype=complex)
-    offsets, sizes = np.array([0, 1]), np.ones(1, dtype=np.int64)
+    # level keeps the configuration numbers and amplitudes of the outputs
+    # of its spin-0 half, node by node, node i at offsets[i]:offsets[i + 1];
+    # node p of step t is its parent's spin-0 child, for p below 2**t
+    level = _Expansions(None, None, None, np.zeros(1, dtype=np.int32),
+                        np.ones(1, dtype=complex), np.array([0, 1]),
+                        np.ones(1, dtype=np.int64), swaps[0], None)
     for step in range(n):
         first, arms, numbers, factors = _creations(
             statistics, n, levels[step], levels[step + 1])
-        swap = swaps[step + 1]
-        sign = _mirror_sign(levels[step + 1]) if fermion else None
         width = levels[step + 1].size
         entry = u.matrix[n - 1 - step]
         entry_re, entry_im = entry.real.copy(), entry.imag.copy()
-        half = sizes.size
-        held_offsets, held_sizes = offsets, sizes
-        held, held_amplitudes = index, amplitudes
+        half = level.sizes.size
         # a node holds step + 1 particles, as many in spin 1 as its bits
         sizes = _output_counts(statistics, n, step + 1)[
             np.bitwise_count(np.arange(2 * half))]
-        # the last step keeps only its spin-0 half
-        last = step == n - 1
-        offsets = np.concatenate(([0], np.cumsum(sizes[:half] if last
-                                                  else sizes)))
+        offsets = np.concatenate(([0], np.cumsum(sizes[:half])))
         index = np.empty(offsets[-1], dtype=np.int32)
         amplitudes = np.empty(offsets[-1], dtype=complex)
-        bounds = _packed((held_sizes * n).tolist(), _CHUNK_TERMS)
+        bounds = _packed((level.sizes * n).tolist(), _CHUNK_TERMS)
         for a, b in zip(bounds, bounds[1:]):
             # nodes a to b - 1: each parent's terms, each created into
             # mode 2 * arm for every arm the table allows, term-major,
             # arm-minor, as the node's own loop visits them; their parents
-            # are nodes a to b - 1 of the parent level, one slice of it
-            owner = np.repeat(np.arange(b - a), held_sizes[a:b])
-            start, stop = held_offsets[a], held_offsets[b]
-            row = held[start:stop]
+            # are nodes a to b - 1 of the parent level
+            owner = np.repeat(np.arange(b - a), level.sizes[a:b])
+            row, amp = _gathered(np.arange(a, b), level)
             count = first[row + 1] - first[row]
             at = _ranges(first[row], count)
-            amp = np.repeat(held_amplitudes[start:stop], count)
+            amp = np.repeat(amp, count)
             arm = arms[at]
             u_re, u_im = entry_re[arm], entry_im[arm]
             # amp * entry, rounded as numpy rounds a scalar complex
@@ -509,35 +508,20 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             index[lo:hi] = merged % width
             amplitudes.real[lo:hi] = np.bincount(group, term_re)
             amplitudes.imag[lo:hi] = np.bincount(group, term_im)
-        # the table and the parent level are let go before the mirror
-        # writes the spin-1 half, whose pages are untouched until then
-        del first, arms, numbers, factors, held, held_amplitudes
-        if last:
-            break
-        # node half + p is node half - 1 - p with every spin swapped: its
-        # loop meets the swapped keys in the same order and adds the same
-        # terms times the swap's sign, exactly; + 0.0 turns the -0.0 of a
-        # negated zero into the +0.0 that np.bincount leaves
-        bounds = _packed(sizes[half:].tolist(), _CHUNK_TERMS)
-        for a, b in zip(bounds, bounds[1:]):
-            mirrored = half - 1 - np.arange(a, b)
-            src = _ranges(offsets[mirrored], sizes[mirrored])
-            number = index[src]
-            lo, hi = offsets[half + a], offsets[half + b]
-            index[lo:hi] = swap[number]
-            if sign is None:
-                amplitudes[lo:hi] = amplitudes[src]
-            else:
-                signs = sign[number]
-                amplitudes.real[lo:hi] = amplitudes.real[src] * signs + 0.0
-                amplitudes.imag[lo:hi] = amplitudes.imag[src] * signs + 0.0
+        # the table is let go before the next step builds its own
+        del first, arms, numbers, factors
+        level = _Expansions(None, None, None, index, amplitudes, offsets,
+                            sizes, swaps[step + 1],
+                            _mirror_sign(levels[step + 1]) if fermion
+                            else None)
     # bit t of a last-step node is the spin of arm n - 1 - t, as it is of
     # a basis index: the nodes come in basis-index order
-    for array in (index, amplitudes, offsets, sizes, swap, sign):
+    for array in (level.index, level.amplitudes, level.offsets, level.sizes,
+                  level.swap, level.sign):
         if array is not None:
             array.setflags(write=False)
-    memo[statistics] = _Expansions(levels[n], patterns, labels, index,
-                                   amplitudes, offsets, sizes, swap, sign)
+    memo[statistics] = level._replace(codes=levels[n], patterns=patterns,
+                                      labels=labels)
     return memo[statistics]
 
 
@@ -546,13 +530,15 @@ def _gathered(index: np.ndarray, expansions: _Expansions
     """The expansions of basis indices ``index``, one after the other:
     each output's number (int32) and amplitude.
 
-    Index i below half = 2**(n - 1) reads its slice of the memo, and the
+    ``expansions`` is the memo, which the merge reads, or a level of
+    ``_expansions``, whose nodes the next creation step reads as its
+    parents.  Index i below half, the kept nodes, reads its slice, and the
     expansions of consecutive such indices are one slice, read in place.
     Index i from half on is the spin swap of its complement 2 * half - 1 - i,
-    which the memo keeps, exactly as ``_expansions`` mirrors a node: each
-    output number goes through the swap map, and a fermion amplitude is
-    multiplied by the sign and then ``+ 0.0``, so that a negated zero is
-    the +0.0 that ``np.bincount`` leaves.
+    which is kept: each output number goes through the swap map, and a
+    fermion amplitude is multiplied by the sign and then ``+ 0.0``, so that
+    a negated zero is the +0.0 that ``np.bincount`` leaves.  This is the
+    only place the mirror is applied.
     """
     half = expansions.offsets.size - 1
     mirrored = index >= half

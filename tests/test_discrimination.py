@@ -81,6 +81,14 @@ def test_hypothesis_rejects_bad_label_and_prior():
         Hypothesis("H0", maximally_mixed(1), 1.5)
 
 
+def test_hypothesis_refuses_a_state_that_is_not_a_density_matrix():
+    # a bare matrix would get as far as helstrom_bound, which reads .dim
+    with pytest.raises(TypeError, match="DensityMatrix"):
+        Hypothesis("H1", np.eye(2) / 2, 0.5)
+    with pytest.raises(TypeError, match="DensityMatrix"):
+        Hypothesis("H0", [1.0, 0.0], 0.5)
+
+
 @pytest.mark.parametrize("decide", [
     pytest.param(helstrom_bound, id="helstrom_bound"),
     pytest.param(lambda h0, h1: beam_splitter_discrimination(h0, h1, BOSON),

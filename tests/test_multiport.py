@@ -1236,6 +1236,29 @@ def test_the_complement_spin_string_expands_to_the_swapped_outputs(
             amp * _swap_sign(stats, c) for c, amp in expansion.items()]
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def test_each_step_reads_its_parents_spin_0_half_through_the_gather(
+        monkeypatch, n, stats):
+    # the mirror has one home: a creation step reads the level before,
+    # which keeps only its spin-0 half, through _gathered, chunk by chunk,
+    # with chunks of the default size and of one node each
+    gathered = multiport._gathered
+    for chunk in (multiport._CHUNK_TERMS, 1):
+        monkeypatch.setattr(multiport, "_CHUNK_TERMS", chunk)
+        read = []
+        monkeypatch.setattr(multiport, "_gathered", lambda index, level: (
+            read.append(level) or gathered(index, level)))
+        multiport._expansions(stats, MultiportUnitary(dft_unitary(n).matrix))
+        levels = list({id(level): level for level in read}.values())
+        assert [level.sizes.size for level in levels] == [
+            2 ** t for t in range(n)]
+        for level in levels[1:]:
+            assert level.offsets.size - 1 == level.sizes.size // 2
+        if chunk == 1:
+            assert len(read) == 2 ** n - 1
+
+
 def test_a_wrong_output_count_is_refused(monkeypatch):
     # one output too many per node: the step refuses its chunk's outputs
     # before writing them, and nothing is memoized
@@ -1476,7 +1499,7 @@ def test_evolve_of_random_fock_states_is_the_dict_loop_bit_for_bit(case):
             == list(dict_evolve(state, u).amplitudes.items()))
 
 
-@pytest.mark.parametrize("n, stats", [(7, FERMION), (6, BOSON)])
+@pytest.mark.parametrize("n, stats", [(7, FERMION), (6, BOSON), (8, FERMION)])
 def test_expanding_every_configuration_stays_near_the_memo_in_memory(n, stats):
     # the steps run in chunks of bounded size: the transient arrays of a
     # whole step would take tens of megabytes here
