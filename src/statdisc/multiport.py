@@ -72,8 +72,9 @@ slice per basis index below 2**(n - 1), with the level's swap map and,
 for fermions, its sign.
 
 An ensemble's members run in groups under one budget of accumulator
-cells and terms (``_merge``), and a group's terms are merged in chunks of
-whole inputs, so a call holds the expansion memo, one group's cells and
+cells and terms (``_GROUP_BUDGET``), and a group's terms are merged in
+chunks of whole inputs under the same budget, which makes a group under
+it one chunk, so a call holds the expansion memo, one group's cells and
 one chunk's arrays, whatever the number of members and the size of the
 largest.  Output numbers key the merge of a group's terms, with no sort,
 and pattern numbers the total of each arm-count pattern across groups, in
@@ -203,10 +204,13 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
     ``internal`` is a one-dimensional state vector over n qubits or a
     ``DensityMatrix``.  A state vector gives a single member of weight one,
     its vector divided by its norm.  A density matrix is eigendecomposed on
-    every load: each eigenvalue above ``TOL``, in ascending order, is a
-    member's weight, and its eigenvector divided by its norm the member's
-    vector.  Any orthonormal eigenbasis of a degenerate spectrum yields the
-    same downstream statistics; this is the one ``np.linalg.eigh`` returns.
+    every load: its smallest eigenvalues are dropped while together they
+    hold at most ``TOL``, and each eigenvalue left, in ascending order, is
+    a member's weight, and its eigenvector divided by its norm the member's
+    vector.  An eigenvalue above ``TOL`` is always kept, and a kept one
+    exceeds TOL / 2**n.  Any orthonormal eigenbasis of a degenerate
+    spectrum yields the same downstream statistics; this is the one
+    ``np.linalg.eigh`` returns.
     Each member's vector lists the amplitudes of the 2**n configurations by
     basis index (see the module docstring), and every load is the caller's
     own.  ``interfere`` loads a density matrix through the default
@@ -214,9 +218,11 @@ def prepare_input(internal) -> list[tuple[float, np.ndarray]]:
     """
     if isinstance(internal, DensityMatrix):
         vals, vecs = np.linalg.eigh(internal.matrix)
-        # unit trace over at most 2**8 eigenvalues leaves one above TOL
+        # a dropped eigenvalue is negligible, and so is the mass of all of
+        # them; the first kept one is the largest of a sum above TOL
+        kept = (vals > TOL) | (np.cumsum(vals) > TOL)
         return [(float(weight), vec / np.linalg.norm(vec))
-                for weight, vec in zip(vals, vecs.T) if weight > TOL]
+                for weight, vec, keep in zip(vals, vecs.T, kept) if keep]
     v = np.asarray(internal, dtype=complex)
     if v.ndim != 1:
         raise ValueError(f"a state vector is one-dimensional, not of "
@@ -302,8 +308,8 @@ def _first_seen(key: np.ndarray, cell: np.ndarray) -> np.ndarray:
     a key can be walked in consecutive parts, and for a value not met yet
     any number not below ``key.size``.  A key is one chunk of an expansion
     step or of ``_merge``, whole nodes or inputs of about ``_CHUNK_TERMS``
-    or ``_MERGE_TERMS`` terms; ``MultiportUnitary`` caps its arms, and so
-    n, at eight, where one node or input has at most a few hundred
+    or ``_GROUP_BUDGET // 8`` terms; ``MultiportUnitary`` caps its arms,
+    and so n, at eight, where one node or input has at most a few hundred
     thousand terms, so positions are far below 2**31.
     """
     terms = np.arange(key.size, dtype=np.int32)
@@ -356,20 +362,20 @@ def _creations(statistics: Statistics, n: int, codes: np.ndarray,
     configuration number j.
 
     Row j holds one entry for each arm, in ascending order, whose spin-0
-    mode 2 * arm can take one more particle: the arm, the number of the
-    configuration the creation makes, which is its position in
-    ``following``, the codes of the next level, and the creation's factor.
-    Returns where each row starts, and where the last one ends, then the
-    arms (int8), numbers (int32) and factors of the entries.
+    mode 2 * arm can take one more particle, for either statistics the
+    arms whose digit in that mode is below the cap ``base - 1`` of
+    ``_levels``: the arm, the number of the configuration the creation
+    makes, which is its position in ``following``, the codes of the next
+    level, and the creation's factor.  Returns where each row starts, and
+    where the last one ends, then the arms (int8), numbers (int32) and
+    factors of the entries.
     """
     base, place = _place_values(statistics, n)
     # the place value of each arm's spin-0 mode
     dest = place[0::2]
-    if statistics is Statistics.FERMION:
-        # only free modes are created into
-        row, arm = np.nonzero((codes[:, None] & dest) == 0)
-    else:
-        row, arm = np.divmod(np.arange(codes.size * n), n)
+    # a fermion mode takes one while it is free, and a boson one below
+    # level n always
+    row, arm = np.nonzero(codes[:, None] // dest % base < base - 1)
     held, d = codes[row], dest[arm]
     if statistics is Statistics.FERMION:
         # the sign (-1) ** (number of occupied modes below)
@@ -587,20 +593,16 @@ def _terms(index: np.ndarray, amplitudes: np.ndarray,
 
 # Accumulator cells of one group of members, at most, a term counting as
 # eight (see ``interfere``): a member with more makes a group of its own,
-# whose terms ``_merge`` walks in chunks of ``_MERGE_TERMS``.  A cell takes
-# 20 bytes, a 4-byte mark and a 16-byte complex sum, and a chunk's terms
-# about 50 bytes each at their peak.  A group of one-input members
-# allocates no cells (see ``_merge``), so the budget overstates it.  Every
-# call of the benchmark's sweep is one group.  On a 2-core Xeon, aligned
-# and mixed calls of 7 fermions or 6 bosons needed at most 2.6 MB beyond
-# the memo by tracemalloc, where one group of all members had needed
+# whose terms ``_merge`` walks in chunks of ``_GROUP_BUDGET // 8``, the most
+# terms a group under the budget holds, so that such a group is one chunk.
+# A cell takes 20 bytes, a 4-byte mark and a 16-byte complex sum, and a
+# chunk's terms about 50 bytes each at their peak.  A group of one-input
+# members allocates no cells (see ``_merge``), so the budget overstates it.
+# Every call of the benchmark's sweep is one group.  On a 2-core Xeon,
+# aligned and mixed calls of 7 fermions or 6 bosons needed at most 2.6 MB
+# beyond the memo by tracemalloc, where one group of all members had needed
 # 10-22 MB.
 _GROUP_BUDGET = 1 << 18
-
-# Terms per chunk of a merge, at most about this many: a chunk holds whole
-# inputs, so an input with more makes a chunk of its own.  A group under
-# the budget holds no more terms than this, so it is one chunk.
-_MERGE_TERMS = _GROUP_BUDGET // 8
 
 
 def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
@@ -613,13 +615,13 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
     expansion output of every input (see ``_terms``), are listed in the
     loop's order and keyed by their member and output number; the merged
     outputs, one per key, come in the order the loop first meets them.
-    Returns each merged output's member, output number, amplitude as
-    (re, im), and abs(amp) ** 2, 0.0 where the modulus is at most ``TOL``,
+    Returns each merged output's member, output number, complex
+    amplitude, and abs(amp) ** 2, 0.0 where the modulus is at most ``TOL``,
     so that the output is dropped.  A kept output's modulus exceeds
     ``TOL``, so its square exceeds TOL ** 2 > 0.
 
     The terms are walked in chunks of whole inputs and about
-    ``_MERGE_TERMS`` terms, so a group under ``_GROUP_BUDGET`` is one chunk
+    ``_GROUP_BUDGET // 8`` terms, so a group under the budget is one chunk
     and a member over it holds its accumulator cells and one chunk at a
     time.  Each key has one cell, which ``_first_seen`` marks when the walk
     first meets it, and ``np.add.at`` adds each chunk's terms into the
@@ -645,7 +647,7 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
         cell = np.full(cells, np.iinfo(np.int32).max, dtype=np.int32)
         sums = np.zeros(cells, dtype=complex)
         merged = []
-        bounds = _packed(lengths.tolist(), _MERGE_TERMS)
+        bounds = _packed(lengths.tolist(), _GROUP_BUDGET // 8)
         for a, b in zip(bounds, bounds[1:]):
             number, terms = _terms(index[a:b], amplitudes[a:b], expansions)
             key = np.repeat(member[a:b] * outputs, lengths[a:b])
@@ -658,16 +660,15 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
         merged = np.concatenate(merged)
         amps = sums[merged]
         owner, number = np.divmod(merged, outputs)
-    re, im = amps.real, amps.imag
     # abs(amp) and its square, rounded as Python rounds them
-    moduli = np.hypot(re, im)
+    moduli = np.hypot(amps.real, amps.imag)
     # amplitudes below TOL are interference zeros
     squares = np.where(moduli > TOL, np.float_power(moduli, 2.0), 0.0)
     norm_sq = np.bincount(owner, squares)
     if np.abs(norm_sq - 1.0).max() > SUM_TOL:
         raise ValueError("evolved states must be normalized, got "
                          f"|psi|^2 = {norm_sq.tolist()!r}")
-    return owner, number, re, im, squares
+    return owner, number, amps, squares
 
 
 def _arms_error(u: MultiportUnitary) -> ValueError:
@@ -686,15 +687,12 @@ def evolve(state: FockState, u: MultiportUnitary) -> FockState:
     index = configs[:, 1::2] @ (1 << np.arange(u.n - 1, -1, -1))
     amplitudes = np.array(list(state.amplitudes.values()), dtype=complex)
     expansions = _expansions(state.statistics, u)
-    _, number, re, im, squares = _merge(np.zeros_like(index), index,
-                                        amplitudes, expansions)
-    kept = np.flatnonzero(squares > 0)
-    amplitudes = np.empty(kept.size, dtype=complex)
-    amplitudes.real = re[kept]
-    amplitudes.imag = im[kept]
+    _, number, amplitudes, squares = _merge(np.zeros_like(index), index,
+                                            amplitudes, expansions)
+    kept = squares > 0
     codes = expansions.codes[number[kept]]
     configs = _configurations(codes, state.statistics, u.n)
-    return FockState(state.statistics, dict(zip(configs, amplitudes)))
+    return FockState(state.statistics, dict(zip(configs, amplitudes[kept])))
 
 
 @dataclass(frozen=True)
@@ -808,14 +806,14 @@ def interfere(internal, statistics: Statistics | str,
     labels = expansions.labels
     totals = np.zeros(len(labels))
     for first, lo, hi in zip(bounds, starts, starts[1:]):
-        owner, number, _, _, squares = _merge(
+        owner, number, _, squares = _merge(
             member[lo:hi] - first, index[lo:hi], amplitudes[lo:hi], expansions)
         # the members' outputs in the loop's order, the dropped ones adding
         # 0.0, which leaves every sum as it is
         np.add.at(totals, expansions.patterns[number],
                   weights[first + owner] * squares)
-    # a kept output adds a weight above TOL times a square above TOL ** 2,
-    # so a pattern is present exactly where its total is positive
+    # a kept output adds a weight above TOL / 2**n times a square above
+    # TOL ** 2, so a pattern is present exactly where its total is positive
     present = np.flatnonzero(totals > 0).tolist()
     answer = OutcomeDistribution({labels[i]: totals[i] for i in present})
     if kept is not None:

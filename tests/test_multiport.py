@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statdisc import multiport
-from statdisc.core import MAX_QUBITS, TOL, CapacityError, DensityMatrix
+from statdisc.core import (MAX_QUBITS, TOL, CapacityError, DensityMatrix,
+                           symmetric_projector)
 from statdisc.multiport import (FockState, MultiportUnitary,
                                 OutcomeDistribution, Statistics, dft_unitary,
                                 evolve, interfere, prepare_input,
@@ -368,6 +369,21 @@ def test_prepare_input_mixed_pair_has_four_members():
         assert abs(weight - 0.25) < 1e-12
 
 
+@pytest.mark.parametrize("n, eps", [
+    (7, 1.27e-10), pytest.param(8, 2.53e-10, marks=pytest.mark.frontier)])
+def test_white_noise_below_tol_per_eigenvalue_keeps_its_mass(n, eps):
+    # each of the 2**n - 1 noise eigenvalues, eps / 2**n, is at most TOL,
+    # but together they hold more than SUM_TOL: dropping each of them lost
+    # that mass, and the distribution was refused as not summing to one
+    zeros = np.zeros(2 ** n)
+    zeros[0] = 1.0
+    rho = DensityMatrix((1.0 - eps) * np.outer(zeros, zeros)
+                        + eps * np.eye(2 ** n) / 2 ** n)
+    assert max_pattern_deviation(interfere(rho, FERMION),
+                                 interfere(zeros, FERMION)) <= 2 * eps
+    assert abs(sum(w for w, _ in prepare_input(rho)) - 1.0) <= TOL
+
+
 def test_prepare_input_rejects_non_qubit_register():
     from statdisc.core import DensityMatrix
     with pytest.raises(ValueError, match="qubit"):
@@ -644,6 +660,14 @@ def test_arm_phases_do_not_change_arm_counts(n, stats, phases, seed):
                                  interfere(v, stats)) < 1e-12
 
 
+# Both hypotheses up to the largest registers Tier-1 expands, and at the
+# cap under the frontier marker
+_HYPOTHESIS_SIZES = ([(n, FERMION) for n in range(1, 8)]
+                     + [(n, BOSON) for n in range(1, 7)]
+                     + [pytest.param(8, stats, marks=pytest.mark.frontier)
+                        for stats in (FERMION, BOSON)])
+
+
 def _check_zero_transmission_law(internal, n, stats):
     # Tichy et al., PRL 104, 220405: fully indistinguishable particles, one
     # per arm of the n-arm Fourier multiport, only leave in patterns with
@@ -657,8 +681,14 @@ def _check_zero_transmission_law(internal, n, stats):
     assert max(off_law, default=0.0) < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-@pytest.mark.parametrize("stats", [BOSON, FERMION])
+def _stats_first(size):
+    """An (n, stats) entry of ``_HYPOTHESIS_SIZES`` as a (stats, n)
+    parameter, so that its id reads the statistics first."""
+    n, stats = getattr(size, "values", size)
+    return pytest.param(stats, n, marks=getattr(size, "marks", ()))
+
+
+@pytest.mark.parametrize("stats, n", map(_stats_first, _HYPOTHESIS_SIZES))
 def test_aligned_mixture_obeys_the_zero_transmission_law(n, stats):
     _check_zero_transmission_law(aligned_mixture(n), n, stats)
 
@@ -671,6 +701,41 @@ def test_aligned_directions_obey_the_zero_transmission_law(n, stats,
                                                            theta, phi):
     omega = BlochDirection(theta, phi)
     _check_zero_transmission_law(aligned_direction_state(omega, n), n, stats)
+
+
+def _check_bunching_law(rho, stats, unitary=None):
+    # Shchesnovich, PRL 116, 123601: all n bosons leave arm b with
+    # probability n! prod_a |u_ab|^2 Tr(rho P_sym), for any state and any
+    # u; fermions need the antisymmetric part instead, which is all of one
+    # qubit, I - P_sym of two and nothing of three or more
+    n = rho.n_qubits
+    u = dft_unitary(n) if unitary is None else unitary
+    sym = np.trace(symmetric_projector(n) @ rho.matrix).real
+    if stats is BOSON or n == 1:
+        part = sym
+    else:
+        part = 1.0 - sym if n == 2 else 0.0
+    dist = interfere(rho, stats, unitary)
+    for b in range(n):
+        bunched = tuple(n * (a == b) for a in range(n))
+        law = (math.factorial(n) * np.prod(np.abs(u.matrix[:, b]) ** 2)
+               * part)
+        assert abs(dist.probability(bunched) - law) <= TOL
+
+
+@pytest.mark.parametrize("n, stats", _HYPOTHESIS_SIZES)
+def test_the_hypotheses_obey_the_bunching_law(n, stats):
+    for state in (aligned_mixture, maximally_mixed):
+        _check_bunching_law(state(n), stats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 5), st.sampled_from([BOSON, FERMION]),
+       st.lists(st.floats(0.0, 2.0 * math.pi), min_size=10, max_size=10),
+       st.integers(0, 2 ** 32 - 1))
+def test_random_states_obey_the_bunching_law(n, stats, phases, seed):
+    rho = DensityMatrix(_random_state(n, 3, np.random.default_rng(seed)))
+    _check_bunching_law(rho, stats, phased_dft(n, phases[:n], phases[5:5 + n]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -805,14 +870,6 @@ def test_rotating_one_qubit_does_change_arm_counts():
 
 
 # ------------------------------------- symmetries of the Fourier multiport
-
-# Both hypotheses up to the largest registers Tier-1 expands, and at the
-# cap under the frontier marker
-_HYPOTHESIS_SIZES = ([(n, FERMION) for n in range(1, 8)]
-                     + [(n, BOSON) for n in range(1, 7)]
-                     + [pytest.param(8, stats, marks=pytest.mark.frontier)
-                        for stats in (FERMION, BOSON)])
-
 
 def _dihedral_images(pattern):
     """The arm counts after each rotation of the arms, and after each
@@ -1442,7 +1499,7 @@ def test_merges_in_chunks_of_a_few_terms_keep_every_bit(monkeypatch, n, stats):
     whole = bits()
     chunks = len(merged)
     for terms in (3, 2 * int(e.sizes.max())):
-        monkeypatch.setattr(multiport, "_MERGE_TERMS", terms)
+        monkeypatch.setattr(multiport, "_GROUP_BUDGET", 8 * terms)
         merged.clear()
         assert bits() == whole
         assert len(merged) > chunks
@@ -1463,12 +1520,12 @@ def test_a_streamed_member_holds_its_cells_and_one_chunk():
     assert 8 * terms + cells > multiport._GROUP_BUDGET
     tracemalloc.start()
     try:
-        owner, _, _, _, _ = multiport._merge(
+        owner, _, _, _ = multiport._merge(
             np.zeros_like(index), index, vec[index], e)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk = max(multiport._MERGE_TERMS, int(lengths.max()))
+    chunk = max(multiport._GROUP_BUDGET // 8, int(lengths.max()))
     assert peak <= 20 * cells + 100 * (chunk + owner.size)
     assert peak < 8 * terms
 
