@@ -138,6 +138,9 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     retain their original order.
     """
     kept = tuple(map(operator.index, keep))
+    if not kept:
+        raise ValueError("keep names no qubit, but the kept register's "
+                         "n must be at least 1")
     n = rho.n_qubits
     if any(i < 0 or i >= n for i in kept):
         raise ValueError(f"qubit index out of range for {n} qubits: {kept}")

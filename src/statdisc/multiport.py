@@ -19,9 +19,9 @@ string's amplitude.
 The kernel does this on numpy arrays of numbered configurations, and
 performs the floating-point operations of the plain dict loop
 ``out[config] += term`` in that loop's order: the terms are listed as the
-loop visits them and ``np.bincount``, or ``np.add.at`` across the chunks
-of a merge, adds each configuration's terms one after the other from 0.0,
-in list order.  Complex products are spelled out in real arithmetic, and
+loop visits them and ``np.add.at`` adds each configuration's terms one
+after the other from 0.0, in list order, into zeroed cells.  Every
+complex product is spelled out in real arithmetic (``_product``), and
 moduli and squares are taken with ``np.hypot`` and ``np.float_power``,
 because numpy's vectorised complex product, ``abs`` and ``** 2`` round
 differently from the scalar operations the loop performed.  Every
@@ -300,13 +300,29 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         starts - (np.cumsum(lengths) - lengths), lengths)
 
 
+def _product(a: np.ndarray, counts: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each a[k] repeated counts[k] times, times the entries of b in turn,
+    rounded as numpy rounds a scalar complex product: spelled out in real
+    arithmetic, (a.real * b.real - a.imag * b.imag) and
+    (a.real * b.imag + a.imag * b.real), from the real and then the
+    imaginary parts of a repeated, one part at a time."""
+    product = np.empty(b.size, dtype=complex)
+    part = np.repeat(a.real, counts)
+    np.multiply(part, b.real, out=product.real)
+    np.multiply(part, b.imag, out=product.imag)
+    part = np.repeat(a.imag, counts)
+    product.real -= part * b.imag
+    product.imag += part * b.real
+    return product
+
+
 def _first_seen(key: np.ndarray, cell: np.ndarray) -> np.ndarray:
     """The values of ``key`` that ``cell`` has not met, in the order of
     their first appearance in ``key``, with no sort; they are marked met.
 
     ``cell`` holds one int32 per value: -1 for a value met before, so that
-    a key can be walked in consecutive parts, and for a value not met yet
-    any number not below ``key.size``.  A key is one chunk of an expansion
+    a key can be walked in consecutive parts, and ``np.iinfo(np.int32).max``
+    for a value not met yet.  A key is one chunk of an expansion
     step or of ``_merge``, whole nodes or inputs of about ``_CHUNK_TERMS``
     or ``_GROUP_BUDGET // 8`` terms; ``MultiportUnitary`` caps its arms,
     and so n, at eight, where one node or input has at most a few hundred
@@ -471,7 +487,6 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             statistics, n, levels[step], levels[step + 1])
         width = levels[step + 1].size
         entry = u.matrix[n - 1 - step]
-        entry_re, entry_im = entry.real.copy(), entry.imag.copy()
         half = level.sizes.size
         # a node holds step + 1 particles, as many in spin 1 as its bits
         sizes = _output_counts(statistics, n, step + 1)[
@@ -489,31 +504,30 @@ def _expansions(statistics: Statistics, u: MultiportUnitary) -> _Expansions:
             row, amp = _gathered(np.arange(a, b), level)
             count = first[row + 1] - first[row]
             at = _ranges(first[row], count)
-            amp = np.repeat(amp, count)
-            arm = arms[at]
-            u_re, u_im = entry_re[arm], entry_im[arm]
-            # amp * entry, rounded as numpy rounds a scalar complex
-            # product
-            term_re = amp.real * u_re - amp.imag * u_im
-            term_im = amp.real * u_im + amp.imag * u_re
+            term = _product(amp, count, entry[arms[at]])
+            # a real factor times each part: a complex-by-real product
+            # would round the signs of zeros differently
             factor = factors[at]
-            term_re *= factor
-            term_im *= factor
+            term.real *= factor
+            term.imag *= factor
             # a key per node and configuration, each node's in the order
             # its loop first meets them, so node by node, and its terms
             # numbered by their key's cell in that order
             key = np.repeat(owner * width, count) + numbers[at]
-            cell = np.full((b - a) * width, key.size, dtype=np.int32)
+            cell = np.full((b - a) * width, np.iinfo(np.int32).max,
+                           dtype=np.int32)
             merged = _first_seen(key, cell)
             lo, hi = offsets[a], offsets[b]
             if merged.size != hi - lo:
                 raise RuntimeError(f"expansion step {step} made {merged.size} "
                                    f"outputs, not the closed form's {hi - lo}")
             cell[merged] = np.arange(merged.size, dtype=np.int32)
-            group = cell[key]
             index[lo:hi] = merged % width
-            amplitudes.real[lo:hi] = np.bincount(group, term_re)
-            amplitudes.imag[lo:hi] = np.bincount(group, term_im)
+            # zeroed here rather than by np.zeros: on a 2-core Xeon the
+            # calloc'd level arrays made fresh CLI scans 4-6% slower, by
+            # memory the allocator handed back and fetched again
+            amplitudes[lo:hi] = 0.0
+            np.add.at(amplitudes[lo:hi], cell[key], term)
         # the table is let go before the next step builds its own
         del first, arms, numbers, factors
         level = _Expansions(None, None, None, index, amplitudes, offsets,
@@ -543,21 +557,22 @@ def _gathered(index: np.ndarray, expansions: _Expansions
     Index i from half on is the spin swap of its complement 2 * half - 1 - i,
     which is kept: each output number goes through the swap map, and a
     fermion amplitude is multiplied by the sign and then ``+ 0.0``, so that
-    a negated zero is the +0.0 that ``np.bincount`` leaves.  This is the
+    a negated zero is the +0.0 that a sum from 0.0 leaves.  This is the
     only place the mirror is applied.
     """
     half = expansions.offsets.size - 1
     mirrored = index >= half
+    lengths = expansions.sizes[index]
     if not mirrored[-1] and (np.diff(index) == 1).all():
         at = slice(expansions.offsets[index[0]],
                    expansions.offsets[index[-1] + 1])
     else:
         kept = np.minimum(index, 2 * half - 1 - index)
-        at = _ranges(expansions.offsets[kept], expansions.sizes[kept])
+        at = _ranges(expansions.offsets[kept], lengths)
     number = expansions.index[at]
     amplitudes = expansions.amplitudes[at]
     if mirrored.any():
-        swapped = np.repeat(mirrored, expansions.sizes[index])
+        swapped = np.repeat(mirrored, lengths)
         original = number[swapped]
         number[swapped] = expansions.swap[original]
         if expansions.sign is not None:
@@ -572,23 +587,10 @@ def _terms(index: np.ndarray, amplitudes: np.ndarray,
            expansions: _Expansions) -> tuple[np.ndarray, np.ndarray]:
     """Every expansion output of the inputs, basis index ``index[k]`` with
     amplitude ``amplitudes[k]``, in the dict loop's order: its output
-    number and the term amp * a.
-
-    The product is rounded as numpy rounds a scalar complex product: it is
-    spelled out in real arithmetic, (ar * a.real - ai * a.imag) and
-    (ar * a.imag + ai * a.real), from the inputs' real and then imaginary
-    parts repeated, one part at a time.
+    number and the term amp * a, formed by ``_product``.
     """
     number, out = _gathered(index, expansions)
-    lengths = expansions.sizes[index]
-    terms = np.empty(number.size, dtype=complex)
-    part = np.repeat(amplitudes.real, lengths)
-    np.multiply(part, out.real, out=terms.real)
-    np.multiply(part, out.imag, out=terms.imag)
-    part = np.repeat(amplitudes.imag, lengths)
-    terms.real -= part * out.imag
-    terms.imag += part * out.real
-    return number, terms
+    return number, _product(amplitudes, expansions.sizes[index], out)
 
 
 # Accumulator cells of one group of members, at most, a term counting as
@@ -626,13 +628,13 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
     time.  Each key has one cell, which ``_first_seen`` marks when the walk
     first meets it, and ``np.add.at`` adds each chunk's terms into the
     cells one after the other, from 0.0: each merged output's terms in the
-    loop's order, as ``np.bincount`` adds them.
+    loop's order.
 
     A group whose members hold one input each, such as the maximally
     mixed state's basis vectors, has nothing to merge: one expansion's
     outputs are distinct, so each key is one term, met in list order.  Its
     terms are its merged outputs as they stand, a lone term plus 0.0, which
-    turns -0.0 into +0.0 as ``np.bincount`` does, with no accumulator cells.
+    turns -0.0 into +0.0 as a sum from 0.0 does, with no accumulator cells.
     """
     lengths = expansions.sizes[index]
     # members are numbered from 0 and each holds an input

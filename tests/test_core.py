@@ -256,6 +256,14 @@ def test_partial_trace_composes_down_to_one_qubit():
         partial_trace(final, ())
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_partial_trace_refuses_an_empty_keep_before_tracing(n, monkeypatch):
+    rho = DensityMatrix(np.eye(2 ** n) / 2 ** n)
+    monkeypatch.setattr(np, "trace", None)
+    with pytest.raises(ValueError, match="keep names no qubit"):
+        partial_trace(rho, keep=())
+
+
 def test_partial_trace_rejects_unsorted_keep():
     rng = np.random.default_rng(8)
     rho = random_density(rng, 2)

@@ -752,6 +752,42 @@ def test_rotating_the_input_arms_does_not_change_arm_counts(n, stats, seed):
                                  interfere(v, stats)) < 1e-12
 
 
+# Row a of u is where the particle of input arm a goes, and column b what
+# output arm b receives.  Relabelling the input arms moves each qubit with
+# its row, which leaves the arm counts as they were; relabelling the output
+# arms moves the columns and the counts alike.  A kernel that read u
+# transposed would fail both, and needs n >= 4 to be seen: every
+# permutation of two or three arms is a symmetry of the DFT.
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 5), st.sampled_from([BOSON, FERMION]),
+       st.integers(0, 2 ** 32 - 1))
+def test_relabelling_the_arms_moves_the_rows_and_columns_of_u(n, stats,
+                                                              seed):
+    rng = np.random.default_rng(seed)
+    u = _random_phased_dft(n, rng).matrix
+    v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    counts = interfere(v, stats, MultiportUnitary(u))
+    # the qubit of input arm a and row a of u move to arm pi[a]
+    pi = rng.permutation(n)
+    moved = np.moveaxis(v.reshape((2,) * n), range(n), pi).reshape(-1)
+    rows = np.empty_like(u)
+    rows[pi] = u
+    assert max_pattern_deviation(
+        interfere(moved, stats, MultiportUnitary(rows)), counts) < 1e-12
+    # column b of u and the count of output arm b move to arm sigma[b]
+    sigma = rng.permutation(n)
+    columns = np.empty_like(u)
+    columns[:, sigma] = u
+    images = {}
+    for pattern, p in counts.probabilities.items():
+        image = np.empty(n, dtype=int)
+        image[sigma] = pattern
+        images[tuple(image.tolist())] = p
+    assert max_pattern_deviation(
+        interfere(v, stats, MultiportUnitary(columns)),
+        OutcomeDistribution(images)) < 1e-12
+
+
 def test_spatial_distribution_rejects_empty_ensemble():
     with pytest.raises(ValueError, match="empty"):
         spatial_distribution([])
