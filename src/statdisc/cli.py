@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto the library: ``reproduce`` recomputes the
 published probabilities and fails loudly on any mismatch, the rest expose
 single experiments.  Output is a table, JSON, or RFC-4180 CSV; identical
-configurations produce byte-identical JSON.
+configurations produce byte-identical JSON.  A call builds the parser of
+the subcommand it names first and no other; all six are built only when
+the first argument names none (the root's help and refusals).
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 internal error,
 64 usage error (an unwritable ``--out`` too), 65 capacity exceeded.
@@ -246,74 +248,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="statdisc",
-                     description="Discriminate collective internal states of "
-                                 "identical particles by arm counting.")
-    statistics = tuple(s.value for s in Statistics)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=tuple(RENDERERS),
-                        default="table")
-    common.add_argument("--out", metavar="PATH",
-                        help="write the report here instead of stdout")
-    common.add_argument("--seed", type=int, default=42,
-                        help="seed echoed into the report (all production "
-                             "numbers are deterministic)")
-    # every report echoes every setting: one that only another subcommand
-    # takes reads null
-    common.set_defaults(**dict.fromkeys(
-        ("n", "n_max", "statistics", "prior0", "pair", "schmidt", "r",
-         "theta", "phi", "classical_interpretation")))
-
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    sub.add_parser("reproduce", parents=[common],
-                   help="recompute every published probability and compare")
-
-    disc = sub.add_parser("discriminate", parents=[common],
-                          help="one aligned-vs-other discrimination task")
-    disc.add_argument("--pair",
-                      choices=("aligned-antialigned", "aligned-mixed"),
-                      default="aligned-mixed")
-    disc.add_argument("--n", type=int, default=2)
-    disc.add_argument("--statistics", choices=statistics,
-                      default="fermion")
-    disc.add_argument("--prior0", type=float, default=0.5)
-
-    scan = sub.add_parser("scan", parents=[common],
-                          help="probe the strategy against the bound as the "
-                               "particle number grows")
-    scan.add_argument("--n-max", type=int, default=6, dest="n_max")
-    scan.add_argument("--statistics", choices=statistics,
-                      default="fermion")
-
-    detect = sub.add_parser("detect", parents=[common],
-                            help="entanglement detection from two marginals")
-    detect.add_argument("--schmidt", type=float, required=True,
-                        help="smaller squared Schmidt coefficient in [0, 1/2]")
-    detect.add_argument("--statistics", choices=statistics,
-                        default="fermion")
-
-    purify = sub.add_parser("purify", parents=[common],
-                            help="project two copies of a qubit onto the "
-                                 "symmetric subspace")
-    purify.add_argument("--r", type=float, required=True,
-                        help="Bloch length in [0, 1]")
-    purify.add_argument("--theta", type=float, default=0.0)
-    purify.add_argument("--phi", type=float, default=0.0)
-
-    classical = sub.add_parser("classical", parents=[common],
-                               help="classical exclusion model by exact "
-                                    "counting")
-    classical.add_argument("--n", type=int, required=True)
-    classical.add_argument("--classical-interpretation",
-                           choices=("standard", "literal"),
-                           default="standard",
-                           dest="classical_interpretation")
-
-    return parser
-
+# Each subcommand's help line and its own arguments, which follow the common
+# flags in its usage and help.
+SUBCOMMANDS = {
+    "reproduce": ("recompute every published probability and compare", {}),
+    "discriminate": ("one aligned-vs-other discrimination task", {
+        "--pair": {"choices": ("aligned-antialigned", "aligned-mixed"),
+                   "default": "aligned-mixed"},
+        "--n": {"type": int, "default": 2},
+        "--statistics": {"choices": tuple(s.value for s in Statistics),
+                         "default": "fermion"},
+        "--prior0": {"type": float, "default": 0.5}}),
+    "scan": ("probe the strategy against the bound as the particle number "
+             "grows", {
+        "--n-max": {"type": int, "default": 6},
+        "--statistics": {"choices": tuple(s.value for s in Statistics),
+                         "default": "fermion"}}),
+    "detect": ("entanglement detection from two marginals", {
+        "--schmidt": {"type": float, "required": True,
+                      "help": "smaller squared Schmidt coefficient in "
+                              "[0, 1/2]"},
+        "--statistics": {"choices": tuple(s.value for s in Statistics),
+                         "default": "fermion"}}),
+    "purify": ("project two copies of a qubit onto the symmetric subspace", {
+        "--r": {"type": float, "required": True,
+                "help": "Bloch length in [0, 1]"},
+        "--theta": {"type": float, "default": 0.0},
+        "--phi": {"type": float, "default": 0.0}}),
+    "classical": ("classical exclusion model by exact counting", {
+        "--n": {"type": int, "required": True},
+        "--classical-interpretation": {"choices": ("standard", "literal"),
+                                       "default": "standard"}}),
+}
 
 COMMANDS = {
     "reproduce": cmd_reproduce,
@@ -325,8 +291,41 @@ COMMANDS = {
 }
 
 
+def build_parser(command: str | None = None) -> _Parser:
+    """The statdisc parser; ``command``'s subparser alone if it names one."""
+    parser = _Parser(prog="statdisc",
+                     description="Discriminate collective internal states of "
+                                 "identical particles by arm counting.")
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    # with one subparser built, the metavar keeps every name in the root
+    # usage line; with all six, none is set, so that the root's refusals
+    # still name "argument command"
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar="{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        help_line, arguments = SUBCOMMANDS[name]
+        subparser = sub.add_parser(name, help=help_line)
+        subparser.add_argument("--format", choices=tuple(RENDERERS),
+                               default="table")
+        subparser.add_argument("--out", metavar="PATH",
+                               help="write the report here instead of stdout")
+        subparser.add_argument("--seed", type=int, default=42,
+                               help="seed echoed into the report (all "
+                                    "production numbers are deterministic)")
+        # every report echoes every setting: one that only another
+        # subcommand takes reads null
+        subparser.set_defaults(**dict.fromkeys(
+            ("n", "n_max", "statistics", "prior0", "pair", "schmidt", "r",
+             "theta", "phi", "classical_interpretation")))
+        for flag, options in arguments.items():
+            subparser.add_argument(flag, **options)
+    return parser
+
+
 def main(argv=None) -> int:
-    config = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    config = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         rows = COMMANDS[config.command](config)
         text = RENDERERS[config.format](config, rows)

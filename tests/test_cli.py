@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -280,6 +281,51 @@ def test_module_entry_point_runs():
     assert result.stdout.startswith("name,")
 
 
+# --------------------------------------------------------------- arguments
+
+def subcommands(parser) -> list[str]:
+    [action] = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+# a command line for each subcommand that sets most of its own arguments
+TYPICAL_LINES = {
+    "reproduce": "reproduce --format csv",
+    "discriminate": "discriminate --pair aligned-antialigned "
+                    "--statistics boson --prior0 0.7",
+    "scan": "scan --n-max 4 --statistics boson --seed 3",
+    "detect": "detect --schmidt 0.3",
+    "purify": "purify --r 0.5 --theta 1.2 --phi 0.4",
+    "classical": "classical --n 4 --classical-interpretation literal "
+                 "--out report.json --format json",
+}
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_subcommand_alone_parses_as_the_whole_parser_does(command):
+    argv = TYPICAL_LINES[command].split()
+    parser = cli.build_parser(command)
+    assert subcommands(parser) == [command]
+    whole = cli.build_parser()
+    assert subcommands(whole) == list(cli.COMMANDS)
+    assert vars(parser.parse_args(argv)) == vars(whole.parse_args(argv))
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(
+        argparse._SubParsersAction, "add_parser",
+        lambda self, name, **kwargs: built.append(name)
+        or add_parser(self, name, **kwargs))
+    # the console script's path: main reads its arguments from sys.argv
+    monkeypatch.setattr(sys, "argv", ["statdisc", "classical", "--n", "3"])
+    assert main() == 0
+    assert built == ["classical"]
+    assert capsys.readouterr().out.startswith("experiment: classical\n")
+
+
 # ------------------------------------------------------------ byte contract
 
 def contract_digest(argv) -> str:
@@ -298,7 +344,8 @@ def contract_digest(argv) -> str:
 # The command lines whose output is pinned byte for byte, each with the
 # contract_digest it had at 80 columns: every published number, the scans
 # and discrimination tasks the Fock kernel computes, the other experiments,
-# and the usage (exit 64) and capacity (exit 65) refusals.
+# and the usage (exit 64) and capacity (exit 65) refusals, among them the
+# root parser's own, whose usage line names every subcommand.
 CONTRACT_DIGESTS = {
     'reproduce':
         '558f90635d266c93c53c62d5ad91ea0a5bbf23a58b2c41163db7b44440fa83d0',
@@ -412,6 +459,16 @@ CONTRACT_DIGESTS = {
         '9bdefd4ce7c0000d089e7d30066f612af8c006c01943f7fb7ee077e9249b5414',
     'classical --n 8 --classical-interpretation literal --format json':
         'b285cb140761718200d357a9659741015f2b3f88eb541b69f55f47eab96e3991',
+    '':
+        '345301e25f68b5b25af1da31b66775157a7566205d771801c90454b7d92e8a75',
+    'classical --n 3 --bogus':
+        '3c50c1362de732f9090090e70b8ea2cc185c0f9c8a7d0ff46736cb53764017ea',
+    'classical --n 3 extra':
+        'ee4bb0bad4a02d67173ac8fabeab2d95f34778db7d7b957a13f9b63f2a790988',
+    '--format json classical --n 3':
+        '8bf322853cc0e6c44bf13a36517956d6a31e4af5622e4090eeb90e3e81be672d',
+    '-- classical --n 3':
+        '4cec711ba78be56cf084332cb0d24ac5734569127ce1015b6a28868d3b8788eb',
     'frobnicate':
         'ea00c51d1517df2d3d78a88330aefbfe5ed640c1ff8c07aaf52cf6a3731587af',
     'detect':

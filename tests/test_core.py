@@ -434,6 +434,10 @@ def test_capacity_errors_are_raised_only_by_check_register():
 
 
 def test_empty_registers_are_refused_only_by_check_register():
+    """The rule's exact message is raised by check_register alone.  The
+    check matches that literal only: partial_trace refuses an empty keep
+    itself, in a longer message that quotes the rule's words (see
+    test_partial_trace_refuses_an_empty_keep_before_tracing)."""
     stray = []
     for name, tree in _package_sources():
         rule = (_core_nodes(tree, _is_register_rule)
@@ -445,9 +449,11 @@ def test_empty_registers_are_refused_only_by_check_register():
     assert stray == []
 
 
-# tensor and partial_trace meet the rule through the joint or kept size:
-# see test_tensor_stops_at_the_capacity and
-# test_partial_trace_composes_down_to_one_qubit
+# tensor meets the rule through the joint size (see
+# test_tensor_stops_at_the_capacity); partial_trace refuses an empty keep
+# itself, quoting the rule's words (see
+# test_partial_trace_refuses_an_empty_keep_before_tracing and
+# test_partial_trace_composes_down_to_one_qubit)
 @pytest.mark.parametrize("entry", [
     pytest.param(symmetric_projector, id="symmetric_projector"),
     pytest.param(aligned_vs_mixed_bound, id="aligned_vs_mixed_bound"),
