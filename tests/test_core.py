@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 import statdisc
 from statdisc.applications import classical_pauli_success, scan_discrimination
-from statdisc.core import (SUM_TOL, CapacityError, DensityMatrix,
-                           partial_trace, swap_operator, symmetric_projector,
-                           tensor, trace_norm)
+from statdisc.core import (_FACTOR_ABOVE, SUM_TOL, TOL, CapacityError,
+                           DensityMatrix, hermiticity_defect, partial_trace,
+                           swap_operator, symmetric_projector, tensor,
+                           trace_norm)
 from statdisc.discrimination import aligned_vs_mixed_bound
 from statdisc.multiport import (MultiportUnitary, Statistics, dft_unitary,
                                 prepare_input)
-from statdisc.states import BlochDirection, maximally_mixed
+from statdisc.states import BlochDirection, aligned_mixture, maximally_mixed
 
 from oracles import aligned_direction_state, permutation_operator
 
@@ -29,13 +30,16 @@ def random_density(rng, n_qubits):
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """The shape and dtype of every matrix handed to ``np.linalg.eigvalsh``."""
+def solver_calls(monkeypatch):
+    """The name, shape and dtype of every matrix handed to
+    ``np.linalg.eigvalsh`` or ``np.linalg.cholesky``."""
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: calls.append((m.shape, m.dtype))
-                        or eigvalsh(m))
+    for name in ("eigvalsh", "cholesky"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name,
+            lambda m, name=name, solver=solver:
+            calls.append((name, m.shape, m.dtype)) or solver(m))
     return calls
 
 
@@ -80,22 +84,63 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(m)
 
 
+def embedded(block, dim):
+    """``block`` in the top left corner of a dim x dim zero matrix."""
+    m = np.zeros((dim, dim), dtype=np.asarray(block).dtype)
+    m[:len(block), :len(block)] = block
+    return m
+
+
+@pytest.mark.parametrize("dim", [2, _FACTOR_ABOVE])
 def test_density_matrix_solves_real_states_in_real_arithmetic(
-        eigvalsh_calls):
-    DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
-    assert eigvalsh_calls == [((2, 2), np.float64)]
-    eigvalsh_calls.clear()
-    DensityMatrix(np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
-    assert eigvalsh_calls == [((2, 2), np.complex128)]
+        dim, solver_calls):
+    # at or below the switch the eigensolver decides alone
+    DensityMatrix(embedded(np.diag([0.25, 0.75]), dim).astype(complex))
+    assert solver_calls == [("eigvalsh", (dim, dim), np.float64)]
+    solver_calls.clear()
+    DensityMatrix(embedded(np.array([[0.5, 0.25j], [-0.25j, 0.5]]), dim))
+    assert solver_calls == [("eigvalsh", (dim, dim), np.complex128)]
     # a refusal names the lowest eigenvalue on either path
-    eigvalsh_calls.clear()
+    solver_calls.clear()
     for m in (np.diag([1.5, -0.5]),
               np.array([[0.5, 1j], [-1j, 0.5]])):
         with pytest.raises(ValueError,
                            match=r"lowest eigenvalue -5\.000e-01"):
-            DensityMatrix(m)
-    assert eigvalsh_calls == [((2, 2), np.float64),
-                              ((2, 2), np.complex128)]
+            DensityMatrix(embedded(m, dim))
+    assert solver_calls == [("eigvalsh", (dim, dim), np.float64),
+                            ("eigvalsh", (dim, dim), np.complex128)]
+
+
+def test_density_matrix_factors_large_states_in_their_own_arithmetic(
+        solver_calls):
+    dim = 2 * _FACTOR_ABOVE
+    # above the switch a factorization accepts, real where the state is
+    DensityMatrix(embedded(np.diag([0.25, 0.75]), dim).astype(complex))
+    assert solver_calls == [("cholesky", (dim, dim), np.float64)]
+    solver_calls.clear()
+    DensityMatrix(embedded(np.array([[0.5, 0.25j], [-0.25j, 0.5]]), dim))
+    assert solver_calls == [("cholesky", (dim, dim), np.complex128)]
+    # and a refusal is the eigensolver's, in the same words
+    solver_calls.clear()
+    for m in (np.diag([1.5, -0.5]),
+              np.array([[0.5, 1j], [-1j, 0.5]])):
+        with pytest.raises(ValueError,
+                           match=r"lowest eigenvalue -5\.000e-01"):
+            DensityMatrix(embedded(m, dim))
+    assert solver_calls == [("cholesky", (dim, dim), np.float64),
+                            ("eigvalsh", (dim, dim), np.float64),
+                            ("cholesky", (dim, dim), np.complex128),
+                            ("eigvalsh", (dim, dim), np.complex128)]
+
+
+def test_density_matrix_factors_rank_deficient_states(solver_calls):
+    # rank 9 of 256, and rank 1: the shift by SUM_TOL makes them definite
+    pure = np.exp(1j * np.arange(256)) / 16
+    states = (aligned_mixture(8).matrix, np.outer(pure, pure.conj()))
+    solver_calls.clear()
+    for m in states:
+        assert DensityMatrix(m).n_qubits == 8
+    assert [name for name, _, _ in solver_calls] == ["cholesky"] * 2
 
 
 # within 1e-12 of the threshold, yet far above the rounding of either solver
@@ -105,11 +150,13 @@ NEAR_THRESHOLD = st.builds(lambda sign, offset: -SUM_TOL + sign * offset,
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n_qubits=st.integers(1, 4),
+@given(seed=st.integers(0, 2 ** 32 - 1), n_qubits=st.integers(1, 8),
        lowest=st.one_of(st.just(0.0), st.just(-0.1), NEAR_THRESHOLD),
        real=st.booleans())
 def test_density_matrix_positivity_matches_the_complex_solver(
         seed, n_qubits, lowest, real):
+    # registers on both sides of _FACTOR_ABOVE: the factorization's accept
+    # and the eigensolver's refusal meet the same threshold
     m = state_with_lowest(seed, n_qubits, lowest, real)
     assert np.isrealobj(m) == real
     oracle = np.linalg.eigvalsh(m.astype(complex))[0]
@@ -143,14 +190,14 @@ def test_density_matrix_is_read_only():
         rho.matrix[0, 0] = 1.0
 
 
-def test_density_matrix_stops_at_the_capacity(eigvalsh_calls):
+def test_density_matrix_stops_at_the_capacity(solver_calls):
     assert DensityMatrix(np.eye(2 ** 8) / 2 ** 8).n_qubits == 8
-    assert eigvalsh_calls == [((256, 256), np.float64)]
-    # refused before the eigenvalue validation, the costly part
-    eigvalsh_calls.clear()
+    assert solver_calls == [("cholesky", (256, 256), np.float64)]
+    # refused before the positivity check, the costly part
+    solver_calls.clear()
     with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
         DensityMatrix(np.eye(2 ** 9) / 2 ** 9)
-    assert eigvalsh_calls == []
+    assert solver_calls == []
     # and before its own copy of the matrix, 4 MB at 512 x 512
     big = np.eye(2 ** 9, dtype=complex) / 2 ** 9
     tracemalloc.start()
@@ -164,18 +211,18 @@ def test_density_matrix_stops_at_the_capacity(eigvalsh_calls):
 
 
 def test_density_matrix_refuses_non_qubit_dimensions_before_any_work(
-        eigvalsh_calls):
+        solver_calls):
     # seven qutrits: dimension 2187 lies between 2**11 and 2**12
     for m in (np.eye(3 ** 7) / 3 ** 7, np.ones((2, 4)) / 2, np.zeros((0, 0))):
         with pytest.raises(ValueError, match="qubit"):
             DensityMatrix(m)
-    assert eigvalsh_calls == []
+    assert solver_calls == []
 
 
-def test_density_matrix_of_dimension_one_is_refused(eigvalsh_calls):
+def test_density_matrix_of_dimension_one_is_refused(solver_calls):
     with pytest.raises(ValueError, match="n must be at least 1"):
         DensityMatrix([[1.0]])
-    assert eigvalsh_calls == []
+    assert solver_calls == []
 
 
 # ------------------------------------------------------------------ tensor
@@ -194,16 +241,30 @@ def test_tensor_concatenates_factor_shapes():
     assert np.allclose(joint.matrix, np.kron(a.matrix, b.matrix))
 
 
-def test_tensor_stops_at_the_capacity(monkeypatch):
+def test_tensor_stops_at_the_capacity():
     big = DensityMatrix(np.eye(2 ** 8) / 2 ** 8)
     assert tensor(maximally_mixed(7), maximally_mixed(1)).n_qubits == 8
-    calls = []
-    kron = np.kron
-    monkeypatch.setattr(np, "kron",
-                        lambda a, b: calls.append(a.shape) or kron(a, b))
-    with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
-        tensor(big, DensityMatrix(np.eye(2) / 2))
-    assert calls == []
+    qubit = DensityMatrix(np.eye(2) / 2)
+    # refused before the product, 4 MB at 512 x 512
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="n = 9 .* 8-qubit limit"):
+            tensor(big, qubit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_a=st.integers(1, 3),
+       n_b=st.integers(1, 3))
+def test_tensor_equals_kron_byte_for_byte(seed, n_a, n_b):
+    rng = np.random.default_rng(seed)
+    a = random_density(rng, n_a)
+    b = random_density(rng, n_b)
+    assert (tensor(a, b).matrix.tobytes()
+            == np.kron(a.matrix, b.matrix).tobytes())
 
 
 def test_tensor_rejects_mixed_kinds():
@@ -307,6 +368,25 @@ def test_trace_norm_dominates_trace():
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = a + a.conj().T
         assert trace_norm(h) >= abs(np.trace(h).real) - 1e-12
+
+
+def test_hermiticity_defect_is_the_whole_matrix_maximum_at_every_size():
+    rng = np.random.default_rng(11)
+    for dim in range(2, 257):
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        assert (hermiticity_defect(m)
+                == float(np.max(np.abs(m - m.conj().T))))
+
+
+def test_a_defect_in_the_last_block_is_refused():
+    m = np.eye(256, dtype=complex) / 256
+    m[-1, -1] += 1e-9j
+    assert hermiticity_defect(m) == float(np.max(np.abs(m - m.conj().T)))
+    assert hermiticity_defect(m) > TOL
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix(m)
+    with pytest.raises(ValueError, match="Hermitian"):
+        trace_norm(m)
 
 
 @settings(max_examples=40, deadline=None)
