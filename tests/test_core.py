@@ -59,6 +59,13 @@ def state_with_lowest(seed, n_qubits, lowest, real):
     return (m + m.conj().T) / 2
 
 
+def embedded(block, dim):
+    """``block`` in the top left corner of a dim x dim zero matrix."""
+    m = np.zeros((dim, dim), dtype=np.asarray(block).dtype)
+    m[:len(block), :len(block)] = block
+    return m
+
+
 # ------------------------------------------------------------ DensityMatrix
 
 def test_density_matrix_accepts_valid_state():
@@ -84,53 +91,29 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(m)
 
 
-def embedded(block, dim):
-    """``block`` in the top left corner of a dim x dim zero matrix."""
-    m = np.zeros((dim, dim), dtype=np.asarray(block).dtype)
-    m[:len(block), :len(block)] = block
-    return m
-
-
-@pytest.mark.parametrize("dim", [2, _FACTOR_ABOVE])
-def test_density_matrix_solves_real_states_in_real_arithmetic(
-        dim, solver_calls):
-    # at or below the switch the eigensolver decides alone
-    DensityMatrix(embedded(np.diag([0.25, 0.75]), dim).astype(complex))
-    assert solver_calls == [("eigvalsh", (dim, dim), np.float64)]
-    solver_calls.clear()
-    DensityMatrix(embedded(np.array([[0.5, 0.25j], [-0.25j, 0.5]]), dim))
-    assert solver_calls == [("eigvalsh", (dim, dim), np.complex128)]
-    # a refusal names the lowest eigenvalue on either path
-    solver_calls.clear()
-    for m in (np.diag([1.5, -0.5]),
-              np.array([[0.5, 1j], [-1j, 0.5]])):
-        with pytest.raises(ValueError,
-                           match=r"lowest eigenvalue -5\.000e-01"):
+def test_density_matrix_solves_real_states_in_real_arithmetic(solver_calls):
+    # at or below the switch the eigensolver decides alone; above it a
+    # factorization accepts, and a refusal is the eigensolver's in the same
+    # words; each route runs in real arithmetic on a real state
+    dtypes = (np.float64, np.complex128)
+    accepted = (np.diag([0.25, 0.75]).astype(complex),
+                np.array([[0.5, 0.25j], [-0.25j, 0.5]]))
+    refused = (np.diag([1.5, -0.5]), np.array([[0.5, 1j], [-1j, 0.5]]))
+    for dim in (2, _FACTOR_ABOVE, 2 * _FACTOR_ABOVE):
+        factored = dim > _FACTOR_ABOVE
+        for m, dtype in zip(accepted, dtypes):
+            solver_calls.clear()
             DensityMatrix(embedded(m, dim))
-    assert solver_calls == [("eigvalsh", (dim, dim), np.float64),
-                            ("eigvalsh", (dim, dim), np.complex128)]
-
-
-def test_density_matrix_factors_large_states_in_their_own_arithmetic(
-        solver_calls):
-    dim = 2 * _FACTOR_ABOVE
-    # above the switch a factorization accepts, real where the state is
-    DensityMatrix(embedded(np.diag([0.25, 0.75]), dim).astype(complex))
-    assert solver_calls == [("cholesky", (dim, dim), np.float64)]
-    solver_calls.clear()
-    DensityMatrix(embedded(np.array([[0.5, 0.25j], [-0.25j, 0.5]]), dim))
-    assert solver_calls == [("cholesky", (dim, dim), np.complex128)]
-    # and a refusal is the eigensolver's, in the same words
-    solver_calls.clear()
-    for m in (np.diag([1.5, -0.5]),
-              np.array([[0.5, 1j], [-1j, 0.5]])):
-        with pytest.raises(ValueError,
-                           match=r"lowest eigenvalue -5\.000e-01"):
-            DensityMatrix(embedded(m, dim))
-    assert solver_calls == [("cholesky", (dim, dim), np.float64),
-                            ("eigvalsh", (dim, dim), np.float64),
-                            ("cholesky", (dim, dim), np.complex128),
-                            ("eigvalsh", (dim, dim), np.complex128)]
+            name = "cholesky" if factored else "eigvalsh"
+            assert solver_calls == [(name, (dim, dim), dtype)]
+        for m, dtype in zip(refused, dtypes):
+            solver_calls.clear()
+            with pytest.raises(ValueError,
+                               match=r"lowest eigenvalue -5\.000e-01"):
+                DensityMatrix(embedded(m, dim))
+            assert solver_calls == ([("cholesky", (dim, dim), dtype)]
+                                    * factored
+                                    + [("eigvalsh", (dim, dim), dtype)])
 
 
 def test_density_matrix_factors_rank_deficient_states(solver_calls):
