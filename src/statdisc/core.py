@@ -77,21 +77,23 @@ def as_complex_matrix(m) -> np.ndarray:
 # Whole-matrix temporaries of a 256 x 256 register (1 MB each) are mapped
 # afresh on every call, about 500 page faults and 1.0-1.4 ms in a fresh
 # process; blocks of this size are reused from the heap and take 0.55 ms.
-# 16384 entries faulted as the whole matrix does.
+# 16384 entries faulted as the whole matrix does.  A matrix of at most this
+# many entries is one block; reducing with the array's own ``max`` rather
+# than ``np.max`` keeps that block as cheap as a whole-matrix expression
+# (4.2-4.5 us at 2 x 2 and 5.6-5.9 at 16 x 16, warm, on the 2-core Xeon).
 _BLOCK_ENTRIES = 8192
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation from m = m^dagger.
 
-    A matrix above ``_BLOCK_ENTRIES`` entries is compared one block of rows
-    at a time; the maximum of the blocks' maxima is the same float.
+    The matrix is compared in blocks of rows of about ``_BLOCK_ENTRIES``
+    entries each, a small matrix in one; the maximum of the blocks' maxima
+    is the same float.
     """
-    if m.size <= _BLOCK_ENTRIES:
-        return float(np.max(np.abs(m - m.conj().T)))
     rows = max(1, _BLOCK_ENTRIES // m.shape[0])
-    return max(float(np.max(np.abs(m[i:i + rows]
-                                   - m[:, i:i + rows].conj().T)))
+    return max(float(np.abs(m[i:i + rows]
+                            - m[:, i:i + rows].conj().T).max())
                for i in range(0, m.shape[0], rows))
 
 
