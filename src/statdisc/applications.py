@@ -91,20 +91,22 @@ def purify_symmetric(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     return partial_trace(normalized, keep=(0,)), success
 
 
-def _capped_routings(n_arms: int, size: int, cap: int) -> int:
-    """Arm assignments of ``size`` labeled particles, at most ``cap`` per arm.
+def _capped_routings(n_arms: int, size: int, cap: int) -> list[int]:
+    """Arm assignments of k labeled particles, at most ``cap`` per arm, for
+    every k from 0 to ``size``.
 
     One arm's exponential generating function is sum_{j<=cap} x^j/j!, so
-    the count is size! [x^size] (sum_{j<=cap} x^j/j!)^n_arms.  The product
+    the count for k is k! [x^k] (sum_{j<=cap} x^j/j!)^n_arms.  The product
     is multiplied out in integers: with ways[i] the routings of i particles
     over the arms so far, one more arm takes j of them in C(i, j) ways.
+    Its coefficients give every count at once, entry k for k particles.
     """
     ways = [1] + [0] * size
     for _ in range(n_arms):
         ways = [sum(math.comb(i, j) * ways[i - j]
                     for j in range(min(i, cap) + 1))
                 for i in range(size + 1)]
-    return ways[size]
+    return ways
 
 
 def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
@@ -120,15 +122,17 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     labels, the only routings that leave every arm distinct put the n
     particles on the n arms one to one, and n! of those obey either rule,
     so P(distinct | k) = n! / (R(n, k) R(n, n - k)) with R the capped
-    routing count, an integer; only the probabilities are fractions.  The
-    mixed hypothesis weighs k by C(n, k) / 2^n.
+    routing count, an integer; only the probabilities are fractions.  One
+    polynomial product over the n arms gives R(n, k) for every k, so the
+    count takes O(n^2 cap) integer steps.  The mixed hypothesis weighs k by
+    C(n, k) / 2^n.
     """
     check_register(n)
     if interpretation not in ("standard", "literal"):
         raise ValueError("interpretation must be 'standard' or 'literal'")
     cap = 1 if interpretation == "standard" else 2
 
-    routings = [_capped_routings(n, ups, cap) for ups in range(n + 1)]
+    routings = _capped_routings(n, n, cap)
     distinct_given_ups = [
         Fraction(math.factorial(n), routings[ups] * routings[n - ups])
         for ups in range(n + 1)]

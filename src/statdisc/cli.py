@@ -3,9 +3,12 @@
 Subcommands map one-to-one onto the library: ``reproduce`` recomputes the
 published probabilities and fails loudly on any mismatch, the rest expose
 single experiments.  Output is a table, JSON, or RFC-4180 CSV; identical
-configurations produce byte-identical JSON.  A call builds the parser of
-the subcommand it names first and no other; all six are built only when
-the first argument names none (the root's help and refusals).
+configurations produce byte-identical JSON.  A call whose first argument
+names a subcommand builds that subcommand's parser alone, with no root
+parser; the root and all six subparsers are built only for the root's own
+paths (no argument, an unknown first one, an option first) and to refuse
+arguments left over after a subcommand, so that every help text and
+refusal keeps its bytes.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 internal error,
 64 usage error (an unwritable ``--out`` too), 65 capacity exceeded.
@@ -291,41 +294,55 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The statdisc parser; ``command``'s subparser alone if it names one."""
+def _add_arguments(parser: _Parser, command: str) -> None:
+    """The common flags, then ``command``'s own arguments."""
+    parser.add_argument("--format", choices=tuple(RENDERERS), default="table")
+    parser.add_argument("--out", metavar="PATH",
+                        help="write the report here instead of stdout")
+    parser.add_argument("--seed", type=int, default=42,
+                        help="seed echoed into the report (all production "
+                             "numbers are deterministic)")
+    # every report echoes every setting: one that only another subcommand
+    # takes reads null
+    parser.set_defaults(command=command, **dict.fromkeys(
+        ("n", "n_max", "statistics", "prior0", "pair", "schmidt", "r",
+         "theta", "phi", "classical_interpretation")))
+    for flag, options in SUBCOMMANDS[command][1].items():
+        parser.add_argument(flag, **options)
+
+
+def _subcommand_parser(command: str) -> _Parser:
+    """``command``'s parser on its own, as the root would name and build it."""
+    parser = _Parser(prog=f"statdisc {command}")
+    _add_arguments(parser, command)
+    return parser
+
+
+def build_parser() -> _Parser:
+    """The statdisc parser, with every subcommand."""
     parser = _Parser(prog="statdisc",
                      description="Discriminate collective internal states of "
                                  "identical particles by arm counting.")
-    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
-    # with one subparser built, the metavar keeps every name in the root
-    # usage line; with all six, none is set, so that the root's refusals
-    # still name "argument command"
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_Parser,
-        metavar="{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None)
-    for name in names:
-        help_line, arguments = SUBCOMMANDS[name]
-        subparser = sub.add_parser(name, help=help_line)
-        subparser.add_argument("--format", choices=tuple(RENDERERS),
-                               default="table")
-        subparser.add_argument("--out", metavar="PATH",
-                               help="write the report here instead of stdout")
-        subparser.add_argument("--seed", type=int, default=42,
-                               help="seed echoed into the report (all "
-                                    "production numbers are deterministic)")
-        # every report echoes every setting: one that only another
-        # subcommand takes reads null
-        subparser.set_defaults(**dict.fromkeys(
-            ("n", "n_max", "statistics", "prior0", "pair", "schmidt", "r",
-             "theta", "phi", "classical_interpretation")))
-        for flag, options in arguments.items():
-            subparser.add_argument(flag, **options)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for command, (help_line, _) in SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=help_line), command)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    if argv and argv[0] in SUBCOMMANDS:
+        config, extras = _subcommand_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return config
+    # the root words its own refusals, leftover arguments among them: it
+    # parses as far as the subcommand's parser did, then refuses the rest
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    config = build_parser(argv[0] if argv else None).parse_args(argv)
+    config = _parse(argv)
     try:
         rows = COMMANDS[config.command](config)
         text = RENDERERS[config.format](config, rows)

@@ -181,12 +181,24 @@ def test_exclusion_count_matches_the_enumeration(interpretation, n):
 
 
 def test_integer_routing_count_matches_the_fraction_series():
+    # every entry of the one product, past the arms' room at the top too
     for n_arms in range(1, 11):
-        for size in range(n_arms + 1):
-            for cap in range(1, n_arms + 1):
-                assert applications._capped_routings(n_arms, size, cap) == \
-                    series_capped_routings(n_arms, size, cap), \
-                    (n_arms, size, cap)
+        for cap in range(1, n_arms + 1):
+            size = n_arms + 2
+            assert applications._capped_routings(n_arms, size, cap) == [
+                series_capped_routings(n_arms, k, cap)
+                for k in range(size + 1)], (n_arms, cap)
+
+
+@given(st.integers(1, 10), st.integers(0, 12), st.integers(1, 12))
+def test_routing_counts_meet_the_closed_forms_at_either_cap(n_arms, size,
+                                                            cap):
+    # one particle per arm leaves a falling factorial; a cap that k does not
+    # exceed leaves every one of the n_arms ** k routings
+    assert applications._capped_routings(n_arms, size, 1) == [
+        math.perm(n_arms, k) for k in range(size + 1)]
+    assert applications._capped_routings(n_arms, size, cap)[:cap + 1] == [
+        n_arms ** k for k in range(min(cap, size) + 1)]
 
 
 def test_literal_exclusion_reading_deviates():

@@ -267,18 +267,41 @@ def test_every_report_echoes_every_setting(argv, capsys):
     assert config["command"] == argv[0]
 
 
-def test_module_entry_point_runs():
+def run_module(args):
+    """``python -m statdisc args`` in a fresh interpreter, as bytes."""
     # the child must find the same statdisc this process imported, whether
     # it came from an install or from pytest's pythonpath setting
     source = str(Path(statdisc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-m", "statdisc", "classical", "--n", "2",
-         "--format", "csv"],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
-    assert result.returncode == 0
-    assert result.stdout.startswith("name,")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "--n", "7", "--format", "json"],
+    ["classical", "--n", "3", "--format", "xml"]])
+def test_module_entry_point_runs(argv, monkeypatch):
+    # argparse wraps a refusal's usage line to COLUMNS, in both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    result = run_module(["-m", "statdisc", *argv])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 64)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        code, out.getvalue().encode(), err.getvalue().encode())
+
+
+def test_importing_the_cli_leaves_locale_unloaded():
+    # argparse imports locale on its first gettext lookup; that cost belongs
+    # to the parse, not to the import
+    result = run_module(["-c", "import sys, statdisc.cli; "
+                               "print('locale' in sys.modules)"])
+    assert (result.returncode, result.stdout) == (0, b"False\n")
 
 
 # --------------------------------------------------------------- arguments
@@ -305,25 +328,43 @@ TYPICAL_LINES = {
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_a_subcommand_alone_parses_as_the_whole_parser_does(command):
     argv = TYPICAL_LINES[command].split()
-    parser = cli.build_parser(command)
-    assert subcommands(parser) == [command]
+    parser = cli._subcommand_parser(command)
+    assert parser.prog == f"statdisc {command}"
     whole = cli.build_parser()
     assert subcommands(whole) == list(cli.COMMANDS)
-    assert vars(parser.parse_args(argv)) == vars(whole.parse_args(argv))
+    assert vars(parser.parse_args(argv[1:])) == vars(whole.parse_args(argv))
 
 
 def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-    monkeypatch.setattr(
-        argparse._SubParsersAction, "add_parser",
-        lambda self, name, **kwargs: built.append(name)
-        or add_parser(self, name, **kwargs))
+    def refuse():
+        raise AssertionError("the root parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
     # the console script's path: main reads its arguments from sys.argv
     monkeypatch.setattr(sys, "argv", ["statdisc", "classical", "--n", "3"])
     assert main() == 0
-    assert built == ["classical"]
     assert capsys.readouterr().out.startswith("experiment: classical\n")
+
+
+def outcome(call, argv):
+    """Exit code, stdout and stderr of ``call(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            call(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("line", [
+    "classical --n 3 --bogus", "classical --n 3 extra", "classical --n abc",
+    "classical", "classical --n", "classical --n 3 -- extra",
+    "classical --n 3 --format xml", "classical -h"])
+def test_a_subcommand_refuses_as_the_whole_parser_does(line, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    expected = outcome(lambda args: cli.build_parser().parse_args(args), argv)
+    assert expected[0] in (0, 64)
+    assert outcome(main, argv) == expected
 
 
 # ------------------------------------------------------------ byte contract
