@@ -278,10 +278,17 @@ def run_module(args):
                           env={**os.environ, "PYTHONPATH": path})
 
 
+def test_module_entry_point_runs():
+    result = run_module(["-m", "statdisc", "classical", "--n", "2",
+                         "--format", "csv"])
+    assert result.returncode == 0
+    assert result.stdout.startswith(b"name,")
+
+
 @pytest.mark.parametrize("argv", [
     ["classical", "--n", "7", "--format", "json"],
     ["classical", "--n", "3", "--format", "xml"]])
-def test_module_entry_point_runs(argv, monkeypatch):
+def test_module_entry_point_matches_main(argv, monkeypatch):
     # argparse wraps a refusal's usage line to COLUMNS, in both processes
     monkeypatch.setenv("COLUMNS", "80")
     result = run_module(["-m", "statdisc", *argv])
