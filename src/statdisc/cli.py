@@ -2,12 +2,14 @@
 
 Subcommands map one-to-one onto the library: ``reproduce`` recomputes the
 published probabilities and fails loudly on any mismatch, the rest expose
-single experiments.  Output is a table, JSON, or RFC-4180 CSV; identical
-configurations produce byte-identical JSON.  A call whose first argument
-names a subcommand builds that subcommand's parser alone, with no root
-parser; the root and all six subparsers are built only for the root's own
-paths (no argument, an unknown first one, an option first) and to refuse
-arguments left over after a subcommand, so that every help text and
+single experiments.  ``SUBCOMMANDS`` is the one table of them: the parsers,
+the dispatch in ``main`` and every report's null settings come from its
+handlers, help lines and flags.  Output is a table, JSON, or RFC-4180 CSV;
+identical configurations produce byte-identical JSON.  A call whose first
+argument names a subcommand builds that subcommand's parser alone, with no
+root parser; the root and all six subparsers are built only for the root's
+own paths (no argument, an unknown first one, an option first) and to
+refuse arguments left over after a subcommand, so that every help text and
 refusal keeps its bytes.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 internal error,
@@ -251,47 +253,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# Each subcommand's help line and its own arguments, which follow the common
-# flags in its usage and help.
+_STATISTICS = {"choices": tuple(s.value for s in Statistics),
+               "default": "fermion"}
+
+# The one subcommand table: each subcommand's handler, its help line and its
+# own arguments, which follow the common flags in its usage and help.
 SUBCOMMANDS = {
-    "reproduce": ("recompute every published probability and compare", {}),
-    "discriminate": ("one aligned-vs-other discrimination task", {
+    "reproduce": (cmd_reproduce,
+                  "recompute every published probability and compare", {}),
+    "discriminate": (cmd_discriminate,
+                     "one aligned-vs-other discrimination task", {
         "--pair": {"choices": ("aligned-antialigned", "aligned-mixed"),
                    "default": "aligned-mixed"},
         "--n": {"type": int, "default": 2},
-        "--statistics": {"choices": tuple(s.value for s in Statistics),
-                         "default": "fermion"},
+        "--statistics": _STATISTICS,
         "--prior0": {"type": float, "default": 0.5}}),
-    "scan": ("probe the strategy against the bound as the particle number "
-             "grows", {
+    "scan": (cmd_scan, "probe the strategy against the bound as the particle "
+                       "number grows", {
         "--n-max": {"type": int, "default": 6},
-        "--statistics": {"choices": tuple(s.value for s in Statistics),
-                         "default": "fermion"}}),
-    "detect": ("entanglement detection from two marginals", {
+        "--statistics": _STATISTICS}),
+    "detect": (cmd_detect, "entanglement detection from two marginals", {
         "--schmidt": {"type": float, "required": True,
                       "help": "smaller squared Schmidt coefficient in "
                               "[0, 1/2]"},
-        "--statistics": {"choices": tuple(s.value for s in Statistics),
-                         "default": "fermion"}}),
-    "purify": ("project two copies of a qubit onto the symmetric subspace", {
+        "--statistics": _STATISTICS}),
+    "purify": (cmd_purify,
+               "project two copies of a qubit onto the symmetric subspace", {
         "--r": {"type": float, "required": True,
                 "help": "Bloch length in [0, 1]"},
         "--theta": {"type": float, "default": 0.0},
         "--phi": {"type": float, "default": 0.0}}),
-    "classical": ("classical exclusion model by exact counting", {
+    "classical": (cmd_classical,
+                  "classical exclusion model by exact counting", {
         "--n": {"type": int, "required": True},
         "--classical-interpretation": {"choices": ("standard", "literal"),
                                        "default": "standard"}}),
 }
 
-COMMANDS = {
-    "reproduce": cmd_reproduce,
-    "discriminate": cmd_discriminate,
-    "scan": cmd_scan,
-    "detect": cmd_detect,
-    "purify": cmd_purify,
-    "classical": cmd_classical,
-}
+# every report echoes every setting; those of other subcommands read null
+_SETTINGS = dict.fromkeys(flag.lstrip("-").replace("-", "_")
+                          for _, _, flags in SUBCOMMANDS.values()
+                          for flag in flags)
 
 
 def _add_arguments(parser: _Parser, command: str) -> None:
@@ -302,12 +304,8 @@ def _add_arguments(parser: _Parser, command: str) -> None:
     parser.add_argument("--seed", type=int, default=42,
                         help="seed echoed into the report (all production "
                              "numbers are deterministic)")
-    # every report echoes every setting: one that only another subcommand
-    # takes reads null
-    parser.set_defaults(command=command, **dict.fromkeys(
-        ("n", "n_max", "statistics", "prior0", "pair", "schmidt", "r",
-         "theta", "phi", "classical_interpretation")))
-    for flag, options in SUBCOMMANDS[command][1].items():
+    parser.set_defaults(command=command, **_SETTINGS)
+    for flag, options in SUBCOMMANDS[command][2].items():
         parser.add_argument(flag, **options)
 
 
@@ -325,7 +323,7 @@ def build_parser() -> _Parser:
                                  "identical particles by arm counting.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for command, (help_line, _) in SUBCOMMANDS.items():
+    for command, (_, help_line, _) in SUBCOMMANDS.items():
         _add_arguments(sub.add_parser(command, help=help_line), command)
     return parser
 
@@ -344,7 +342,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     config = _parse(argv)
     try:
-        rows = COMMANDS[config.command](config)
+        rows = SUBCOMMANDS[config.command][0](config)
         text = RENDERERS[config.format](config, rows)
         if config.out:
             Path(config.out).write_text(text, encoding="utf-8")

@@ -552,23 +552,18 @@ def _gathered(index: np.ndarray, expansions: _Expansions
 
     ``expansions`` is the memo, which the merge reads, or a level of
     ``_expansions``, whose nodes the next creation step reads as its
-    parents.  Index i below half, the kept nodes, reads its slice, and the
-    expansions of consecutive such indices are one slice, read in place.
-    Index i from half on is the spin swap of its complement 2 * half - 1 - i,
-    which is kept: each output number goes through the swap map, and a
-    fermion amplitude is multiplied by the sign and then ``+ 0.0``, so that
-    a negated zero is the +0.0 that a sum from 0.0 leaves.  This is the
-    only place the mirror is applied.
+    parents.  Index i below half, the kept nodes, reads its slice.  Index i
+    from half on is the spin swap of its complement 2 * half - 1 - i, which
+    is kept: each output number goes through the swap map, and a fermion
+    amplitude is multiplied by the sign and then ``+ 0.0``, so that a
+    negated zero is the +0.0 that a sum from 0.0 leaves.  This is the only
+    place the mirror is applied.
     """
     half = expansions.offsets.size - 1
     mirrored = index >= half
     lengths = expansions.sizes[index]
-    if not mirrored[-1] and (np.diff(index) == 1).all():
-        at = slice(expansions.offsets[index[0]],
-                   expansions.offsets[index[-1] + 1])
-    else:
-        kept = np.minimum(index, 2 * half - 1 - index)
-        at = _ranges(expansions.offsets[kept], lengths)
+    kept = np.minimum(index, 2 * half - 1 - index)
+    at = _ranges(expansions.offsets[kept], lengths)
     number = expansions.index[at]
     amplitudes = expansions.amplitudes[at]
     if mirrored.any():
@@ -637,7 +632,9 @@ def _merge(member: np.ndarray, index: np.ndarray, amplitudes: np.ndarray,
     turns -0.0 into +0.0 as a sum from 0.0 does, with no accumulator cells.
     """
     lengths = expansions.sizes[index]
-    # members are numbered from 0 and each holds an input
+    # members are numbered from 0 and each holds an input; through the
+    # cells instead, a fresh maximally_mixed(7) took 11.0-12.0 ms against
+    # 7.8-8.8 ms for fermions on a 2-core Xeon
     if member.size == member[-1] + 1:
         number, amps = _terms(index, amplitudes, expansions)
         owner = np.repeat(member, lengths)

@@ -12,9 +12,10 @@ from statdisc.applications import (TwoQubitPureState, classical_comparison,
                                    detect_entanglement, purify_symmetric,
                                    scan_discrimination)
 from statdisc.core import SUM_TOL, CapacityError, partial_trace, tensor
+from statdisc.discrimination import aligned_vs_mixed_bound
 from statdisc.multiport import Statistics, interfere
-from statdisc.states import (BlochDirection, bloch_vector, maximally_mixed,
-                             qubit_density)
+from statdisc.states import (BlochDirection, aligned_mixture, bloch_vector,
+                             maximally_mixed, qubit_density)
 
 from oracles import enumerated_pauli_success, series_capped_routings
 
@@ -270,6 +271,57 @@ def test_scan_gaps_are_pinned_up_to_the_largest_scanned_registers():
         assert abs(gap - expected) < 1e-10
     for gap, expected in zip(boson[3:], (1 / 32, 1 / 32, 5 / 128)):
         assert abs(gap - expected) < 1e-10
+
+
+# the exact p_bs of each n, from a cyclotomic-integer evaluation of every
+# output amplitude as determinants (fermions) or permanents (bosons)
+EXACT_P_BS = {
+    FERMION: ("1/2", "5/8", "3/4", "107/128", "9/10", "15/16", "1511/1568"),
+    BOSON: ("1/2", "5/8", "3/4", "13/16", "7/8", "29/32"),
+}
+
+
+def ulps_off(value: float, exact: Fraction) -> Fraction:
+    """How far ``value`` lies from ``exact``, in units in the last place of
+    ``exact`` rounded to a float."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("statistics", [FERMION, BOSON])
+def test_scan_values_are_the_exact_rationals(statistics):
+    exact = [Fraction(p) for p in EXACT_P_BS[statistics]]
+    records = scan_discrimination(len(exact), statistics)
+    for rec, p_bs in zip(records, exact, strict=True):
+        bound = 1 - Fraction(rec.n + 1, 2 ** (rec.n + 1))
+        # the worst seen is 52 ulp, at boson n = 6
+        assert ulps_off(rec.p_bs, p_bs) <= 64, rec.n
+        assert ulps_off(rec.p_helstrom, bound) <= 1, rec.n
+        assert aligned_vs_mixed_bound(rec.n) == float(bound)
+
+
+def test_scan_pattern_counts_are_the_closed_forms():
+    # fermions: at most two per arm, k arms with two and k with none, the
+    # central trinomial coefficient; bosons: n in n arms, C(2n - 1, n)
+    for rec in scan_discrimination(7, FERMION):
+        n = rec.n
+        assert len(rec.strategy) == sum(
+            math.comb(n, 2 * k) * math.comb(2 * k, k)
+            for k in range(n // 2 + 1))
+    for rec in scan_discrimination(6, BOSON):
+        assert len(rec.strategy) == math.comb(2 * rec.n - 1, rec.n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_aligned_fermions_leave_one_per_arm_and_fix_p_bs(n):
+    # aligned fermions share an internal state, so exclusion sends one
+    # through each arm (Shchesnovich 2015; Tichy 2015): the strategy guesses
+    # aligned on that pattern alone and errs on the mixed state's share of it
+    spread = (1,) * n
+    assert list(interfere(aligned_mixture(n), FERMION).probabilities) == [
+        spread]
+    mixed = interfere(maximally_mixed(n), FERMION).probability(spread)
+    p_bs = scan_discrimination(n, FERMION)[-1].p_bs
+    assert abs(p_bs - (1 - mixed / 2)) <= 1e-14
 
 
 def test_scan_validates_input():

@@ -223,7 +223,8 @@ def test_unexpected_failures_exit_2(monkeypatch, capsys):
     def boom(config):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli.COMMANDS, "reproduce", boom)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "reproduce",
+                        (boom, *cli.SUBCOMMANDS["reproduce"][1:]))
     code, _, err = run(["reproduce"], capsys)
     assert code == 2
     assert "internal error" in err
@@ -332,13 +333,13 @@ TYPICAL_LINES = {
 }
 
 
-@pytest.mark.parametrize("command", list(cli.COMMANDS))
+@pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
 def test_a_subcommand_alone_parses_as_the_whole_parser_does(command):
     argv = TYPICAL_LINES[command].split()
     parser = cli._subcommand_parser(command)
     assert parser.prog == f"statdisc {command}"
     whole = cli.build_parser()
-    assert subcommands(whole) == list(cli.COMMANDS)
+    assert subcommands(whole) == list(cli.SUBCOMMANDS)
     assert vars(parser.parse_args(argv[1:])) == vars(whole.parse_args(argv))
 
 
@@ -581,7 +582,7 @@ def test_the_help_texts_are_byte_identical_to_their_pinned_digests(
         monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert set(HELP_DIGESTS) == {"--help"} | {
-        f"{command} --help" for command in cli.COMMANDS}
+        f"{command} --help" for command in cli.SUBCOMMANDS}
     changed = [line for line, digest in HELP_DIGESTS.items()
                if contract_digest(line.split()) != digest]
     assert changed == []
