@@ -5,8 +5,9 @@ shares no code with the production path: sphere quadrature over the
 fixed-direction states for the direction-averaged mixtures, a Dicke basis
 and explicit qubit-permutation operators for the symmetric projector,
 explicit (anti)symmetrization of labeled particles and, up to the capacity,
-determinants and permanents of the arm unitary for the Fock pipeline, a
-second balanced two-port convention, and full enumeration of routings for
+determinants and permanents of the arm unitary for the Fock pipeline and
+for the fermions' one-per-arm pattern, a second balanced two-port
+convention, and full enumeration of routings for
 the classical exclusion model.  They are slow on purpose and are never
 imported by ``src/``.
 
@@ -381,6 +382,30 @@ def factorised_distribution(internal: DensityMatrix,
                               probs.ravel().tolist()):
             totals[pattern] += p
     return OutcomeDistribution(dict(sorted(totals.items())))
+
+
+def exclusion_mixed_probability(n: int) -> float:
+    """P_mixed(1, ..., 1): the chance that n fermions in the maximally mixed
+    state leave the n-arm DFT one per arm, by determinants alone.
+
+    A spin string with its spin-1 particles in arms G reaches one particle
+    per arm, spin 1 in arms B with |B| = |G|, with probability
+    |det u[G, B]|**2 * |det u[G', B']|**2, primes the complements, and the
+    mixed state weighs each of the 2**n strings by 2**-n.
+    """
+    u = dft_unitary(n).matrix
+    total = 0.0
+    for k in range(n + 1):
+        subsets = list(combinations(range(n), k))
+        rest = [[a for a in range(n) if a not in s] for s in subsets]
+        g = np.array(subsets, dtype=np.intp).reshape(len(subsets), 1, k, 1)
+        g_rest = np.array(rest, dtype=np.intp).reshape(len(rest), 1, n - k, 1)
+        # every G against every B; a 0 x 0 determinant is 1
+        spin1 = np.abs(np.linalg.det(u[g, g.transpose(1, 0, 3, 2)])) ** 2
+        spin0 = np.abs(np.linalg.det(
+            u[g_rest, g_rest.transpose(1, 0, 3, 2)])) ** 2
+        total += float((spin1 * spin0).sum())
+    return total / 2 ** n
 
 
 # ---------------------------------------------- Fock pipeline as a dict loop

@@ -12,12 +12,14 @@ from statdisc.applications import (TwoQubitPureState, classical_comparison,
                                    detect_entanglement, purify_symmetric,
                                    scan_discrimination)
 from statdisc.core import SUM_TOL, CapacityError, partial_trace, tensor
-from statdisc.discrimination import aligned_vs_mixed_bound
+from statdisc.discrimination import (Hypothesis, aligned_vs_mixed_bound,
+                                     beam_splitter_discrimination)
 from statdisc.multiport import Statistics, interfere
 from statdisc.states import (BlochDirection, aligned_mixture, bloch_vector,
                              maximally_mixed, qubit_density)
 
-from oracles import enumerated_pauli_success, series_capped_routings
+from oracles import (enumerated_pauli_success, exclusion_mixed_probability,
+                     series_capped_routings)
 
 BOSON = Statistics.BOSON
 FERMION = Statistics.FERMION
@@ -311,17 +313,39 @@ def test_scan_pattern_counts_are_the_closed_forms():
         assert len(rec.strategy) == math.comb(2 * rec.n - 1, rec.n)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+# the exact p_bs at n = 8, from the kernel's pattern probabilities rounded
+# to their known denominators, each rounded distribution summing to 1
+EXACT_P_BS_8 = {FERMION: "128207/131072", BOSON: "976355/1048576"}
+
+
+def aligned_vs_mixed(n: int, statistics):
+    """The scan's task at n alone; the shared states keep their answers, so
+    the frontier checks at n = 8 run the kernel once per hypothesis."""
+    return beam_splitter_discrimination(
+        Hypothesis("H0", aligned_mixture(n), 0.5),
+        Hypothesis("H1", maximally_mixed(n), 0.5), statistics)
+
+
+@pytest.mark.frontier
+@pytest.mark.parametrize("statistics", [FERMION, BOSON])
+def test_eight_particle_values_are_the_exact_rationals(statistics):
+    rec = aligned_vs_mixed(8, statistics)
+    # measured 13 ulp below for fermions and 1 below for bosons
+    assert ulps_off(rec.p_bs, Fraction(EXACT_P_BS_8[statistics])) <= 64
+    assert rec.p_helstrom == aligned_vs_mixed_bound(8) == 1 - 9 / 2 ** 9
+
+
+@pytest.mark.parametrize("n", [*range(1, 8),
+                               pytest.param(8, marks=pytest.mark.frontier)])
 def test_aligned_fermions_leave_one_per_arm_and_fix_p_bs(n):
     # aligned fermions share an internal state, so exclusion sends one
     # through each arm (Shchesnovich 2015; Tichy 2015): the strategy guesses
-    # aligned on that pattern alone and errs on the mixed state's share of it
-    spread = (1,) * n
+    # aligned on that pattern alone and errs on the mixed state's share of
+    # it, which determinants of the DFT give without the kernel
     assert list(interfere(aligned_mixture(n), FERMION).probabilities) == [
-        spread]
-    mixed = interfere(maximally_mixed(n), FERMION).probability(spread)
-    p_bs = scan_discrimination(n, FERMION)[-1].p_bs
-    assert abs(p_bs - (1 - mixed / 2)) <= 1e-14
+        (1,) * n]
+    p_bs = aligned_vs_mixed(n, FERMION).p_bs
+    assert abs(p_bs - (1 - exclusion_mixed_probability(n) / 2)) <= 1e-14
 
 
 def test_scan_validates_input():

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import statdisc
 import statdisc.cli as cli
@@ -288,7 +290,12 @@ def test_module_entry_point_runs():
 
 @pytest.mark.parametrize("argv", [
     ["classical", "--n", "7", "--format", "json"],
-    ["classical", "--n", "3", "--format", "xml"]])
+    ["classical", "--n", "3", "--format", "xml"],
+    # lines the flag tables decline and the root parser reads: an
+    # abbreviation of --n-max, a joined value and a value starting with -
+    ["scan", "--n", "3", "--statistics", "boson", "--format", "json"],
+    ["classical", "--n=4", "--format", "json"],
+    ["discriminate", "--prior0", "-0", "--format", "json"]])
 def test_module_entry_point_matches_main(argv, monkeypatch):
     # argparse wraps a refusal's usage line to COLUMNS, in both processes
     monkeypatch.setenv("COLUMNS", "80")
@@ -310,6 +317,18 @@ def test_importing_the_cli_leaves_locale_unloaded():
     result = run_module(["-c", "import sys, statdisc.cli; "
                                "print('locale' in sys.modules)"])
     assert (result.returncode, result.stdout) == (0, b"False\n")
+
+
+def test_a_complete_line_leaves_locale_unloaded():
+    # a line the flag tables read builds no parser, so argparse's first
+    # gettext lookup, which imports locale, never happens
+    result = run_module(["-c", "import sys; from statdisc.cli import main; "
+                               "code = main(['classical', '--n', '7', "
+                               "'--format', 'json']); "
+                               "print(code, 'locale' in sys.modules, "
+                               "file=sys.stderr)"])
+    assert (result.returncode, result.stderr) == (0, b"0 False\n")
+    assert json.loads(result.stdout)["experiment"] == "classical"
 
 
 # --------------------------------------------------------------- arguments
@@ -336,22 +355,97 @@ TYPICAL_LINES = {
 @pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
 def test_a_subcommand_alone_parses_as_the_whole_parser_does(command):
     argv = TYPICAL_LINES[command].split()
-    parser = cli._subcommand_parser(command)
-    assert parser.prog == f"statdisc {command}"
     whole = cli.build_parser()
     assert subcommands(whole) == list(cli.SUBCOMMANDS)
-    assert vars(parser.parse_args(argv[1:])) == vars(whole.parse_args(argv))
+    assert vars(cli._read(argv)) == vars(whole.parse_args(argv))
 
 
-def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
-    def refuse():
-        raise AssertionError("the root parser was built")
+def test_a_complete_line_builds_no_parser(monkeypatch, tmp_path, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a parser was built")
 
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    # the console script's path: main reads its arguments from sys.argv
-    monkeypatch.setattr(sys, "argv", ["statdisc", "classical", "--n", "3"])
-    assert main() == 0
-    assert capsys.readouterr().out.startswith("experiment: classical\n")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    monkeypatch.chdir(tmp_path)  # the classical line writes report.json
+    for line in TYPICAL_LINES.values():
+        # the console script's path: main reads its arguments from sys.argv
+        monkeypatch.setattr(sys, "argv", ["statdisc", *line.split()])
+        assert main() == 0, line
+    assert capsys.readouterr().out.startswith("name,value,")  # reproduce's
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"]["classical_interpretation"] == "literal"
+
+
+# one line of each shape the flag tables leave to the root parser
+DECLINED_LINES = [
+    [], ["frobnicate"], ["--format", "json", "classical", "--n", "3"],
+    ["classical"], ["detect", "--statistics", "boson"],  # a required flag
+    ["classical", "--n"], ["classical", "--n", "3", "extra"],
+    ["scan", "--n", "3"], ["discriminate", "--stat", "boson"],  # abbreviated
+    ["classical", "--n=4"], ["reproduce", "--format=json"],
+    ["discriminate", "--prior0", "-1"], ["discriminate", "--prior0", "-0.5"],
+    ["classical", "--n", ""], ["classical", "--n", "abc"],
+    ["classical", "--n", "nan"], ["classical", "--n", "3", "--format", "xml"],
+    ["classical", "--n", "--"], ["classical", "--n", "3", "--", "extra"],
+    ["classical", "-h"], ["classical", "--n", "3", "--help", "x"],
+    ["reproduce", "--n", "3"],  # a flag of another subcommand
+    ["classical", "--n", "abc", "--n", "3"],  # a bad value, then a good one
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED_LINES)
+def test_the_flag_tables_decline_what_they_cannot_read_completely(argv):
+    assert cli._read(argv) is None
+
+
+def same_settings(read, parsed) -> bool:
+    """``vars`` of two namespaces agree, a NaN matching a NaN."""
+    read, parsed = vars(read), vars(parsed)
+    return read.keys() == parsed.keys() and all(
+        read[k] == parsed[k] or read[k] != read[k] and parsed[k] != parsed[k]
+        for k in read)
+
+
+_OWN_FLAGS = sorted({flag for _, _, flags in cli.SUBCOMMANDS.values()
+                     for flag in flags})
+_VALUES = ["0", "1", "3", "0.3", "1e-3", " 7", "nan", "inf", "report.json",
+           "", "abc", "-1", "-0", "-0.5", "--", "-h", "--help", "extra"]
+# values that a flag of each type reads
+_FITTING = {int: ["0", "3", " 7"], float: ["0", "0.3", "1e-3", "nan"],
+            None: ["report.json", ""]}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A subcommand, then mostly pairs of its own flags and values of their
+    choices or types, among every shape the flag tables decline."""
+    command = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    own = {**cli._COMMON, **cli.SUBCOMMANDS[command][2]}
+    argv = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(list(own)))
+        fitting = own[flag].get("choices") or _FITTING[own[flag].get("type")]
+        value = draw(st.sampled_from(fitting) | st.sampled_from(_VALUES))
+        shape = draw(st.sampled_from(["pair"] * 12 + [
+            "another flag", "abbreviated", "joined", "word"]))
+        if shape == "another flag":
+            flag = draw(st.sampled_from(_OWN_FLAGS))
+        elif shape == "abbreviated":
+            flag = flag[:draw(st.integers(3, max(3, len(flag) - 1)))]
+        if shape == "joined":
+            argv.append(f"{flag}={value}")
+        elif shape == "word":
+            argv.append(value)
+        else:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(command_lines())
+def test_a_line_the_flag_tables_read_parses_the_same(argv):
+    config = cli._read(argv)
+    if config is not None:
+        assert same_settings(config, cli.build_parser().parse_args(argv))
 
 
 def outcome(call, argv):
@@ -544,6 +638,13 @@ CONTRACT_DIGESTS = {
         '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
     'classical --n 9':
         '0211c4e0b64066566a85c8893ec103f4f3af0e784c876bb1c76c76ac74265cfa',
+    # lines the flag tables decline and the root parser reads
+    'scan --n 3 --statistics boson --format json':
+        'a53e8e54884181e8026641f5e6b1b60e3eb8058c01684edbd348bbfba9fd4e75',
+    'classical --n=4 --format json':
+        'e4af9a5265aad1f2b549d6483410368f4e9e0a4044867afb2c605eee35ed1293',
+    'discriminate --prior0 -0 --format json':
+        'f61a995f3656e808e71c1d3119eb2cc6c1c8901bb9fdb91d1d7e6ccfaef2c717',
 }
 
 
