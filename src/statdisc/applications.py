@@ -86,7 +86,7 @@ def purify_symmetric(rho: DensityMatrix) -> tuple[DensityMatrix, float]:
     joint = tensor(rho, rho).matrix
     projected = proj @ joint @ proj
     # success = (3 + r^2)/4 >= 3/4 for any qubit, so the division is safe
-    success = float(np.trace(projected).real)
+    success = float(projected.trace().real)
     normalized = DensityMatrix(projected / success)
     return partial_trace(normalized, keep=(0,)), success
 

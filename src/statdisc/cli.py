@@ -19,7 +19,7 @@ than the work: argparse's first gettext lookup imports ``locale`` (about
 0.5 ms more, and the counting and rendering about 0.25 ms.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 internal error,
-64 usage error (an unwritable ``--out`` too), 65 capacity exceeded.
+64 usage error (an empty or unwritable ``--out`` too), 65 capacity exceeded.
 """
 
 from __future__ import annotations
@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     config = _parse(argv)
     try:
+        # an empty path names no file; below it would read as no --out
+        if config.out == "":
+            raise ValueError("--out names no file")
         rows = SUBCOMMANDS[config.command][0](config)
         text = RENDERERS[config.format](config, rows)
         if config.out:

@@ -23,9 +23,19 @@ import numpy as np
 from .core import (DensityMatrix, check_register, swap_operator,
                    symmetric_projector)
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+def _shared(entries) -> np.ndarray:
+    """A read-only complex constant: every caller reads the same array, so
+    a write to it would change every later state."""
+    a = np.array(entries, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+IDENTITY = _shared([[1.0, 0.0], [0.0, 1.0]])
+PAULI_X = _shared([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Y = _shared([[0.0, -1.0j], [1.0j, 0.0]])
+PAULI_Z = _shared([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,7 @@ def qubit_density(length: float, omega: BlochDirection) -> DensityMatrix:
     if not 0.0 <= length <= 1.0:
         raise ValueError(f"Bloch length must lie in [0, 1], got {length}")
     nx, ny, nz = omega.unit_vector()
-    m = 0.5 * (np.eye(2, dtype=complex)
+    m = 0.5 * (IDENTITY
                + length * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z))
     return DensityMatrix(m)
 
@@ -107,5 +117,5 @@ def bloch_vector(rho: DensityMatrix) -> np.ndarray:
     """Bloch components (x, y, z) of a single-qubit state."""
     if rho.n_qubits != 1:
         raise ValueError("bloch_vector expects a single qubit")
-    return np.array([np.trace(rho.matrix @ p).real
+    return np.array([(rho.matrix @ p).trace().real
                      for p in (PAULI_X, PAULI_Y, PAULI_Z)])

@@ -109,6 +109,20 @@ def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
     assert str(target) in err
 
 
+# the flag tables read the first line, argparse the second
+@pytest.mark.parametrize("flag", [["--out", ""], ["--out="]])
+def test_an_empty_out_is_a_usage_error(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["classical", "--n", "3", *flag, "--format", "csv"]
+    assert (cli._read(argv) is None) == (flag == ["--out="])
+    code, out, err = run(argv, capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("statdisc: error: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------ formats
 
 def test_csv_uses_crlf_and_a_header(capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from statdisc.core import (MAX_QUBITS, CapacityError, partial_trace,
                            symmetric_projector, tensor)
-from statdisc.states import (BlochDirection, aligned_mixture,
+from statdisc.states import (IDENTITY, PAULI_X, PAULI_Y, PAULI_Z,
+                             BlochDirection, aligned_mixture,
                              antialigned_mixture, bloch_state, bloch_vector,
                              maximally_mixed, orthogonal_state, qubit_density)
 
@@ -140,6 +141,12 @@ def test_the_hypothesis_states_are_one_read_only_object_per_n(n):
     assert antialigned_mixture() is antialigned_mixture()
     with pytest.raises(ValueError):
         antialigned_mixture().matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("constant", [IDENTITY, PAULI_X, PAULI_Y, PAULI_Z])
+def test_the_shared_qubit_constants_are_read_only(constant):
+    with pytest.raises(ValueError):
+        constant[0, 0] = 2.0
 
 
 @pytest.mark.parametrize("build", [aligned_mixture, maximally_mixed])
