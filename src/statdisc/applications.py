@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -97,15 +96,19 @@ def _capped_routings(n_arms: int, size: int, cap: int) -> list[int]:
 
     One arm's exponential generating function is sum_{j<=cap} x^j/j!, so
     the count for k is k! [x^k] (sum_{j<=cap} x^j/j!)^n_arms.  The product
-    is multiplied out in integers: with ways[i] the routings of i particles
-    over the arms so far, one more arm takes j of them in C(i, j) ways.
-    Its coefficients give every count at once, entry k for k particles.
+    is multiplied out in place in integers: with ways[i] the routings of i
+    particles over the arms so far, one more arm takes j of them in C(i, j)
+    ways.  Each arm walks i from the top down, so every ways[i - j] it reads
+    still holds the count before that arm.  Its coefficients give every
+    count at once, entry k for k particles.
     """
     ways = [1] + [0] * size
     for _ in range(n_arms):
-        ways = [sum(math.comb(i, j) * ways[i - j]
-                    for j in range(min(i, cap) + 1))
-                for i in range(size + 1)]
+        for i in range(size, 0, -1):
+            total = ways[i]
+            for j in range(1, min(i, cap) + 1):
+                total += math.comb(i, j) * ways[i - j]
+            ways[i] = total
     return ways
 
 
@@ -118,14 +121,16 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     "aligned" exactly when all arms differ.  ``standard`` forbids two equal
     labels per arm; ``literal`` forbids three.
 
-    Probabilities are exact fractions from a closed count.  With k up
-    labels, the only routings that leave every arm distinct put the n
-    particles on the n arms one to one, and n! of those obey either rule,
-    so P(distinct | k) = n! / (R(n, k) R(n, n - k)) with R the capped
-    routing count, an integer; only the probabilities are fractions.  One
-    polynomial product over the n arms gives R(n, k) for every k, so the
-    count takes O(n^2 cap) integer steps.  The mixed hypothesis weighs k by
-    C(n, k) / 2^n.
+    The success is one ratio of integers from a closed count, rounded once.
+    With k up labels, the only routings that leave every arm distinct put
+    the n particles on the n arms one to one, and n! of those obey either
+    rule, so P(distinct | k) = n! / D_k with D_k = R(n, k) R(n, n - k) and
+    R the capped routing count.  One polynomial product over the n arms
+    gives R(n, k) for every k, so the count takes O(n^2 cap) integer steps.
+    The mixed hypothesis weighs k by C(n, k) / 2^n.  Over L, the least
+    common multiple of the D_k, the success is
+    [2^n n! L/D_0 + sum_k C(n, k) (L - n! L/D_k)] / (2^(n+1) L), and
+    Python's integer division rounds that ratio correctly.
     """
     check_register(n)
     if interpretation not in ("standard", "literal"):
@@ -133,16 +138,16 @@ def classical_pauli_success(n: int, interpretation: str = "standard") -> float:
     cap = 1 if interpretation == "standard" else 2
 
     routings = _capped_routings(n, n, cap)
-    distinct_given_ups = [
-        Fraction(math.factorial(n), routings[ups] * routings[n - ups])
-        for ups in range(n + 1)]
-
+    allowed = [routings[ups] * routings[n - ups] for ups in range(n + 1)]
+    common = math.lcm(*allowed)
+    distinct = math.factorial(n)
     # aligned hypothesis: every particle carries the same label
-    p_correct_aligned = distinct_given_ups[0]
+    correct_aligned = 2 ** n * distinct * (common // allowed[0])
     # mixed hypothesis: labels independently uniform; correct when arms repeat
-    p_correct_mixed = sum(math.comb(n, ups) * (1 - distinct_given_ups[ups])
-                          for ups in range(n + 1)) / 2 ** n
-    return float(p_correct_aligned / 2 + p_correct_mixed / 2)
+    correct_mixed = sum(math.comb(n, ups)
+                        * (common - distinct * (common // allowed[ups]))
+                        for ups in range(n + 1))
+    return (correct_aligned + correct_mixed) / (2 ** (n + 1) * common)
 
 
 def classical_comparison(n_max: int = 6) -> list[dict]:

@@ -16,7 +16,7 @@ such as ``-1``) goes to the root parser, which words every help text and
 refusal.  For ``classical --n 7`` in a fresh process any parser cost more
 than the work: argparse's first gettext lookup imports ``locale`` (about
 0.8 ms), building and running the subcommand's parser alone took about
-0.5 ms more, and the counting and rendering about 0.25 ms.
+0.5 ms more, and the counting and rendering now about 0.2 ms.
 
 Exit codes: 0 success, 1 reproduction mismatch, 2 internal error,
 64 usage error (an empty or unwritable ``--out`` too), 65 capacity exceeded.

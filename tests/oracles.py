@@ -7,9 +7,9 @@ and explicit qubit-permutation operators for the symmetric projector,
 explicit (anti)symmetrization of labeled particles and, up to the capacity,
 determinants and permanents of the arm unitary for the Fock pipeline and
 for the fermions' one-per-arm pattern, a second balanced two-port
-convention, and full enumeration of routings for
-the classical exclusion model.  They are slow on purpose and are never
-imported by ``src/``.
+convention, and, for the classical exclusion model, its closed count in
+exact fractions and a full enumeration of routings.  They are slow on
+purpose and are never imported by ``src/``.
 
 One oracle is not independent but literal: the Fock pipeline as the plain
 dict loop it replaced, on the ``FockState`` members that ``fock_ensemble``
@@ -25,6 +25,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 from typing import Callable, Sequence
@@ -534,12 +535,32 @@ def series_capped_routings(n_arms: int, size: int, cap: int) -> int:
     return int(math.factorial(size) * series[size])
 
 
-def enumerated_pauli_success(n: int, interpretation: str = "standard") -> float:
-    """The classical exclusion model by full enumeration.
+def rational_pauli_success(n: int, interpretation: str = "standard"
+                           ) -> Fraction:
+    """The classical exclusion model from its closed count, in exact
+    fractions: P(distinct | k) = n! / (R(n, k) R(n, n - k)), with the
+    capped routing counts R taken from the fraction series."""
+    cap = {"standard": 1, "literal": 2}[interpretation]
+    routings = [series_capped_routings(n, k, cap) for k in range(n + 1)]
+    distinct_given_ups = [
+        Fraction(math.factorial(n), routings[ups] * routings[n - ups])
+        for ups in range(n + 1)]
+
+    p_correct_aligned = distinct_given_ups[0]
+    p_correct_mixed = sum(math.comb(n, ups) * (1 - distinct_given_ups[ups])
+                          for ups in range(n + 1)) / 2 ** n
+    return p_correct_aligned / 2 + p_correct_mixed / 2
+
+
+@cache
+def enumerated_pauli_fraction(n: int, interpretation: str = "standard"
+                              ) -> Fraction:
+    """The classical exclusion model by full enumeration, in exact fractions.
 
     Same game as ``classical_pauli_success``: every spin assignment and
     every pair of same-spin group routings is listed, and the fraction
-    leaving all arms distinct is counted, in exact fractions.
+    leaving all arms distinct is counted.  Cached, since two tests ask for
+    the same slow counts.
     """
     cap = {"standard": 1, "literal": 2}[interpretation]
     distinct_given_ups: dict[int, Fraction] = {}
@@ -560,4 +581,9 @@ def enumerated_pauli_success(n: int, interpretation: str = "standard") -> float:
     for labels in product((0, 1), repeat=n):
         p_correct_mixed += (1 - distinct_given_ups[sum(labels)])
     p_correct_mixed /= 2 ** n
-    return float(p_correct_aligned / 2 + p_correct_mixed / 2)
+    return p_correct_aligned / 2 + p_correct_mixed / 2
+
+
+def enumerated_pauli_success(n: int, interpretation: str = "standard") -> float:
+    """``enumerated_pauli_fraction`` rounded to a double."""
+    return float(enumerated_pauli_fraction(n, interpretation))

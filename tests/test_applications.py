@@ -18,7 +18,8 @@ from statdisc.multiport import Statistics, interfere
 from statdisc.states import (BlochDirection, aligned_mixture, bloch_vector,
                              maximally_mixed, qubit_density)
 
-from oracles import (enumerated_pauli_success, exclusion_mixed_probability,
+from oracles import (enumerated_pauli_fraction, enumerated_pauli_success,
+                     exclusion_mixed_probability, rational_pauli_success,
                      series_capped_routings)
 
 BOSON = Statistics.BOSON
@@ -183,6 +184,23 @@ def test_exclusion_count_matches_the_enumeration(interpretation, n):
         enumerated_pauli_success(n, interpretation)
 
 
+@pytest.mark.parametrize("interpretation", ["standard", "literal"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integer_ratio_rounds_the_exact_fraction(n, interpretation):
+    # one correctly rounded division gives the double of the exact value,
+    # past the enumeration's reach at literal n = 7 and 8 too
+    assert classical_pauli_success(n, interpretation) == \
+        float(rational_pauli_success(n, interpretation))
+
+
+@pytest.mark.parametrize("interpretation, n",
+                         [(reading, n) for reading in ("standard", "literal")
+                          for n in range(1, 7)] + [("standard", 7)])
+def test_closed_count_fraction_matches_the_enumeration(interpretation, n):
+    assert rational_pauli_success(n, interpretation) == \
+        enumerated_pauli_fraction(n, interpretation)
+
+
 def test_integer_routing_count_matches_the_fraction_series():
     # every entry of the one product, past the arms' room at the top too
     for n_arms in range(1, 11):
@@ -191,6 +209,15 @@ def test_integer_routing_count_matches_the_fraction_series():
             assert applications._capped_routings(n_arms, size, cap) == [
                 series_capped_routings(n_arms, k, cap)
                 for k in range(size + 1)], (n_arms, cap)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 10), st.integers(0, 12), st.integers(1, 12))
+def test_in_place_routing_pass_matches_the_fraction_series(n_arms, size, cap):
+    # a size below the cap and a cap above the arm count included; a pass
+    # that read an entry it had already updated would overcount
+    assert applications._capped_routings(n_arms, size, cap) == [
+        series_capped_routings(n_arms, k, cap) for k in range(size + 1)]
 
 
 @given(st.integers(1, 10), st.integers(0, 12), st.integers(1, 12))
